@@ -8,13 +8,19 @@ damped wave equation into a linear first-order system in the state
     g3' = K1*g1 - K2*g2,
     g4' = K2*g1 + K1*g2,        K1 + i*K2 = s^2 / (1 + eps1*s),  s = q + i*omega.
 
-Integrating the four Cauchy problems whose initial states form the identity
-gives the fundamental matrix Gamma(x).  The clamped end kills solutions 1
-and 2; the end-mass boundary condition applied to columns 3 and 4 yields a
-2x2 homogeneous system whose determinant Delta(omega, q) vanishes exactly at
-eigenvalues.  Delta is non-negative (it has sum-of-squares structure), so
-eigenvalues are located by derivative-free minimization of its normalized
-form over (q, omega).
+The system is the real form of the complex one (u, u')' = A (u, u') with
+A = [[0, 1], [K, 0]], K = K1 + i*K2, and A^2 = K*I.  One classical RK4 step
+of length h is therefore exactly (1 + e)*I + b*A with z = h^2*K,
+e = z/2 + z^2/24 and b = h*(1 + z/6); products and powers of such matrices
+keep that form, so the fundamental matrix Gamma(x) (the four Cauchy
+problems whose initial states form the identity) is the pair (e, b) raised
+to the step count by binary powering on complex scalars.  Its realified
+4x4 view is what :func:`integrate_fundamental` returns.  The clamped end
+kills solutions 1 and 2; the end-mass boundary condition applied to
+columns 3 and 4 yields a 2x2 homogeneous system whose determinant
+Delta(omega, q) = |f|^2, f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1), vanishes
+exactly at eigenvalues.  Delta is non-negative, so eigenvalues are located
+by derivative-free minimization of its normalized form over (q, omega).
 """
 
 from __future__ import annotations
@@ -128,8 +134,11 @@ class SolveOptions:
 def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]:
     """(K1, K2) of the normal system; K1 + i*K2 = s^2/(1 + eps1*s).
 
-    Raises ZeroDivisionError when eps1^2 omega^2 + (1 + eps1 q)^2 degenerates.
+    Raises ValueError for a non-finite q or omega and ZeroDivisionError when
+    eps1^2 omega^2 + (1 + eps1 q)^2 degenerates.
     """
+    if not (math.isfinite(q) and math.isfinite(omega)):
+        raise ValueError(f"non-finite spectral point q={q!r}, omega={omega!r}")
     den = eps1 * eps1 * omega * omega + (1.0 + eps1 * q) ** 2
     if den <= _DENOM_FLOOR:
         raise ZeroDivisionError("degenerate rhs denominator: 1 + eps1*s ~ 0")
@@ -161,16 +170,61 @@ def boundary_coefficients(q: float, omega: float,
     return BoundaryCoefficients(D1=D1, D2=D2, D3=D3, D4=D4)
 
 
-def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
+# A propagator (1 + e)*I + b*A of the complex system, stored as (e, b).
+Pair = tuple[complex, complex]
+
+_IDENTITY: Pair = (0j, 0j)
+
+
+def _rk4_pair(K: complex, h: float) -> Pair:
     # One classical Runge-Kutta step for y' = A y is exactly multiplication
-    # by the degree-4 Taylor polynomial of exp(hA).
-    hA = h * A
-    M = np.eye(4)
-    term = np.eye(4)
-    for k in (1, 2, 3, 4):
-        term = term @ hA / k
-        M = M + term
-    return M
+    # by the degree-4 Taylor polynomial of exp(hA); A^2 = K*I folds it into
+    # (1 + z/2 + z^2/24)*I + h*(1 + z/6)*A with z = h^2*K.
+    z = h * h * K
+    return z * (0.5 + z / 24.0), h * (1.0 + z / 6.0)
+
+
+def _compose(left: Pair, right: Pair, K: complex) -> Pair:
+    # Product of two propagators; the offset e is carried instead of
+    # a = 1 + e so that its small part is never rounded against 1.
+    e, b = left
+    f, d = right
+    return e + f + e * f + b * d * K, b * (1.0 + f) + d * (1.0 + e)
+
+
+def _power(pair: Pair, n: int, K: complex) -> Pair:
+    result = _IDENTITY
+    while n:
+        if n & 1:
+            result = _compose(result, pair, K)
+        n >>= 1
+        if n:
+            pair = _compose(pair, pair, K)
+    return result
+
+
+def _check_overflow(pair: Pair, K: complex) -> None:
+    # The realified 4x4 matrix has the real and imaginary parts of a, b and
+    # b*K as its entries; NaN fails the comparison too.
+    e, b = pair
+    for c in (1.0 + e, b, b * K):
+        if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
+            raise OverflowError(
+                "fundamental matrix entry exceeded 1e150; subdivide the interval")
+
+
+def _interval_pair(K: complex, length: float, step: float) -> Pair:
+    """Propagator over one interval: full steps, then one shortened step
+    landing exactly on its end.  Overflow-checked."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    nfull = int(math.floor(length / step + 1e-9))
+    remainder = length - nfull * step
+    pair = _power(_rk4_pair(K, step), nfull, K)
+    if remainder > 1e-14:
+        pair = _compose(_rk4_pair(K, remainder), pair, K)
+    _check_overflow(pair, K)
+    return pair
 
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
@@ -179,8 +233,9 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     """Fundamental matrix at x_end for identity initial data at x_start.
 
     Fixed-step classical fourth-order integration; the last step is
-    shortened to land exactly on x_end.  Raises OverflowError when any
-    entry exceeds 1e150 (the caller should subdivide), ValueError on a
+    shortened to land exactly on x_end.  The result is the real 4x4 form of
+    the complex propagator [[a, b], [b*K, a]].  Raises OverflowError when
+    any entry exceeds 1e150 (the caller should subdivide), ValueError on a
     reversed interval or non-positive step.
     """
     if x_end < x_start:
@@ -191,55 +246,44 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     if length == 0.0:
         return np.eye(4)
 
-    K1, K2 = rhs_coefficients(q, omega, dp.eps1)
-    A = np.array([
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [K1, -K2, 0.0, 0.0],
-        [K2, K1, 0.0, 0.0],
+    K = complex(*rhs_coefficients(q, omega, dp.eps1))
+    e, b = _interval_pair(K, length, step)
+    a, bK = 1.0 + e, b * K
+    return np.array([
+        [a.real, -a.imag, b.real, -b.imag],
+        [a.imag, a.real, b.imag, b.real],
+        [bK.real, -bK.imag, a.real, -a.imag],
+        [bK.imag, bK.real, a.imag, a.real],
     ])
 
-    nfull = int(math.floor(length / step + 1e-9))
-    remainder = length - nfull * step
-    G = np.linalg.matrix_power(_rk4_step_matrix(A, step), nfull)
-    if remainder > 1e-14:
-        G = _rk4_step_matrix(A, remainder) @ G
 
-    if not np.all(np.isfinite(G)) or np.max(np.abs(G)) > OVERFLOW_LIMIT:
-        raise OverflowError(
-            "fundamental matrix entry exceeded 1e150; subdivide the interval")
-    return G
+def _normalized_determinant(gamma_end: Pair, q: float, omega: float,
+                            dp: DimensionlessParams) -> float:
+    """Delta-hat from the propagator of [0, 1].
 
-
-def _normalized_determinant(gamma_end: FundamentalMatrix, q: float,
-                            omega: float, dp: DimensionlessParams) -> float:
-    """Delta-hat from a fundamental matrix at x = 1.
-
-    E = (boundary rows) @ (columns 3 and 4) is [[E1, E2], [E3, E4]];
-    Delta = E1*E4 - E2*E3 >= 0 by the conjugate structure (column 4 is
-    i x column 3, so E4 = E1 and E2 = -E3 and Delta is a sum of squares).
-    Each E entry is a dot product of the D row with a Gamma column, so
-    Delta <= ||D||^2 * (||col3||^2 + ||col4||^2) by Cauchy-Schwarz; dividing
-    by half that bound yields a scale-free value with the same zeros and
-    minimizers as the raw determinant, O(1) away from the spectrum and at
-    roundoff level on it.  Clamped at 0 against sign noise in the last digit.
+    Solution 3 (initial state u = 0, u' = 1) ends at (u, u') = (b, a).  The
+    end-mass condition is the single complex row f = P*u + Q*u' with
+    P = D1 - i*D2 and Q = D3 - i*D4, and the raw 2x2 real determinant is
+    Delta = |f|^2 >= 0.  Cauchy-Schwarz bounds |f| by
+    ||(P, Q)|| * ||(u, u')||; dividing by that bound gives a scale-free value
+    in [0, 1] with the same zeros and minimizers as Delta, O(1) away from
+    the spectrum and at roundoff level on it.  The floor keeps it total.
     """
+    e, b = gamma_end
+    u, du = b, 1.0 + e
     bc = boundary_coefficients(q, omega, dp)
-    cols = gamma_end[:, 2:4]
-    E = bc.as_matrix() @ cols
-    raw = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
-    d_norm2 = bc.D1**2 + bc.D2**2 + bc.D3**2 + bc.D4**2
-    g_norm2 = float(np.sum(cols * cols))
-    scale = 0.5 * d_norm2 * g_norm2 + _NORM_FLOOR
-    return max(raw, 0.0) / scale
+    P = complex(bc.D1, -bc.D2)
+    Q = complex(bc.D3, -bc.D4)
+    scale = math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du))
+    r = (P * u + Q * du) / max(scale, _NORM_FLOOR)
+    return r.real * r.real + r.imag * r.imag
 
 
 def delta(q: float, omega: float, dp: DimensionlessParams,
           step: float = DEFAULT_STEP) -> float:
     """Normalized characteristic determinant from a single-interval
     integration of [0, 1]; non-negative, zero exactly at eigenvalues."""
-    gamma_end = integrate_fundamental(q, omega, dp, 0.0, 1.0, step)
-    return _normalized_determinant(gamma_end, q, omega, dp)
+    return delta_subdivided(q, omega, dp, 1, step)
 
 
 def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
@@ -249,17 +293,16 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
 
     Each subinterval gets a fresh fundamental matrix from identity initial
     data; matching values and derivatives at the junctions is exactly
-    right-to-left multiplication of the per-subinterval matrices, so the
-    composed product is the fundamental matrix at x = 1.  n = 1 reproduces
-    :func:`delta` identically.
+    multiplication of the per-subinterval matrices.  The coefficients do not
+    depend on x, so all n are the same matrix and the product is its n-th
+    power.  Both the subinterval propagator and the composed product are
+    overflow-checked (OverflowError).  n = 1 is :func:`delta`.
     """
     if n < 1:
         raise ValueError("subinterval count must be at least 1")
-    edges = np.linspace(0.0, 1.0, n + 1)
-    gamma_end = None
-    for i in range(n):
-        seg = integrate_fundamental(q, omega, dp, edges[i], edges[i + 1], step)
-        gamma_end = seg if gamma_end is None else seg @ gamma_end
+    K = complex(*rhs_coefficients(q, omega, dp.eps1))
+    gamma_end = _power(_interval_pair(K, 1.0 / n, step), n, K)
+    _check_overflow(gamma_end, K)
     return _normalized_determinant(gamma_end, q, omega, dp)
 
 
@@ -272,7 +315,8 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     ``simplex_size``), then restarts once from the found point with a 10x
     smaller simplex.  Frequencies outside the seed's band (half-width
     ``band_halfwidth``) get a large penalty, which prevents mode hopping.
-    Never raises: a failed search comes back with converged=False.
+    Raises ValueError for a non-finite seed; otherwise never raises: a
+    failed search comes back with converged=False.
     """
     opts = options or SolveOptions()
     omega_seed = seed.omega
@@ -314,11 +358,12 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
                resolution: int = 201, step: float = DEFAULT_STEP) -> ModeShape:
     """Displacement profile (u1, u2) of a converged eigenvalue on a grid.
 
-    The coefficient pair (C3, C4) is the null direction of the 2x2 boundary
-    system.  That system is a scaled rotation, so the null direction is only
-    defined up to complex phase; the shape is therefore rotated to make its
-    largest-magnitude sample real and positive (rendering the conservative
-    limit purely real) and scaled to unit peak amplitude.
+    The profile is C * u(x) with u the displacement of solution 3 and
+    C = C3 + i*C4 a null direction of the 2x2 boundary system.  That system
+    is a scaled rotation, so C is only defined up to a complex factor; the
+    shape is therefore rotated to make its largest-magnitude sample real and
+    positive (rendering the conservative limit purely real) and scaled to
+    unit peak amplitude, which fixes C = 1/u(x_peak).
 
     Raises ValueError for an unconverged point and numpy.linalg.LinAlgError
     when the boundary system is numerically full-rank (the point is not an
@@ -330,28 +375,24 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
     grid = np.linspace(0.0, 1.0, resolution)
-    gammas = [np.eye(4)]
-    for i in range(resolution - 1):
-        seg = integrate_fundamental(point.q, point.omega, dp,
-                                    grid[i], grid[i + 1], step)
-        gammas.append(seg @ gammas[-1])
+    K = complex(*rhs_coefficients(point.q, point.omega, dp.eps1))
+    interval = _interval_pair(K, 1.0 / (resolution - 1), step)
+    gamma = _IDENTITY
+    profile = [0j]  # u of solution 3 at each grid point
+    for _ in range(resolution - 1):
+        gamma = _compose(interval, gamma, K)
+        profile.append(gamma[1])
+    _check_overflow(gamma, K)
 
-    bc = boundary_coefficients(point.q, point.omega, dp)
-    E = bc.as_matrix() @ gammas[-1][:, 2:4]
-    dhat = _normalized_determinant(gammas[-1], point.q, point.omega, dp)
+    dhat = _normalized_determinant(gamma, point.q, point.omega, dp)
     if dhat >= _RANK_TOL:
         raise np.linalg.LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
-    _, _, vh = np.linalg.svd(E)
-    c_raw = complex(vh[-1][0], vh[-1][1])
-
-    # u1 + i*u2 = (C3 + i*C4) * (solution-3 state read complex-wise).
-    profile = np.array([complex(g[0, 2], g[1, 2]) for g in gammas])
-    profile = c_raw * profile
+    profile = np.array(profile)
     peak = int(np.argmax(np.abs(profile)))
-    c_final = c_raw / profile[peak]
+    c_final = 1.0 / profile[peak]
     profile = profile / profile[peak]
     return ModeShape(grid=grid, u1=profile.real, u2=profile.imag,
                      C3=c_final.real, C4=c_final.imag)

@@ -35,6 +35,63 @@ def undamped_gamma(omega, x):
     ])
 
 
+def realify(M):
+    """Real 4x4 form, on (u1, u2, u1', u2'), of a complex 2x2 matrix acting
+    on (u, u')."""
+    R = np.empty((4, 4))
+    for i in range(2):
+        for j in range(2):
+            c = M[i][j]
+            R[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[c.real, -c.imag],
+                                                   [c.imag, c.real]]
+    return R
+
+
+def damped_gamma(q, omega, dp, x):
+    """Analytic fundamental matrix of u'' = lambda^2 u, lambda^2 = K."""
+    lam = np.sqrt(complex(*fundsys.rhs_coefficients(q, omega, dp.eps1)))
+    c, s = np.cosh(lam * x), np.sinh(lam * x)
+    return realify([[c, s / lam], [lam * s, c]])
+
+
+def reference_propagator(q, omega, dp, length, step):
+    """The 4x4 construction: the RK4 Taylor polynomial of the real system
+    matrix raised to the full-step count, then one shortened step."""
+    K1, K2 = fundsys.rhs_coefficients(q, omega, dp.eps1)
+    A = np.array([[0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [K1, -K2, 0.0, 0.0],
+                  [K2, K1, 0.0, 0.0]])
+
+    def rk4_step(h):
+        M, term = np.eye(4), np.eye(4)
+        for k in (1, 2, 3, 4):
+            term = term @ (h * A) / k
+            M = M + term
+        return M
+
+    nfull = int(np.floor(length / step + 1e-9))
+    remainder = length - nfull * step
+    G = np.linalg.matrix_power(rk4_step(step), nfull)
+    if remainder > 1e-14:
+        G = rk4_step(remainder) @ G
+    return G
+
+
+def reference_delta(q, omega, dp, n, step):
+    """Normalized determinant from n composed 4x4 subinterval propagators."""
+    edges = np.linspace(0.0, 1.0, n + 1)
+    G = np.eye(4)
+    for a, b in zip(edges, edges[1:]):
+        G = reference_propagator(q, omega, dp, b - a, step) @ G
+    bc = fundsys.boundary_coefficients(q, omega, dp)
+    cols = G[:, 2:4]
+    E = bc.as_matrix() @ cols
+    raw = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
+    d_norm2 = bc.D1**2 + bc.D2**2 + bc.D3**2 + bc.D4**2
+    return max(raw, 0.0) / (0.5 * d_norm2 * float(np.sum(cols * cols)))
+
+
 # ------------------------------------------------------------ rhs coefficients
 
 def test_rhs_coefficients_undamped():
@@ -67,6 +124,15 @@ def test_rhs_coefficients_degenerate_denominator():
     # 1 + eps1*q = 0 and omega = 0 annihilates the denominator.
     with pytest.raises(ZeroDivisionError):
         fundsys.rhs_coefficients(-10.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("q, omega", [(np.nan, 1.0), (0.0, np.nan),
+                                      (np.inf, 1.0), (0.0, -np.inf)])
+def test_rhs_coefficients_rejects_non_finite_point(q, omega):
+    with pytest.raises(ValueError):
+        fundsys.rhs_coefficients(q, omega, 0.005)
+    with pytest.raises(ValueError):
+        fundsys.delta_subdivided(q, omega, REF)
 
 
 def test_state_derivative_matches_normal_system():
@@ -141,6 +207,45 @@ def test_integrator_matches_harmonic_oracle():
     assert G[0, 0] == pytest.approx(-1.0, abs=1e-8)   # cos(pi)
     assert G[0, 2] == pytest.approx(0.0, abs=1e-8)    # sin(pi)/pi
     assert np.max(np.abs(G - undamped_gamma(np.pi, 1.0))) < 1e-8
+
+
+@pytest.mark.parametrize("q, omega, dp", [(0.0, np.pi, UNDAMPED),
+                                          (-0.3, 2.0 * np.pi, REF),
+                                          (0.4, 5.0, REF),
+                                          (-1.0, 8.0, REF)])
+def test_integrator_matches_exact_propagator(q, omega, dp):
+    exact = damped_gamma(q, omega, dp, 1.0)
+    e1 = np.max(np.abs(fundsys.integrate_fundamental(
+        q, omega, dp, step=1.0 / 2000.0) - exact))
+    e2 = np.max(np.abs(fundsys.integrate_fundamental(
+        q, omega, dp, step=1.0 / 4000.0) - exact))
+    assert e1 < 1e-8
+    assert e2 <= e1 / 8.0
+
+
+def test_integrator_matches_matrix_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        dp = random_dp(rng)
+        q = rng.uniform(-1, 1)
+        omega = rng.uniform(0.01, 10)
+        for x_end, step in ((1.0, 1.0 / 500.0), (0.775, 1.0 / 300.0),
+                            (0.125, 1.0 / 2000.0)):
+            G = fundsys.integrate_fundamental(q, omega, dp, 0.0, x_end, step)
+            ref = reference_propagator(q, omega, dp, x_end, step)
+            assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_delta_subdivided_matches_matrix_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(30):
+        dp = random_dp(rng)
+        q = rng.uniform(-1, 1)
+        omega = rng.uniform(0.01, 10)
+        step = rng.choice([1.0 / 2000.0, 1.0 / 700.0])  # 1/700: remainder steps
+        value = fundsys.delta_subdivided(q, omega, dp, n=n, step=step)
+        assert abs(value - reference_delta(q, omega, dp, n, step)) <= 1e-12
 
 
 def test_integrator_fourth_order_error_signature():
@@ -229,6 +334,13 @@ def test_delta_subdivided_composition_matches_oracle():
         G = fundsys.integrate_fundamental(0.0, np.pi, UNDAMPED, edges[i],
                                           edges[i + 1], step=1.0 / 2000.0) @ G
     assert G[0, 0] == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_delta_subdivided_composed_overflow_raises():
+    # Each subinterval stays below the limit; only the product exceeds it.
+    fundsys.integrate_fundamental(0.0, 1e4, REF, 0.0, 0.125)
+    with pytest.raises(OverflowError):
+        fundsys.delta_subdivided(0.0, 1e4, REF)
 
 
 def test_delta_subdivided_rejects_bad_count():
