@@ -138,7 +138,7 @@ def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]
     eps1^2 omega^2 + (1 + eps1 q)^2 degenerates.
     """
     if not (math.isfinite(q) and math.isfinite(omega)):
-        raise ValueError(f"non-finite spectral point q={q!r}, omega={omega!r}")
+        raise ValueError(f"non-finite spectral point q={q}, omega={omega}")
     den = eps1 * eps1 * omega * omega + (1.0 + eps1 * q) ** 2
     if den <= _DENOM_FLOOR:
         raise ZeroDivisionError("degenerate rhs denominator: 1 + eps1*s ~ 0")

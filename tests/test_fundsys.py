@@ -209,16 +209,14 @@ def test_integrator_matches_harmonic_oracle():
     assert np.max(np.abs(G - undamped_gamma(np.pi, 1.0))) < 1e-8
 
 
-@pytest.mark.parametrize("q, omega, dp", [(0.0, np.pi, UNDAMPED),
-                                          (-0.3, 2.0 * np.pi, REF),
-                                          (0.4, 5.0, REF),
-                                          (-1.0, 8.0, REF)])
-def test_integrator_matches_exact_propagator(q, omega, dp):
-    exact = damped_gamma(q, omega, dp, 1.0)
+@pytest.mark.parametrize("q, omega", [(-0.3, 2.0 * np.pi), (0.4, 5.0),
+                                      (-1.0, 8.0)])
+def test_integrator_matches_damped_oracle(q, omega):
+    exact = damped_gamma(q, omega, REF, 1.0)
     e1 = np.max(np.abs(fundsys.integrate_fundamental(
-        q, omega, dp, step=1.0 / 2000.0) - exact))
+        q, omega, REF, step=1.0 / 2000.0) - exact))
     e2 = np.max(np.abs(fundsys.integrate_fundamental(
-        q, omega, dp, step=1.0 / 4000.0) - exact))
+        q, omega, REF, step=1.0 / 4000.0) - exact))
     assert e1 < 1e-8
     assert e2 <= e1 / 8.0
 
@@ -243,7 +241,8 @@ def test_delta_subdivided_matches_matrix_reference(n):
         dp = random_dp(rng)
         q = rng.uniform(-1, 1)
         omega = rng.uniform(0.01, 10)
-        step = rng.choice([1.0 / 2000.0, 1.0 / 700.0])  # 1/700: remainder steps
+        # 1/700 does not divide 1/8, so n = 8 takes a remainder step.
+        step = rng.choice([1.0 / 2000.0, 1.0 / 700.0])
         value = fundsys.delta_subdivided(q, omega, dp, n=n, step=step)
         assert abs(value - reference_delta(q, omega, dp, n, step)) <= 1e-12
 
