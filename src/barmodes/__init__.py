@@ -7,7 +7,8 @@ Three solver families are provided:
 * ``asymptotic`` — first-order complex-eigenvalue corrections and the
   self-excitation condition in closed form;
 * ``fundsys`` — fully numerical complex eigenvalues via normal fundamental
-  systems of solutions and direct-search minimization.
+  systems of solutions and a secant search for the zeros of the boundary
+  residual.
 
 ``cli`` ties them together behind the ``barmodes`` command.
 """

@@ -33,8 +33,8 @@ _DIMLESS_KEYS = ("eps1", "mu", "nu", "eta", "delta")
 _RUN_KEYS = {
     "modes": (int, 5),
     "omega_max": (float, 20.0),
-    "step": (float, 1.0 / 2000.0),
-    "subintervals": (int, 8),
+    "step": (float, fundsys.DEFAULT_STEP),
+    "subintervals": (int, fundsys.DEFAULT_SUBINTERVALS),
     "nu_min": (float, 0.0),
     "nu_max": (float, 0.1),
     "nu_step": (float, 0.005),

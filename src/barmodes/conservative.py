@@ -6,17 +6,19 @@ finding is done on the equivalent entire function
 
     chi(w) = (eta*delta*w^2 - 1)*cos(w) + eta*w*sin(w),
 
-which is smooth everywhere and changes sign at each eigenfrequency.  These
-real roots seed every other solver in the package.
+which is smooth everywhere and changes sign at each eigenfrequency.  Its
+slope is closed form too, so each sign-change bracket is refined by Newton's
+method, with a bisection whenever a Newton step would leave the bracket.
+These real roots seed every other solver in the package.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import DimensionlessParams
 
@@ -26,7 +28,8 @@ DEFAULT_SCAN_STEP = min(0.01, np.pi / 50)
 # Halvings of the scan step allowed while the bracket count keeps changing.
 _MAX_RESCANS = 6
 
-_BRENTQ_XTOL = 1e-13  # final bracket width < 1e-12
+_ROOT_XTOL = 1e-13     # stop once a refinement step is this small
+_MAX_REFINE_STEPS = 100  # bisection alone needs ~50 from a scan bracket
 
 
 @dataclass(frozen=True)
@@ -43,34 +46,64 @@ def characteristic(omega, dp: DimensionlessParams):
     return chi if chi.ndim else float(chi)
 
 
+def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]:
+    """chi(omega) and chi'(omega) at one frequency."""
+    c, s = math.cos(omega), math.sin(omega)
+    ed = dp.eta * dp.delta
+    chi = (ed * omega * omega - 1.0) * c + dp.eta * omega * s
+    slope = (2.0 * ed + dp.eta) * omega * c \
+        + (1.0 + dp.eta - ed * omega * omega) * s
+    return chi, slope
+
+
 def _bracket_roots(dp, omega_max, step):
-    """Sign-scan (0, omega_max] and return [(lo, hi)] brackets; an exact grid
-    zero yields a degenerate (x, x) bracket."""
+    """Sign-scan (0, omega_max] and return [(lo, hi)] brackets in ascending
+    order; an exact grid zero yields a degenerate (x, x) bracket."""
     n = max(int(np.ceil(omega_max / step)), 1)
     grid = np.linspace(0.0, omega_max, n + 1)
     vals = characteristic(grid, dp)
-    brackets = []
-    for i in range(n):
-        if vals[i] == 0.0:
-            if grid[i] > 0.0:
-                brackets.append((grid[i], grid[i]))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            brackets.append((grid[i], grid[i + 1]))
-    if vals[n] == 0.0:
-        brackets.append((grid[n], grid[n]))
-    return brackets
+    zero = (vals == 0.0) & (grid > 0.0)
+    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    return [(float(grid[i]), float(grid[i] if zero[i] else grid[i + 1]))
+            for i in np.flatnonzero(zero | change)]
+
+
+def _refine(lo: float, hi: float, dp: DimensionlessParams) -> float:
+    """The root of chi in a sign-change bracket: Newton steps from the
+    midpoint, with a bisection of the shrinking bracket in place of any
+    step that would leave it."""
+    chi_lo = _chi_and_slope(lo, dp)[0]
+    x = 0.5 * (lo + hi)
+    for _ in range(_MAX_REFINE_STEPS):
+        chi, slope = _chi_and_slope(x, dp)
+        if chi == 0.0:
+            return x
+        if (chi < 0.0) == (chi_lo < 0.0):
+            lo, chi_lo = x, chi
+        else:
+            hi = x
+        x_new = x - chi / slope if slope != 0.0 else math.nan
+        if lo <= x_new <= hi:
+            if abs(x_new - x) <= _ROOT_XTOL:
+                return x_new
+        else:   # also taken for NaN
+            x_new = 0.5 * (lo + hi)
+            if hi - lo <= _ROOT_XTOL:
+                return x_new
+        x = x_new
+    return x
 
 
 def find_roots(dp: DimensionlessParams, omega_max: float,
                max_count: int | None = None) -> list[ConservativeRoot]:
     """All roots of the characteristic on (0, omega_max], sorted ascending.
 
-    A sign scan at DEFAULT_SCAN_STEP locates brackets, each refined by
-    Brent's method to a bracket width below 1e-12.  The scan is repeated at
-    half the step until the bracket count stabilizes (at most 6 halvings);
-    if a finer scan exposes extra roots, a non-fatal warning reports the
-    step at which they had been hidden (the symptom of nearly-double roots).
+    A sign scan at DEFAULT_SCAN_STEP locates brackets; the first max_count
+    of them (all when None) are refined by safeguarded Newton steps until a
+    step falls below 1e-13.  The scan is repeated at half the step until
+    the bracket count stabilizes (at most 6 halvings); if a finer scan
+    exposes extra roots, a non-fatal warning reports the step at which they
+    had been hidden (the symptom of nearly-double roots).
     """
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
@@ -91,14 +124,6 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
         step /= 2.0
         brackets = finer
 
-    roots = []
-    for lo, hi in brackets:
-        if lo == hi:
-            roots.append(lo)
-        else:
-            roots.append(brentq(characteristic, lo, hi, args=(dp,),
-                                xtol=_BRENTQ_XTOL, rtol=8 * np.finfo(float).eps))
-    roots.sort()
-    if max_count is not None:
-        roots = roots[:max_count]
+    roots = [lo if lo == hi else _refine(lo, hi, dp)
+             for lo, hi in brackets[:max_count]]
     return [ConservativeRoot(omega=w, index=i + 1) for i, w in enumerate(roots)]

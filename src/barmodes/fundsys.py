@@ -19,17 +19,20 @@ to the step count by binary powering on complex scalars.  Its realified
 kills solutions 1 and 2; the end-mass boundary condition applied to
 columns 3 and 4 yields a 2x2 homogeneous system whose determinant
 Delta(omega, q) = |f|^2, f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1), vanishes
-exactly at eigenvalues.  Delta is non-negative, so eigenvalues are located
-by derivative-free minimization of its normalized form over (q, omega).
+exactly at eigenvalues.  The residual f of the discretised system is
+analytic in s (the propagator is a polynomial in K and D1..D4 are
+polynomials in s), so eigenvalues are located as its zeros by a complex
+secant iteration (Muller's method without the quadratic term) started at a
+seed; the normalized Delta then certifies the answer.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import asymptotic, conservative
 from .params import DimensionlessParams
@@ -44,7 +47,8 @@ OVERFLOW_LIMIT = 1e150
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _RANK_TOL = 1e-8       # normalized-determinant level accepted as "singular"
-_BAND_PENALTY = 1e6    # objective value outside the seed's frequency band
+_SECANT_OFFSET = (1 + 1j) * 1e-3  # second secant point relative to the seed
+_SECANT_RTOL = 1e-15   # stop once a secant step is this small relative to |s|
 
 
 @dataclass(frozen=True)
@@ -120,13 +124,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Controls for the direct-search eigenvalue solver."""
+    """Controls for the secant eigenvalue search."""
 
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS
-    simplex_size: float = 1e-3        # initial simplex half-width in q and omega
-    diameter_tol: float = 1e-10       # stop when the simplex is this small
-    max_iterations: int = 500
+    max_iterations: int = 500         # secant steps
     converged_tol: float = 1e-12      # normalized determinant level
     band_halfwidth: float = np.pi / 2  # mode-hop guard around the seed omega
 
@@ -257,25 +259,45 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     ])
 
 
-def _normalized_determinant(gamma_end: Pair, q: float, omega: float,
-                            dp: DimensionlessParams) -> float:
-    """Delta-hat from the propagator of [0, 1].
+def _end_propagator(q: float, omega: float, dp: DimensionlessParams,
+                    n: int, step: float) -> Pair:
+    """Overflow-checked propagator of [0, 1] as the n-th power of one
+    1/n-subinterval propagator (see :func:`delta_subdivided`)."""
+    if n < 1:
+        raise ValueError("subinterval count must be at least 1")
+    K = complex(*rhs_coefficients(q, omega, dp.eps1))
+    gamma_end = _power(_interval_pair(K, 1.0 / n, step), n, K)
+    _check_overflow(gamma_end, K)
+    return gamma_end
+
+
+def _boundary_residual(gamma_end: Pair, q: float, omega: float,
+                       dp: DimensionlessParams) -> tuple[complex, float]:
+    """End-mass residual f and its bound from the propagator of [0, 1].
 
     Solution 3 (initial state u = 0, u' = 1) ends at (u, u') = (b, a).  The
     end-mass condition is the single complex row f = P*u + Q*u' with
     P = D1 - i*D2 and Q = D3 - i*D4, and the raw 2x2 real determinant is
     Delta = |f|^2 >= 0.  Cauchy-Schwarz bounds |f| by
-    ||(P, Q)|| * ||(u, u')||; dividing by that bound gives a scale-free value
-    in [0, 1] with the same zeros and minimizers as Delta, O(1) away from
-    the spectrum and at roundoff level on it.  The floor keeps it total.
+    ||(P, Q)|| * ||(u, u')||, the second value returned.
     """
     e, b = gamma_end
     u, du = b, 1.0 + e
     bc = boundary_coefficients(q, omega, dp)
     P = complex(bc.D1, -bc.D2)
     Q = complex(bc.D3, -bc.D4)
-    scale = math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du))
-    r = (P * u + Q * du) / max(scale, _NORM_FLOOR)
+    return (P * u + Q * du,
+            math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du)))
+
+
+def _normalized_determinant(gamma_end: Pair, q: float, omega: float,
+                            dp: DimensionlessParams) -> float:
+    """Delta-hat: Delta divided by the square of the Cauchy-Schwarz bound of
+    |f|, a scale-free value in [0, 1] with the same zeros as Delta, O(1)
+    away from the spectrum and at roundoff level on it.  The floor keeps it
+    total."""
+    f, scale = _boundary_residual(gamma_end, q, omega, dp)
+    r = f / max(scale, _NORM_FLOOR)
     return r.real * r.real + r.imag * r.imag
 
 
@@ -298,60 +320,74 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     power.  Both the subinterval propagator and the composed product are
     overflow-checked (OverflowError).  n = 1 is :func:`delta`.
     """
-    if n < 1:
-        raise ValueError("subinterval count must be at least 1")
-    K = complex(*rhs_coefficients(q, omega, dp.eps1))
-    gamma_end = _power(_interval_pair(K, 1.0 / n, step), n, K)
-    _check_overflow(gamma_end, K)
+    gamma_end = _end_propagator(q, omega, dp, n, step)
     return _normalized_determinant(gamma_end, q, omega, dp)
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
                     options: SolveOptions | None = None) -> SpectralPoint:
-    """Locate an eigenvalue near the seed by simplex minimization of the
-    normalized determinant over (q, omega).
+    """Locate an eigenvalue near the seed as a zero of the boundary residual.
 
-    Runs Nelder-Mead from the seed (initial simplex offsets from
-    ``simplex_size``), then restarts once from the found point with a 10x
-    smaller simplex.  Frequencies outside the seed's band (half-width
-    ``band_halfwidth``) get a large penalty, which prevents mode hopping.
-    Raises ValueError for a non-finite seed; otherwise never raises: a
-    failed search comes back with converged=False.
+    The residual f(s) = P*u(1) + Q*u'(1) of the discretised fundamental
+    system (the propagator :func:`delta_subdivided` uses) is analytic in
+    s = q + i*omega, so a complex secant iteration converges superlinearly
+    to its zeros, which are the zeros of the normalized determinant.  It
+    starts from the seed and the seed + (1 + i)*1e-3, and stops when a step
+    is below 1e-15*|s|, when f or its difference vanishes, or after
+    ``max_iterations`` steps.  An iterate that is not finite, has
+    omega <= 0 or leaves the seed's band (half-width ``band_halfwidth``,
+    which prevents mode hopping) ends the search, as does an overflow or a
+    degenerate rhs denominator.
+
+    The result is the last iterate accepted, with its normalized
+    determinant as delta_value (NaN when it cannot be evaluated);
+    converged means the iteration settled and that value is below
+    ``converged_tol``.  Raises ValueError for a non-finite seed; otherwise
+    never raises: a failed search comes back with converged=False.
     """
     opts = options or SolveOptions()
-    omega_seed = seed.omega
+    if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
+        raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
 
-    def objective(z):
-        qq, ww = z
-        if ww <= 0.0 or abs(ww - omega_seed) >= opts.band_halfwidth:
-            return _BAND_PENALTY
-        try:
-            return delta_subdivided(qq, ww, dp, opts.subintervals, opts.step)
-        except (OverflowError, ZeroDivisionError):
-            return _BAND_PENALTY
+    def residual(s: complex) -> complex:
+        gamma_end = _end_propagator(s.real, s.imag, dp, opts.subintervals,
+                                    opts.step)
+        return _boundary_residual(gamma_end, s.real, s.imag, dp)[0]
 
-    x0 = np.array([seed.q, seed.omega], dtype=float)
-    size = opts.simplex_size
-    result = None
-    for _ in range(2):  # initial search + one refining restart
-        simplex = np.array([x0, x0 + [size, 0.0], x0 + [0.0, size]])
-        result = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": opts.diameter_tol,
-                "fatol": np.inf,
-                "maxiter": opts.max_iterations,
-                "maxfev": 50 * opts.max_iterations,
-            },
-        )
-        x0 = result.x
-        size = opts.simplex_size / 10.0
+    def admissible(s: complex) -> bool:
+        return (cmath.isfinite(s) and s.imag > 0.0
+                and abs(s.imag - seed.omega) < opts.band_halfwidth)
 
-    q_best, omega_best = float(x0[0]), float(x0[1])
-    value = float(result.fun)
-    return SpectralPoint(q=q_best, omega=omega_best, delta_value=value,
-                         converged=value < opts.converged_tol)
+    s0 = complex(seed.q, seed.omega)
+    s1 = s0 + _SECANT_OFFSET
+    last, settled = s0, False
+    try:
+        f0 = residual(s0)
+        for _ in range(opts.max_iterations):
+            if not admissible(s1):
+                break
+            f1 = residual(s1)
+            last = s1
+            df = f1 - f0
+            if f1 == 0 or df == 0:
+                settled = True
+                break
+            ds = f1 * (s1 - s0) / df
+            s0, f0, s1 = s1, f1, s1 - ds
+            if abs(ds) <= _SECANT_RTOL * abs(s1):
+                if admissible(s1):
+                    last, settled = s1, True
+                break
+    except (OverflowError, ZeroDivisionError):
+        pass
+
+    try:
+        value = delta_subdivided(last.real, last.imag, dp, opts.subintervals,
+                                 opts.step)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    return SpectralPoint(q=last.real, omega=last.imag, delta_value=value,
+                         converged=settled and value < opts.converged_tol)
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from barmodes import conservative
 from barmodes.conservative import characteristic, find_roots
 from barmodes.params import DimensionlessParams
 
@@ -38,6 +39,29 @@ def scan_and_bisect(dp, omega_max, scan_step=1e-4, tol=1e-13):
                 lo, flo = mid, fmid
         roots.append(0.5 * (lo + hi))
     return roots
+
+
+def loop_brackets(dp, omega_max, step):
+    """The element-by-element sign scan that _bracket_roots vectorises."""
+    n = max(int(np.ceil(omega_max / step)), 1)
+    grid = np.linspace(0.0, omega_max, n + 1)
+    vals = conservative.characteristic(grid, dp)
+    brackets = []
+    for i in range(n):
+        if vals[i] == 0.0:
+            if grid[i] > 0.0:
+                brackets.append((grid[i], grid[i]))
+            continue
+        if vals[i] * vals[i + 1] < 0.0:
+            brackets.append((grid[i], grid[i + 1]))
+    if vals[n] == 0.0:
+        brackets.append((grid[n], grid[n]))
+    return brackets
+
+
+def random_undamped(rng):
+    return DimensionlessParams(0, 0, 0, eta=rng.uniform(0.05, 20.0),
+                               delta=rng.uniform(0.01, 2.0))
 
 
 def test_characteristic_at_zero_is_minus_one():
@@ -127,3 +151,44 @@ def test_first_root_band_location():
     roots = find_roots(REF, omega_max=10.0)
     for k, r in enumerate(roots):
         assert (k - 1) * np.pi < r.omega < (k + 1) * np.pi
+
+
+def test_bracket_scan_matches_loop_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        dp = random_undamped(rng)
+        for step in (conservative.DEFAULT_SCAN_STEP,
+                     conservative.DEFAULT_SCAN_STEP / 2.0):
+            assert (conservative._bracket_roots(dp, 20.0, step)
+                    == loop_brackets(dp, 20.0, step))
+
+
+def test_bracket_scan_exact_grid_zeros(monkeypatch):
+    # Zeros on grid points 0, 1 and 2 (the last one): the one at 0 is not
+    # in (0, omega_max], the others give degenerate brackets.
+    monkeypatch.setattr(conservative, "characteristic",
+                        lambda w, dp: w * (w - 1.0) * (w - 2.0))
+    expected = [(1.0, 1.0), (2.0, 2.0)]
+    assert loop_brackets(REF, 2.0, 0.01) == expected
+    assert conservative._bracket_roots(REF, 2.0, 0.01) == expected
+
+
+def test_find_roots_matches_brentq_refinement():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        dp = random_undamped(rng)
+        expected = [
+            lo if lo == hi else brentq(characteristic, lo, hi, args=(dp,),
+                                       xtol=1e-13)
+            for lo, hi in conservative._bracket_roots(
+                dp, 20.0, conservative.DEFAULT_SCAN_STEP / 2.0)]
+        got = [r.omega for r in find_roots(dp, 20.0)]
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert abs(a - b) <= 1e-12 * b
+
+
+def test_find_roots_max_count_is_a_prefix():
+    full = find_roots(REF, omega_max=20.0)
+    assert find_roots(REF, omega_max=20.0, max_count=2) == full[:2]

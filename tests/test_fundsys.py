@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import barmodes
 from barmodes import asymptotic, conservative, fundsys
 from barmodes.params import DimensionlessParams
 
@@ -21,6 +27,50 @@ def random_dp(rng):
         eta=rng.uniform(0.1, 10.0),
         delta=rng.uniform(0.01, 2.0),
     )
+
+
+def small_dissipation_dp(rng):
+    return DimensionlessParams(
+        eps1=rng.uniform(0.0, 0.02),
+        mu=rng.uniform(0.0, 0.02),
+        nu=rng.uniform(0.0, 0.1),
+        eta=rng.uniform(0.5, 10.0),
+        delta=rng.uniform(0.02, 0.5),
+    )
+
+
+def asymptotic_seeds(dp, count):
+    """Cold seeds of the first `count` modes below omega = 20."""
+    return [fundsys.SpectralPoint(
+        q=asymptotic.corrected_eigenvalue(r.omega, dp).q, omega=r.omega)
+        for r in conservative.find_roots(dp, 20.0, max_count=count)]
+
+
+def nelder_mead_eigenvalue(dp, seed, opts):
+    """The paper's direct search, kept as a cross-check: two Nelder-Mead
+    passes over the normalized determinant (simplex half-widths 1e-3, then
+    1e-4 from the first answer), with a penalty outside the seed's band."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+
+    def objective(z):
+        q, omega = z
+        if omega <= 0.0 or abs(omega - seed.omega) >= opts.band_halfwidth:
+            return 1e6
+        try:
+            return fundsys.delta_subdivided(q, omega, dp, opts.subintervals,
+                                            opts.step)
+        except (OverflowError, ZeroDivisionError):
+            return 1e6
+
+    x0, size = np.array([seed.q, seed.omega]), 1e-3
+    for _ in range(2):
+        simplex = np.array([x0, x0 + [size, 0.0], x0 + [0.0, size]])
+        result = minimize(objective, x0, method="Nelder-Mead",
+                          options={"initial_simplex": simplex, "xatol": 1e-10,
+                                   "fatol": np.inf, "maxiter": 500,
+                                   "maxfev": 25000})
+        x0, size = result.x, size / 10.0
+    return complex(*x0), float(result.fun)
 
 
 def undamped_gamma(omega, x):
@@ -381,6 +431,58 @@ def test_find_eigenvalue_never_raises_on_starved_budget():
         UNDAMPED, fundsys.SpectralPoint(q=0.5, omega=1.8), opts)
     assert not point.converged
     assert np.isfinite(point.delta_value)
+
+
+def test_find_eigenvalue_never_raises_on_overflow():
+    # Every evaluation overflows at this frequency; the seed comes back.
+    point = fundsys.find_eigenvalue(REF, fundsys.SpectralPoint(q=0.0, omega=1e4))
+    assert not point.converged
+    assert (point.q, point.omega) == (0.0, 1e4)
+    assert np.isnan(point.delta_value)
+
+
+def test_find_eigenvalue_agrees_with_nelder_mead():
+    rng = np.random.default_rng(31)
+    cases = [(REF, 5)] + [(small_dissipation_dp(rng), 3) for _ in range(3)]
+    opts = fundsys.SolveOptions()
+    for dp, count in cases:
+        seeds = asymptotic_seeds(dp, count)
+        assert len(seeds) == count
+        for seed in seeds:
+            point = fundsys.find_eigenvalue(dp, seed, opts)
+            s_nm, value_nm = nelder_mead_eigenvalue(dp, seed, opts)
+            assert point.converged and value_nm < opts.converged_tol
+            assert abs(complex(point.q, point.omega) - s_nm) <= 1e-9
+
+
+def test_find_eigenvalue_cold_search_cost(monkeypatch):
+    # One rhs_coefficients call per residual evaluation, plus one for the
+    # final normalized determinant.
+    calls = []
+    original = fundsys.rhs_coefficients
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fundsys, "rhs_coefficients", counting)
+    rng = np.random.default_rng(32)
+    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
+        for seed in asymptotic_seeds(dp, None):
+            calls.clear()
+            point = fundsys.find_eigenvalue(dp, seed)
+            assert point.converged
+            assert len(calls) <= 12
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(barmodes.__file__).resolve().parents[1])
+    code = ("import sys, barmodes; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- mode shape
