@@ -29,7 +29,7 @@ class ConfigError(Exception):
 _PHYSICAL_KEYS = ("rho", "S", "E", "beta", "b", "c", "d", "m", "l")
 _DIMLESS_KEYS = ("eps1", "mu", "nu", "eta", "delta")
 
-# [run] keys: name -> (parser, default)
+# [run] keys in echo order: name -> (parser, default)
 _RUN_KEYS = {
     "modes": (int, 5),
     "omega_max": (float, 20.0),
@@ -168,23 +168,22 @@ def _echo_lines(config: RunConfig, analysis: str) -> list[str]:
         pairs += [(k, _fmt(getattr(config.physical, k))) for k in _PHYSICAL_KEYS]
     dp = config.dimensionless
     pairs += [(k, _fmt(getattr(dp, k))) for k in _DIMLESS_KEYS]
-    pairs += [("modes", str(config.modes)),
-              ("omega_max", _fmt(config.omega_max)),
-              ("step", _fmt(config.step)),
-              ("subintervals", str(config.subintervals)),
-              ("nu_min", _fmt(config.nu_min)),
-              ("nu_max", _fmt(config.nu_max)),
-              ("nu_step", _fmt(config.nu_step)),
-              ("grid_points", str(config.grid_points)),
-              ("mode", str(config.mode))]
+    pairs += [(k, (str if kind is int else _fmt)(getattr(config, k)))
+              for k, (kind, _) in _RUN_KEYS.items()]
     return [f"# {key} = {value}" for key, value in pairs]
 
 
 def _conservative_roots(config, count):
+    """The first `count` undamped frequencies; ConfigError when omega_max
+    holds fewer."""
     if count == 0:
         return []
-    return conservative.find_roots(config.dimensionless, config.omega_max,
-                                   max_count=count)
+    roots = conservative.find_roots(config.dimensionless, config.omega_max,
+                                    max_count=count)
+    if len(roots) < count:
+        raise ConfigError(f"mode {count} has no conservative frequency "
+                          f"below omega_max = {_fmt(config.omega_max)}")
+    return roots
 
 
 def run_spectrum(config: RunConfig):
@@ -274,11 +273,7 @@ def run_modeshape(config: RunConfig):
     """Normalized displacement profile (xbar, u1, u2) of the configured mode
     at the configured parameters."""
     dp = config.dimensionless
-    roots = _conservative_roots(config, config.mode)
-    if len(roots) < config.mode:
-        raise ConfigError(f"mode {config.mode} has no conservative frequency "
-                          f"below omega_max = {_fmt(config.omega_max)}")
-    w0 = roots[config.mode - 1].omega
+    w0 = _conservative_roots(config, config.mode)[-1].omega
     ev = asymptotic.corrected_eigenvalue(w0, dp)
     point = fundsys.find_eigenvalue(dp, fundsys.SpectralPoint(q=ev.q, omega=w0),
                                     config.solve_options())

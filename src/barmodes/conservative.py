@@ -23,7 +23,7 @@ import numpy as np
 from .params import DimensionlessParams
 
 # Undamped roots are separated by O(pi); 0.01 leaves two orders of margin.
-DEFAULT_SCAN_STEP = min(0.01, np.pi / 50)
+DEFAULT_SCAN_STEP = 0.01
 
 # Halvings of the scan step allowed while the bracket count keeps changing.
 _MAX_RESCANS = 6
@@ -56,12 +56,9 @@ def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]
     return chi, slope
 
 
-def _bracket_roots(dp, omega_max, step):
-    """Sign-scan (0, omega_max] and return [(lo, hi)] brackets in ascending
-    order; an exact grid zero yields a degenerate (x, x) bracket."""
-    n = max(int(np.ceil(omega_max / step)), 1)
-    grid = np.linspace(0.0, omega_max, n + 1)
-    vals = characteristic(grid, dp)
+def _bracket_roots(grid, vals):
+    """Sign-change brackets [(lo, hi)] of chi sampled as vals on an
+    ascending grid; an exact zero off 0 yields a degenerate (x, x) one."""
     zero = (vals == 0.0) & (grid > 0.0)
     change = np.append(vals[:-1] * vals[1:] < 0.0, False)
     return [(float(grid[i]), float(grid[i] if zero[i] else grid[i + 1]))
@@ -98,31 +95,34 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
                max_count: int | None = None) -> list[ConservativeRoot]:
     """All roots of the characteristic on (0, omega_max], sorted ascending.
 
-    A sign scan at DEFAULT_SCAN_STEP locates brackets; the first max_count
-    of them (all when None) are refined by safeguarded Newton steps until a
-    step falls below 1e-13.  The scan is repeated at half the step until
-    the bracket count stabilizes (at most 6 halvings); if a finer scan
-    exposes extra roots, a non-fatal warning reports the step at which they
-    had been hidden (the symptom of nearly-double roots).
+    chi is sampled once at half DEFAULT_SCAN_STEP; when that scan finds as
+    many sign-change brackets as its even samples (the scan at the full
+    step), the first max_count of them (all when None) are refined by
+    safeguarded Newton steps until a step falls below 1e-13.  Otherwise the
+    step is halved and the scan repeated (at most 6 scans), and a non-fatal
+    warning reports the step at which extra roots had been hidden (the
+    symptom of nearly-double roots).
     """
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
 
     step = min(DEFAULT_SCAN_STEP, omega_max)
-    brackets = _bracket_roots(dp, omega_max, step)
+    n = max(int(np.ceil(omega_max / step)), 1)
     for _ in range(_MAX_RESCANS):
-        finer = _bracket_roots(dp, omega_max, step / 2.0)
-        if len(finer) == len(brackets):
-            brackets = finer
+        grid = np.linspace(0.0, omega_max, 2 * n + 1)
+        vals = characteristic(grid, dp)
+        brackets = _bracket_roots(grid, vals)
+        hidden = len(brackets) - len(_bracket_roots(grid[::2], vals[::2]))
+        if not hidden:
             break
         warnings.warn(
-            f"scan step {step:g} hid {len(finer) - len(brackets)} root(s); "
+            f"scan step {step:g} hid {hidden} root(s); "
             "rescanning at half step",
             UserWarning,
             stacklevel=2,
         )
         step /= 2.0
-        brackets = finer
+        n *= 2
 
     roots = [lo if lo == hi else _refine(lo, hi, dp)
              for lo, hi in brackets[:max_count]]

@@ -1,29 +1,28 @@
 """Complex eigenvalues by the method of normal fundamental systems.
 
-A time-harmonic solution u = (u1(x) + i*u2(x)) e^{(q+i*omega) tau} turns the
-damped wave equation into a linear first-order system in the state
-(g1, g2, g3, g4) = (u1, u2, u1', u2'):
+A time-harmonic solution u(x) e^{s tau}, s = q + i*omega, turns the damped
+wave equation into the complex first-order system
 
-    g1' = g3,  g2' = g4,
-    g3' = K1*g1 - K2*g2,
-    g4' = K2*g1 + K1*g2,        K1 + i*K2 = s^2 / (1 + eps1*s),  s = q + i*omega.
+    (u, u')' = A (u, u'),   A = [[0, 1], [K, 0]],   K = s^2 / (1 + eps1*s),
 
-The system is the real form of the complex one (u, u')' = A (u, u') with
-A = [[0, 1], [K, 0]], K = K1 + i*K2, and A^2 = K*I.  One classical RK4 step
-of length h is therefore exactly (1 + e)*I + b*A with z = h^2*K,
+whose coefficients do not depend on x, with A^2 = K*I.  One classical RK4
+step of length h is therefore exactly (1 + e)*I + b*A with z = h^2*K,
 e = z/2 + z^2/24 and b = h*(1 + z/6); products and powers of such matrices
-keep that form, so the fundamental matrix Gamma(x) (the four Cauchy
-problems whose initial states form the identity) is the pair (e, b) raised
-to the step count by binary powering on complex scalars.  Its realified
-4x4 view is what :func:`integrate_fundamental` returns.  The clamped end
-kills solutions 1 and 2; the end-mass boundary condition applied to
-columns 3 and 4 yields a 2x2 homogeneous system whose determinant
-Delta(omega, q) = |f|^2, f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1), vanishes
-exactly at eigenvalues.  The residual f of the discretised system is
-analytic in s (the propagator is a polynomial in K and D1..D4 are
-polynomials in s), so eigenvalues are located as its zeros by a complex
-secant iteration (Muller's method without the quadratic term) started at a
-seed; the normalized Delta then certifies the answer.
+keep that form, so the fundamental matrix Gamma(x) (the Cauchy problems
+whose initial states form the identity) is the pair (e, b) raised to the
+step count by binary powering on complex scalars.  The clamped end leaves
+only the solution with initial state (u, u') = (0, 1), and the end-mass
+boundary condition applied to it is the single complex row
+f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic determinant
+Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  The residual f of
+the discretised system is analytic in s (the propagator is a polynomial in
+K and D1..D4 are polynomials in s), so eigenvalues are located as its zeros
+by a complex secant iteration (Muller's method without the quadratic term)
+started at a seed; the normalized Delta then certifies the answer.
+
+:func:`integrate_fundamental` returns the realified 4x4 view of the
+propagator, acting on the real state (g1, g2, g3, g4) = (u1, u2, u1', u2')
+with u = u1 + i*u2.
 """
 
 from __future__ import annotations
@@ -37,45 +36,17 @@ import numpy as np
 from . import asymptotic, conservative
 from .params import DimensionlessParams
 
-# A 4x4 ndarray whose column j holds the state of Cauchy solution j.
-FundamentalMatrix = np.ndarray
-
 DEFAULT_STEP = 1.0 / 2000.0
 DEFAULT_SUBINTERVALS = 8
 OVERFLOW_LIMIT = 1e150
+CONVERGED_TOL = 1e-12         # normalized determinant of a converged search
+BAND_HALFWIDTH = math.pi / 2  # mode-hop guard around the seed omega
 
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _RANK_TOL = 1e-8       # normalized-determinant level accepted as "singular"
 _SECANT_OFFSET = (1 + 1j) * 1e-3  # second secant point relative to the seed
 _SECANT_RTOL = 1e-15   # stop once a secant step is this small relative to |s|
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """State (u1, u2, u1', u2') at one spatial point."""
-
-    g1: float
-    g2: float
-    g3: float
-    g4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.g1, self.g2, self.g3, self.g4])
-
-
-def state_derivative(state: StateVector, K1: float, K2: float) -> StateVector:
-    """Right-hand side of the normal system, spelled out state-wise.
-
-    The integrator works on the matrix form; this is the same system kept
-    in human-checkable shape (and cross-checked against the matrix in tests).
-    """
-    return StateVector(
-        g1=state.g3,
-        g2=state.g4,
-        g3=K1 * state.g1 - K2 * state.g2,
-        g4=K2 * state.g1 + K1 * state.g2,
-    )
 
 
 @dataclass(frozen=True)
@@ -86,13 +57,6 @@ class BoundaryCoefficients:
     D2: float
     D3: float
     D4: float
-
-    def as_matrix(self) -> np.ndarray:
-        """The two boundary rows at x = 1 acting on a state (g1..g4)."""
-        return np.array([
-            [self.D1, self.D2, self.D3, self.D4],
-            [-self.D2, self.D1, -self.D4, self.D3],
-        ])
 
 
 @dataclass(frozen=True)
@@ -129,8 +93,6 @@ class SolveOptions:
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS
     max_iterations: int = 500         # secant steps
-    converged_tol: float = 1e-12      # normalized determinant level
-    band_halfwidth: float = np.pi / 2  # mode-hop guard around the seed omega
 
 
 def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]:
@@ -231,7 +193,7 @@ def _interval_pair(K: complex, length: float, step: float) -> Pair:
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
                           x_start: float = 0.0, x_end: float = 1.0,
-                          step: float = DEFAULT_STEP) -> FundamentalMatrix:
+                          step: float = DEFAULT_STEP) -> np.ndarray:
     """Fundamental matrix at x_end for identity initial data at x_start.
 
     Fixed-step classical fourth-order integration; the last step is
@@ -335,14 +297,14 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     starts from the seed and the seed + (1 + i)*1e-3, and stops when a step
     is below 1e-15*|s|, when f or its difference vanishes, or after
     ``max_iterations`` steps.  An iterate that is not finite, has
-    omega <= 0 or leaves the seed's band (half-width ``band_halfwidth``,
+    omega <= 0 or leaves the seed's band (half-width ``BAND_HALFWIDTH``,
     which prevents mode hopping) ends the search, as does an overflow or a
     degenerate rhs denominator.
 
     The result is the last iterate accepted, with its normalized
     determinant as delta_value (NaN when it cannot be evaluated);
     converged means the iteration settled and that value is below
-    ``converged_tol``.  Raises ValueError for a non-finite seed; otherwise
+    ``CONVERGED_TOL``.  Raises ValueError for a non-finite seed; otherwise
     never raises: a failed search comes back with converged=False.
     """
     opts = options or SolveOptions()
@@ -356,7 +318,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
     def admissible(s: complex) -> bool:
         return (cmath.isfinite(s) and s.imag > 0.0
-                and abs(s.imag - seed.omega) < opts.band_halfwidth)
+                and abs(s.imag - seed.omega) < BAND_HALFWIDTH)
 
     s0 = complex(seed.q, seed.omega)
     s1 = s0 + _SECANT_OFFSET
@@ -387,7 +349,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     except (OverflowError, ZeroDivisionError):
         value = math.nan
     return SpectralPoint(q=last.real, omega=last.imag, delta_value=value,
-                         converged=settled and value < opts.converged_tol)
+                         converged=settled and value < CONVERGED_TOL)
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,

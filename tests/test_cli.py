@@ -24,6 +24,20 @@ eta = 7
 delta = 0.1
 """
 
+# The [run] section of the README configuration.
+README_RUN = """\
+[run]
+modes = 2
+omega_max = 20
+step = 0.0005
+subintervals = 8
+nu_min = 0
+nu_max = 0.1
+nu_step = 0.005
+grid_points = 201
+mode = 1
+"""
+
 # Coarse numerics so the CLI suite stays fast; accuracy at production
 # settings is covered by the acceptance tests.
 FAST_RUN = """\
@@ -185,6 +199,42 @@ def test_spectrum_zero_modes_is_header_only(tmp_path):
     _, header, rows = read_output(out)
     assert header[0] == "index"
     assert rows == []
+
+
+@pytest.mark.parametrize("verb, strict", [("spectrum", True),
+                                           ("stability", False)])
+def test_mode_shortfall_exits_2(tmp_path, capsys, verb, strict):
+    # omega_max = 3 holds only two undamped frequencies, five are asked for.
+    code, out = run_cli(tmp_path, verb, REF_SECTION,
+                        "[run]\nmodes = 5\nomega_max = 3\n", strict=strict)
+    assert code == 2
+    assert "mode 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_echo_block(tmp_path):
+    code, out = run_cli(tmp_path, "stability", REF_SECTION, README_RUN)
+    assert code == 0
+    echo = [line for line in out.read_text().splitlines()
+            if line.startswith("#")]
+    assert echo == [
+        "# analysis = stability",
+        "# params = dimensionless",
+        "# eps1 = 0.005",
+        "# mu = 0.008",
+        "# nu = 0.05",
+        "# eta = 7",
+        "# delta = 0.1",
+        "# modes = 2",
+        "# omega_max = 20",
+        "# step = 0.0005",
+        "# subintervals = 8",
+        "# nu_min = 0",
+        "# nu_max = 0.1",
+        "# nu_step = 0.005",
+        "# grid_points = 201",
+        "# mode = 1",
+    ]
 
 
 def test_rerun_is_byte_identical(tmp_path):

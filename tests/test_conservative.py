@@ -41,11 +41,16 @@ def scan_and_bisect(dp, omega_max, scan_step=1e-4, tol=1e-13):
     return roots
 
 
-def loop_brackets(dp, omega_max, step):
-    """The element-by-element sign scan that _bracket_roots vectorises."""
+def scan_grid(dp, omega_max, step):
+    """chi sampled on the uniform grid of (0, omega_max] at about `step`."""
     n = max(int(np.ceil(omega_max / step)), 1)
     grid = np.linspace(0.0, omega_max, n + 1)
-    vals = conservative.characteristic(grid, dp)
+    return grid, conservative.characteristic(grid, dp)
+
+
+def loop_brackets(grid, vals):
+    """The element-by-element sign scan that _bracket_roots vectorises."""
+    n = len(grid) - 1
     brackets = []
     for i in range(n):
         if vals[i] == 0.0:
@@ -159,8 +164,9 @@ def test_bracket_scan_matches_loop_reference():
         dp = random_undamped(rng)
         for step in (conservative.DEFAULT_SCAN_STEP,
                      conservative.DEFAULT_SCAN_STEP / 2.0):
-            assert (conservative._bracket_roots(dp, 20.0, step)
-                    == loop_brackets(dp, 20.0, step))
+            grid, vals = scan_grid(dp, 20.0, step)
+            assert (conservative._bracket_roots(grid, vals)
+                    == loop_brackets(grid, vals))
 
 
 def test_bracket_scan_exact_grid_zeros(monkeypatch):
@@ -169,8 +175,9 @@ def test_bracket_scan_exact_grid_zeros(monkeypatch):
     monkeypatch.setattr(conservative, "characteristic",
                         lambda w, dp: w * (w - 1.0) * (w - 2.0))
     expected = [(1.0, 1.0), (2.0, 2.0)]
-    assert loop_brackets(REF, 2.0, 0.01) == expected
-    assert conservative._bracket_roots(REF, 2.0, 0.01) == expected
+    grid, vals = scan_grid(REF, 2.0, 0.01)
+    assert loop_brackets(grid, vals) == expected
+    assert conservative._bracket_roots(grid, vals) == expected
 
 
 def test_find_roots_matches_brentq_refinement():
@@ -181,8 +188,8 @@ def test_find_roots_matches_brentq_refinement():
         expected = [
             lo if lo == hi else brentq(characteristic, lo, hi, args=(dp,),
                                        xtol=1e-13)
-            for lo, hi in conservative._bracket_roots(
-                dp, 20.0, conservative.DEFAULT_SCAN_STEP / 2.0)]
+            for lo, hi in conservative._bracket_roots(*scan_grid(
+                dp, 20.0, conservative.DEFAULT_SCAN_STEP / 2.0))]
         got = [r.omega for r in find_roots(dp, 20.0)]
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
@@ -192,3 +199,13 @@ def test_find_roots_matches_brentq_refinement():
 def test_find_roots_max_count_is_a_prefix():
     full = find_roots(REF, omega_max=20.0)
     assert find_roots(REF, omega_max=20.0, max_count=2) == full[:2]
+
+
+def test_find_roots_rescans_when_half_step_exposes_roots(monkeypatch):
+    # Two roots 0.004 apart inside one 0.01 scan interval: the scan at the
+    # full step misses them, the one at half the step does not.
+    monkeypatch.setattr(conservative, "characteristic",
+                        lambda w, dp: (w - 0.5) * (w - 1.003) * (w - 1.007))
+    with pytest.warns(UserWarning, match=r"scan step 0\.01 hid 2 root"):
+        roots = find_roots(REF, omega_max=2.0)
+    assert len(roots) == 3

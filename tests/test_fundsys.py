@@ -54,7 +54,7 @@ def nelder_mead_eigenvalue(dp, seed, opts):
 
     def objective(z):
         q, omega = z
-        if omega <= 0.0 or abs(omega - seed.omega) >= opts.band_halfwidth:
+        if omega <= 0.0 or abs(omega - seed.omega) >= fundsys.BAND_HALFWIDTH:
             return 1e6
         try:
             return fundsys.delta_subdivided(q, omega, dp, opts.subintervals,
@@ -136,7 +136,9 @@ def reference_delta(q, omega, dp, n, step):
         G = reference_propagator(q, omega, dp, b - a, step) @ G
     bc = fundsys.boundary_coefficients(q, omega, dp)
     cols = G[:, 2:4]
-    E = bc.as_matrix() @ cols
+    rows = np.array([[bc.D1, bc.D2, bc.D3, bc.D4],
+                     [-bc.D2, bc.D1, -bc.D4, bc.D3]])
+    E = rows @ cols
     raw = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
     d_norm2 = bc.D1**2 + bc.D2**2 + bc.D3**2 + bc.D4**2
     return max(raw, 0.0) / (0.5 * d_norm2 * float(np.sum(cols * cols)))
@@ -185,16 +187,6 @@ def test_rhs_coefficients_rejects_non_finite_point(q, omega):
         fundsys.delta_subdivided(q, omega, REF)
 
 
-def test_state_derivative_matches_normal_system():
-    state = fundsys.StateVector(g1=0.2, g2=-0.4, g3=1.5, g4=0.7)
-    K1, K2 = 3.0, -2.0
-    der = fundsys.state_derivative(state, K1, K2)
-    assert der.g1 == state.g3
-    assert der.g2 == state.g4
-    assert der.g3 == K1 * state.g1 - K2 * state.g2
-    assert der.g4 == K2 * state.g1 + K1 * state.g2
-
-
 # -------------------------------------------------------- boundary coefficients
 
 def test_boundary_coefficients_conservative_values():
@@ -235,14 +227,6 @@ def test_boundary_coefficients_complex_oracle():
         assert bc.D2 == pytest.approx(-P.imag, rel=1e-12, abs=1e-12)
         assert bc.D3 == pytest.approx(Q.real, rel=1e-12, abs=1e-12)
         assert bc.D4 == pytest.approx(-Q.imag, rel=1e-12, abs=1e-12)
-
-
-def test_boundary_rows_structure():
-    bc = fundsys.boundary_coefficients(0.2, 1.7, REF)
-    rows = bc.as_matrix()
-    assert rows.shape == (2, 4)
-    assert np.array_equal(rows[0], [bc.D1, bc.D2, bc.D3, bc.D4])
-    assert np.array_equal(rows[1], [-bc.D2, bc.D1, -bc.D4, bc.D3])
 
 
 # ------------------------------------------------------------------ integrator
@@ -451,7 +435,7 @@ def test_find_eigenvalue_agrees_with_nelder_mead():
         for seed in seeds:
             point = fundsys.find_eigenvalue(dp, seed, opts)
             s_nm, value_nm = nelder_mead_eigenvalue(dp, seed, opts)
-            assert point.converged and value_nm < opts.converged_tol
+            assert point.converged and value_nm < fundsys.CONVERGED_TOL
             assert abs(complex(point.q, point.omega) - s_nm) <= 1e-9
 
 
