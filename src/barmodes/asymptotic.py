@@ -10,9 +10,8 @@ only the products are ever observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import DimensionlessParams
 
@@ -146,13 +145,13 @@ def boundary_frequency(nu: float, dp: DimensionlessParams) -> float | None:
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < 0.0:
             return None
-        sq = np.sqrt(disc)
+        sq = math.sqrt(disc)
         candidates = [(-a1 - sq) / (2.0 * a2), (-a1 + sq) / (2.0 * a2)]
 
     admissible = [s for s in candidates if s >= 0.0]
     if not admissible:
         return None
-    return float(np.sqrt(min(admissible)))
+    return math.sqrt(min(admissible))
 
 
 def second_method_bracket(omega: float, dp: DimensionlessParams) -> float:
@@ -180,7 +179,7 @@ def second_method_indicator(omega: float, dp: DimensionlessParams, C2: float,
     Raises ZeroDivisionError at a cot pole (|sin(w*xbar)| < 1e-12) or when
     the bracket degenerates.
     """
-    s = np.sin(omega * xbar)
+    s = math.sin(omega * xbar)
     if abs(s) < _POLE_TOL:
         raise ZeroDivisionError("cot pole: omega*xbar is a multiple of pi")
     bracket = second_method_bracket(omega, dp)
@@ -188,7 +187,7 @@ def second_method_indicator(omega: float, dp: DimensionlessParams, C2: float,
         raise ZeroDivisionError("degenerate damping bracket")
     eta, delta = dp.eta, dp.delta
     r = eta * delta * omega**2 - 1.0
-    cot = np.cos(omega * xbar) / s
+    cot = math.cos(omega * xbar) / s
     numer = (eta**2 * omega**2 * (1.0 + delta) + r * r - eta) * omega * cot - r * r
     return C2 * numer / (bracket * omega**3)
 
@@ -204,6 +203,8 @@ def forced_mode(omega: float, A: float, dp: DimensionlessParams,
     the x*sin term is itself resonant, so the residual vanishes only for
     C2 = 0.
     """
+    import numpy as np
+
     eps1 = dp.eps1
     B1 = 0.0
     B2 = 0.5 * eps1 * A * omega**2

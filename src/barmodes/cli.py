@@ -3,7 +3,8 @@ and mode shapes as reproducible CSV files.
 
 Verbs: spectrum | stability | sweep | modeshape, each with
 --config PATH (INI-style), --out PATH (default stdout) and --strict.
-Exit codes: 0 ok, 2 config error, 3 solver non-convergence under --strict.
+Exit codes: 0 ok, 2 config error or unwritable output path, 3 solver
+non-convergence under --strict.
 
 Every output starts with `# key = value` comment lines echoing the full
 resolved parameter set, so a file re-identifies the run that made it; the
@@ -140,6 +141,7 @@ def load_config(path: str) -> RunConfig:
     checks = [
         (run["modes"] >= 0, "modes must be >= 0"),
         (run["omega_max"] > 0, "omega_max must be positive"),
+        (math.isfinite(run["omega_max"]), "omega_max must be finite"),
         (run["step"] > 0, "step must be positive"),
         (run["subintervals"] >= 1, "subintervals must be >= 1"),
         (run["nu_min"] >= 0, "nu_min must be >= 0"),
@@ -336,7 +338,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _write_output(args.out, _echo_lines(config, args.analysis) + [header] + rows)
+    try:
+        _write_output(args.out,
+                      _echo_lines(config, args.analysis) + [header] + rows)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     if not all_converged:
         print("warning: at least one eigenvalue search did not converge",
               file=sys.stderr)

@@ -4,32 +4,28 @@ With every dissipative parameter removed the frequency equation reduces to
 cot(w) = eta*w / (1 - eta*delta*w^2).  Both sides have poles, so root
 finding is done on the equivalent entire function
 
-    chi(w) = (eta*delta*w^2 - 1)*cos(w) + eta*w*sin(w),
+    chi(w) = (eta*delta*w^2 - 1)*cos(w) + eta*w*sin(w)
+           = eta*w*cos(w) * (tan(w) - h(w)),   h(w) = 1/(eta*w) - delta*w.
 
-which is smooth everywhere and changes sign at each eigenfrequency.  Its
-slope is closed form too, so each sign-change bracket is refined by Newton's
-method, with a bisection whenever a Newton step would leave the bracket.
+For eta > 0 and delta >= 0, h is strictly decreasing, so tan - h is
+strictly increasing on each branch of tan and crosses zero exactly once:
+chi has one simple root on (0, pi/2) and one on each ((k - 1/2)pi,
+(k + 1/2)pi).  At the branch points chi = +-eta*w with alternating signs,
+so the branch points bracket the roots in closed form, without a scan.
+The slope of chi is closed form too, so each bracket is refined by
+Newton's method, with a bisection whenever a Newton step would leave it.
 These real roots seed every other solver in the package.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import DimensionlessParams
 
-# Undamped roots are separated by O(pi); 0.01 leaves two orders of margin.
-DEFAULT_SCAN_STEP = 0.01
-
-# Halvings of the scan step allowed while the bracket count keeps changing.
-_MAX_RESCANS = 6
-
 _ROOT_XTOL = 1e-13     # stop once a refinement step is this small
-_MAX_REFINE_STEPS = 100  # bisection alone needs ~50 from a scan bracket
+_MAX_REFINE_STEPS = 100  # bisection alone needs ~45 from a branch bracket
 
 
 @dataclass(frozen=True)
@@ -40,6 +36,8 @@ class ConservativeRoot:
 
 def characteristic(omega, dp: DimensionlessParams):
     """chi(omega); accepts scalars or arrays, zero exactly at eigenfrequencies."""
+    import numpy as np
+
     omega = np.asarray(omega, dtype=float)
     chi = (dp.eta * dp.delta * omega**2 - 1.0) * np.cos(omega) \
         + dp.eta * omega * np.sin(omega)
@@ -59,10 +57,14 @@ def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]
 def _bracket_roots(grid, vals):
     """Sign-change brackets [(lo, hi)] of chi sampled as vals on an
     ascending grid; an exact zero off 0 yields a degenerate (x, x) one."""
-    zero = (vals == 0.0) & (grid > 0.0)
-    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
-    return [(float(grid[i]), float(grid[i] if zero[i] else grid[i + 1]))
-            for i in np.flatnonzero(zero | change)]
+    brackets = []
+    for i, (x, v) in enumerate(zip(grid, vals)):
+        if v == 0.0:
+            if x > 0.0:
+                brackets.append((x, x))
+        elif i + 1 < len(grid) and v * vals[i + 1] < 0.0:
+            brackets.append((x, grid[i + 1]))
+    return brackets
 
 
 def _refine(lo: float, hi: float, dp: DimensionlessParams) -> float:
@@ -95,35 +97,34 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
                max_count: int | None = None) -> list[ConservativeRoot]:
     """All roots of the characteristic on (0, omega_max], sorted ascending.
 
-    chi is sampled once at half DEFAULT_SCAN_STEP; when that scan finds as
-    many sign-change brackets as its even samples (the scan at the full
-    step), the first max_count of them (all when None) are refined by
-    safeguarded Newton steps until a step falls below 1e-13.  Otherwise the
-    step is halved and the scan repeated (at most 6 scans), and a non-fatal
-    warning reports the step at which extra roots had been hidden (the
-    symptom of nearly-double roots).
-    """
-    if not omega_max > 0:
-        raise ValueError("omega_max must be positive")
+    Root k lies on the k-th branch of tan, between the grid points
+    0, pi/2, 3pi/2, ... (see the module docstring), so chi is evaluated
+    only there and at omega_max, which closes the last, partial branch.
+    Each sign change is one root; the first max_count of them (all when
+    None) are refined by safeguarded Newton steps until a step falls below
+    1e-13, and no branch beyond the max_count-th is evaluated.
 
-    step = min(DEFAULT_SCAN_STEP, omega_max)
-    n = max(int(np.ceil(omega_max / step)), 1)
-    for _ in range(_MAX_RESCANS):
-        grid = np.linspace(0.0, omega_max, 2 * n + 1)
-        vals = characteristic(grid, dp)
-        brackets = _bracket_roots(grid, vals)
-        hidden = len(brackets) - len(_bracket_roots(grid[::2], vals[::2]))
-        if not hidden:
+    Raises ValueError unless eta > 0, delta >= 0 and omega_max > 0, all
+    finite: outside that premise the branch argument does not hold.
+    """
+    eta, delta = dp.eta, dp.delta
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be non-negative and finite, got {delta}")
+    if not (math.isfinite(omega_max) and omega_max > 0):
+        raise ValueError("omega_max must be positive and finite")
+
+    count = math.inf if max_count is None else max_count
+    grid = [0.0]
+    while len(grid) <= count:
+        edge = (len(grid) - 0.5) * math.pi
+        if edge >= omega_max:
+            grid.append(omega_max)
             break
-        warnings.warn(
-            f"scan step {step:g} hid {hidden} root(s); "
-            "rescanning at half step",
-            UserWarning,
-            stacklevel=2,
-        )
-        step /= 2.0
-        n *= 2
+        grid.append(edge)
+    vals = [_chi_and_slope(w, dp)[0] for w in grid]
 
     roots = [lo if lo == hi else _refine(lo, hi, dp)
-             for lo, hi in brackets[:max_count]]
+             for lo, hi in _bracket_roots(grid, vals)[:max_count]]
     return [ConservativeRoot(omega=w, index=i + 1) for i, w in enumerate(roots)]

@@ -30,11 +30,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import asymptotic, conservative
 from .params import DimensionlessParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_STEP = 1.0 / 2000.0
 DEFAULT_SUBINTERVALS = 8
@@ -202,6 +204,8 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     any entry exceeds 1e150 (the caller should subdivide), ValueError on a
     reversed interval or non-positive step.
     """
+    import numpy as np
+
     if x_end < x_start:
         raise ValueError("x_end must not precede x_start")
     if not step > 0:
@@ -367,6 +371,8 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     when the boundary system is numerically full-rank (the point is not an
     eigenvalue).
     """
+    import numpy as np
+
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not point.converged:

@@ -42,6 +42,9 @@ class PhysicalParams:
         for name in _NON_NEGATIVE:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in _STRICTLY_POSITIVE + _NON_NEGATIVE:
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
 
     @property
     def wave_speed(self) -> float:
@@ -96,9 +99,13 @@ def validate(dp: DimensionlessParams) -> list[str]:
     for name in ("eps1", "mu", "nu"):
         if not getattr(dp, name) >= 0:
             problems.append(f"{name} >= 0 violated")
+    # Only +inf passes the sign checks above.
+    for name in ("eps1", "mu", "nu", "eta", "delta"):
+        if getattr(dp, name) == math.inf:
+            problems.append(f"{name} < inf violated")
     for name in ("eps1", "mu", "nu"):
         value = getattr(dp, name)
-        if value >= 0 and value > SMALLNESS_LIMIT:
+        if SMALLNESS_LIMIT < value < math.inf:
             warnings.warn(
                 f"{name} = {value:g} exceeds {SMALLNESS_LIMIT}; outside the "
                 "small-dissipation regime of the perturbation solvers",

@@ -1,5 +1,8 @@
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +124,26 @@ def test_invalid_parameter_value_exits_2(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "stability"])
+@pytest.mark.parametrize("name", ["eps1", "mu", "nu", "eta", "delta"])
+def test_infinite_parameter_exits_2(tmp_path, capsys, verb, name):
+    section = re.sub(rf"^{name} = .*$", f"{name} = inf", REF_SECTION,
+                     flags=re.M)
+    code, out = run_cli(tmp_path, verb, section, FAST_RUN + "modes = 2\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not out.exists()
+
+
+def test_infinite_omega_max_exits_2(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "spectrum", REF_SECTION,
+                        "[run]\nmodes = 2\nomega_max = inf\n")
+    assert code == 2
+    assert "omega_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_descending_nu_grid_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path, REF_SECTION + "[run]\nnu_min = 0.2\nnu_max = 0.1\n")
@@ -235,6 +258,14 @@ def test_readme_config_echo_block(tmp_path):
         "# grid_points = 201",
         "# mode = 1",
     ]
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, REF_SECTION + FAST_RUN + "modes = 1\n")
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -357,3 +388,26 @@ def test_module_entry_point(tmp_path):
     echo, _, rows = read_output(out)
     assert echo["analysis"] == "spectrum"
     assert len(rows) == 1
+
+
+def test_verbs_without_arrays_load_no_numpy(tmp_path):
+    # spectrum, stability and sweep need no array; modeshape returns one.
+    cfg = write_config(tmp_path, REF_SECTION + README_RUN)
+    code = f"""
+import sys
+from barmodes import cli
+for verb in ("spectrum", "stability", "sweep"):
+    assert cli.main([verb, "--config", {cfg!r},
+                     "--out", {str(tmp_path / "out.csv")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+assert cli.main(["modeshape", "--config", {cfg!r},
+                 "--out", {str(tmp_path / "shape.csv")!r}]) == 0
+assert "numpy" in sys.modules
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    _, _, rows = read_output(tmp_path / "shape.csv")
+    assert len(rows) == 201

@@ -162,8 +162,7 @@ def test_bracket_scan_matches_loop_reference():
     rng = np.random.default_rng(8)
     for _ in range(200):
         dp = random_undamped(rng)
-        for step in (conservative.DEFAULT_SCAN_STEP,
-                     conservative.DEFAULT_SCAN_STEP / 2.0):
+        for step in (0.01, 0.005):
             grid, vals = scan_grid(dp, 20.0, step)
             assert (conservative._bracket_roots(grid, vals)
                     == loop_brackets(grid, vals))
@@ -189,7 +188,7 @@ def test_find_roots_matches_brentq_refinement():
             lo if lo == hi else brentq(characteristic, lo, hi, args=(dp,),
                                        xtol=1e-13)
             for lo, hi in conservative._bracket_roots(*scan_grid(
-                dp, 20.0, conservative.DEFAULT_SCAN_STEP / 2.0))]
+                dp, 20.0, 0.005))]
         got = [r.omega for r in find_roots(dp, 20.0)]
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
@@ -201,11 +200,38 @@ def test_find_roots_max_count_is_a_prefix():
     assert find_roots(REF, omega_max=20.0, max_count=2) == full[:2]
 
 
-def test_find_roots_rescans_when_half_step_exposes_roots(monkeypatch):
-    # Two roots 0.004 apart inside one 0.01 scan interval: the scan at the
-    # full step misses them, the one at half the step does not.
-    monkeypatch.setattr(conservative, "characteristic",
-                        lambda w, dp: (w - 0.5) * (w - 1.003) * (w - 1.007))
-    with pytest.warns(UserWarning, match=r"scan step 0\.01 hid 2 root"):
-        roots = find_roots(REF, omega_max=2.0)
-    assert len(roots) == 3
+def test_find_roots_one_root_per_tan_branch():
+    # Root k lies on the k-th branch of tan: (0, pi/2) for k = 1, then
+    # ((k - 3/2)pi, (k - 1/2)pi); the count matches the dense-scan oracle.
+    rng = np.random.default_rng(10)
+    for _ in range(500):
+        dp = random_undamped(rng)
+        roots = find_roots(dp, 20.0)
+        for r in roots:
+            lo = max(r.index - 1.5, 0.0) * np.pi
+            assert lo < r.omega < (r.index - 0.5) * np.pi, (dp, r)
+        assert len(roots) == len(scan_and_bisect(dp, 20.0, scan_step=0.01))
+
+
+@pytest.mark.parametrize("eta, delta", [
+    (0.0, 0.1), (-7.0, 0.1), (7.0, -0.1), (np.nan, 0.1), (7.0, np.nan),
+    (np.inf, 0.1), (7.0, np.inf)])
+def test_find_roots_rejects_parameters_outside_the_branch_premise(eta, delta):
+    with pytest.raises(ValueError):
+        find_roots(DimensionlessParams(0, 0, 0, eta=eta, delta=delta), 20.0)
+
+
+@pytest.mark.parametrize("omega_max", [0.0, -1.0, np.nan, np.inf])
+def test_find_roots_rejects_bad_omega_max(omega_max):
+    with pytest.raises(ValueError, match="omega_max"):
+        find_roots(REF, omega_max)
+
+
+def test_find_roots_accepts_zero_delta():
+    # delta = 0 (a rigid spring) keeps h(w) = 1/(eta*w) strictly decreasing.
+    dp = DimensionlessParams(0, 0, 0, eta=7.0, delta=0.0)
+    got = [r.omega for r in find_roots(dp, 20.0)]
+    expected = scan_and_bisect(dp, 20.0, scan_step=1e-3)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a == pytest.approx(b, abs=1e-8)

@@ -459,10 +459,11 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
             assert len(calls) <= 12
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "numpy"])
+def test_import_loads_no_scipy(package):
     src = str(Path(barmodes.__file__).resolve().parents[1])
     code = ("import sys, barmodes; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            f"if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})

@@ -46,6 +46,22 @@ def test_nonpositive_required_field_rejected():
         PhysicalParams(rho=1, S=1, E=1, beta=-1e-9, b=0, d=0, m=1, c=1, l=1)
 
 
+@pytest.mark.parametrize("name", ["rho", "S", "E", "beta", "b", "c", "d",
+                                  "m", "l"])
+def test_infinite_physical_constant_rejected(name):
+    values = dict(rho=1, S=1, E=1, beta=0, b=0, d=0, m=1, c=1, l=1)
+    values[name] = math.inf
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PhysicalParams(**values)
+
+
+@pytest.mark.parametrize("name", ["eps1", "mu", "nu", "eta", "delta"])
+def test_validate_reports_infinite_group(name):
+    values = dict(eps1=0.005, mu=0.008, nu=0.05, eta=7, delta=0.1)
+    values[name] = math.inf
+    assert validate(DimensionlessParams(**values)) == [f"{name} < inf violated"]
+
+
 def test_validate_accepts_reference_parameters():
     dp = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7, delta=0.1)
     assert validate(dp) == []
