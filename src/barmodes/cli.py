@@ -138,10 +138,12 @@ def load_config(path: str) -> RunConfig:
                     f"[run] {key} = {section[key]!r} is not a valid "
                     f"{kind.__name__}") from None
 
+    for key, (kind, _) in _RUN_KEYS.items():
+        if kind is float and not math.isfinite(run[key]):
+            raise ConfigError(f"[run] {key} must be finite")
     checks = [
         (run["modes"] >= 0, "modes must be >= 0"),
         (run["omega_max"] > 0, "omega_max must be positive"),
-        (math.isfinite(run["omega_max"]), "omega_max must be finite"),
         (run["step"] > 0, "step must be positive"),
         (run["subintervals"] >= 1, "subintervals must be >= 1"),
         (run["nu_min"] >= 0, "nu_min must be >= 0"),
@@ -337,6 +339,12 @@ def main(argv=None) -> int:
         header, rows, all_converged = _ANALYSES[args.analysis](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # Finite but extreme parameters (say eta = 1e200) leave the float
+        # range in the closed forms.
+        print(f"config error: the parameters overflow floating-point "
+              f"arithmetic ({exc.args[-1]})", file=sys.stderr)
         return 2
     try:
         _write_output(args.out,

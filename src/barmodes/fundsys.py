@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import asymptotic, conservative
@@ -63,10 +63,21 @@ class BoundaryCoefficients:
 
 @dataclass(frozen=True)
 class SpectralPoint:
+    """A point s = q + i*omega: the seed or the result of a search.
+
+    A result carries the normalized determinant at s, whether the search
+    converged, and ``slope``: df/ds of the boundary residual from the last
+    secant quotient of the search (None when it formed none).  A seed with
+    a finite, non-zero slope starts its search with a Newton step, so a
+    result can seed the next search directly.  The slope takes no part in
+    equality or repr.
+    """
+
     q: float
     omega: float
     delta_value: float = math.nan
     converged: bool = False
+    slope: complex | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,14 +170,24 @@ def _compose(left: Pair, right: Pair, K: complex) -> Pair:
 
 
 def _power(pair: Pair, n: int, K: complex) -> Pair:
-    result = _IDENTITY
-    while n:
-        if n & 1:
-            result = _compose(result, pair, K)
+    # Binary powering with _compose written out: the lowest set bit takes
+    # the current square as the result instead of multiplying it into the
+    # identity, and the square of (e, b) is (e*(2 + e) + b^2*K, 2*b*(1 + e)).
+    if not n:
+        return _IDENTITY
+    e, b = pair
+    while not n & 1:
+        e, b = e * (2.0 + e) + b * b * K, 2.0 * b * (1.0 + e)
         n >>= 1
-        if n:
-            pair = _compose(pair, pair, K)
-    return result
+    re, rb = e, b
+    n >>= 1
+    while n:
+        e, b = e * (2.0 + e) + b * b * K, 2.0 * b * (1.0 + e)
+        if n & 1:
+            re, rb = (re + e + re * e + rb * b * K,
+                      rb * (1.0 + e) + b * (1.0 + re))
+        n >>= 1
+    return re, rb
 
 
 def _check_overflow(pair: Pair, K: complex) -> None:
@@ -256,15 +277,18 @@ def _boundary_residual(gamma_end: Pair, q: float, omega: float,
             math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du)))
 
 
-def _normalized_determinant(gamma_end: Pair, q: float, omega: float,
-                            dp: DimensionlessParams) -> float:
-    """Delta-hat: Delta divided by the square of the Cauchy-Schwarz bound of
-    |f|, a scale-free value in [0, 1] with the same zeros as Delta, O(1)
-    away from the spectrum and at roundoff level on it.  The floor keeps it
-    total."""
-    f, scale = _boundary_residual(gamma_end, q, omega, dp)
+def _normalized(f: complex, scale: float) -> float:
+    """Delta-hat from a residual and its bound: Delta divided by the square
+    of the Cauchy-Schwarz bound of |f|, a scale-free value in [0, 1] with
+    the same zeros as Delta, O(1) away from the spectrum and at roundoff
+    level on it.  The floor keeps it total."""
     r = f / max(scale, _NORM_FLOOR)
     return r.real * r.real + r.imag * r.imag
+
+
+def _normalized_determinant(gamma_end: Pair, q: float, omega: float,
+                            dp: DimensionlessParams) -> float:
+    return _normalized(*_boundary_residual(gamma_end, q, omega, dp))
 
 
 def delta(q: float, omega: float, dp: DimensionlessParams,
@@ -297,17 +321,19 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     The residual f(s) = P*u(1) + Q*u'(1) of the discretised fundamental
     system (the propagator :func:`delta_subdivided` uses) is analytic in
     s = q + i*omega, so a complex secant iteration converges superlinearly
-    to its zeros, which are the zeros of the normalized determinant.  It
-    starts from the seed and the seed + (1 + i)*1e-3, and stops when a step
-    is below 1e-15*|s|, when f or its difference vanishes, or after
-    ``max_iterations`` steps.  An iterate that is not finite, has
+    to its zeros, which are the zeros of the normalized determinant.  Its
+    first iterate is the Newton step s0 - f(s0)/slope when the seed carries
+    a finite, non-zero slope, and s0 + (1 + i)*1e-3 otherwise.  It stops
+    when a step is below 1e-15*|s|, when f or its difference vanishes, or
+    after ``max_iterations`` steps.  An iterate that is not finite, has
     omega <= 0 or leaves the seed's band (half-width ``BAND_HALFWIDTH``,
     which prevents mode hopping) ends the search, as does an overflow or a
     degenerate rhs denominator.
 
-    The result is the last iterate accepted, with its normalized
-    determinant as delta_value (NaN when it cannot be evaluated);
-    converged means the iteration settled and that value is below
+    The result is the last iterate whose residual was evaluated, with the
+    normalized determinant of that evaluation as delta_value (NaN when even
+    the seed cannot be evaluated) and the last secant quotient df/ds as
+    slope; converged means the iteration settled and delta_value is below
     ``CONVERGED_TOL``.  Raises ValueError for a non-finite seed; otherwise
     never raises: a failed search comes back with converged=False.
     """
@@ -315,45 +341,46 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
 
-    def residual(s: complex) -> complex:
+    def residual(s: complex) -> tuple[complex, float]:
         gamma_end = _end_propagator(s.real, s.imag, dp, opts.subintervals,
                                     opts.step)
-        return _boundary_residual(gamma_end, s.real, s.imag, dp)[0]
+        return _boundary_residual(gamma_end, s.real, s.imag, dp)
 
     def admissible(s: complex) -> bool:
         return (cmath.isfinite(s) and s.imag > 0.0
                 and abs(s.imag - seed.omega) < BAND_HALFWIDTH)
 
     s0 = complex(seed.q, seed.omega)
-    s1 = s0 + _SECANT_OFFSET
-    last, settled = s0, False
+    last, value, slope, settled = s0, math.nan, None, False
     try:
-        f0 = residual(s0)
+        f0, scale = residual(s0)
+        value = _normalized(f0, scale)
+        s1 = s0 + _SECANT_OFFSET
+        if seed.slope:  # neither None nor 0
+            # A NaN or infinite slope gives a NaN or zero step: no Newton.
+            newton = s0 - f0 / seed.slope
+            if newton != s0 and cmath.isfinite(newton):
+                s1 = newton
         for _ in range(opts.max_iterations):
             if not admissible(s1):
                 break
-            f1 = residual(s1)
-            last = s1
+            f1, scale = residual(s1)
+            last, value = s1, _normalized(f1, scale)
             df = f1 - f0
             if f1 == 0 or df == 0:
                 settled = True
                 break
+            slope = df / (s1 - s0)
             ds = f1 * (s1 - s0) / df
             s0, f0, s1 = s1, f1, s1 - ds
             if abs(ds) <= _SECANT_RTOL * abs(s1):
-                if admissible(s1):
-                    last, settled = s1, True
+                settled = True
                 break
     except (OverflowError, ZeroDivisionError):
         pass
-
-    try:
-        value = delta_subdivided(last.real, last.imag, dp, opts.subintervals,
-                                 opts.step)
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
     return SpectralPoint(q=last.real, omega=last.imag, delta_value=value,
-                         converged=settled and value < CONVERGED_TOL)
+                         converged=settled and value < CONVERGED_TOL,
+                         slope=slope)
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
@@ -408,8 +435,12 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     """Track eigenvalues of the requested modes across an ascending nu grid.
 
     dp.nu is ignored; each grid value replaces it.  Mode k starts from the
-    k-th undamped frequency with the closed-form growth-rate estimate, and
-    every later grid point is seeded from its predecessor (warm start).
+    k-th undamped frequency with the closed-form growth-rate estimate.  A
+    grid point whose two predecessors converged (at distinct nu) is seeded
+    by predictor-corrector continuation: the linear extrapolation in nu of
+    those two eigenvalues, carrying the slope df/ds of the nearer one, so
+    that :func:`find_eigenvalue` starts with a Newton step.  Any other later
+    point is seeded from its predecessor's eigenvalue (warm start).
     Unconverged points are flagged in their rows, never dropped.  Rows come
     back ordered by (nu, mode).
     """
@@ -432,12 +463,19 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
         first = replace(dp, nu=nu_values[0])
         seed = SpectralPoint(q=asymptotic.corrected_eigenvalue(w0, first).q,
                              omega=w0)
+        converged = []  # (nu, point) of up to two rows since the last failure
         for nu in nu_values:
+            if len(converged) == 2 and converged[0][0] < converged[1][0]:
+                (nu_a, a), (nu_b, b) = converged
+                s_a, s_b = complex(a.q, a.omega), complex(b.q, b.omega)
+                s = s_b + (s_b - s_a) * ((nu - nu_b) / (nu_b - nu_a))
+                seed = SpectralPoint(q=s.real, omega=s.imag, slope=b.slope)
             point = find_eigenvalue(replace(dp, nu=nu), seed, opts)
             rows.append(SweepRow(nu=nu, mode=mode, q=point.q,
                                  omega=point.omega,
                                  delta_value=point.delta_value,
                                  converged=point.converged))
             seed = SpectralPoint(q=point.q, omega=point.omega)
+            converged = converged[-1:] + [(nu, point)] if point.converged else []
     rows.sort(key=lambda r: (r.nu, r.mode))
     return rows

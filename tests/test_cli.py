@@ -144,6 +144,33 @@ def test_infinite_omega_max_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, key", [("stability", "nu_max"),
+                                      ("spectrum", "step"),
+                                      ("sweep", "nu_step"),
+                                      ("stability", "nu_min")])
+def test_non_finite_run_value_exits_2(tmp_path, capsys, verb, key):
+    # An infinite [run] value is a config error, neither a traceback
+    # (nu_max sizes the grid) nor a table of NA cells (step).
+    code, out = run_cli(tmp_path, verb, REF_SECTION,
+                        f"[run]\nmodes = 2\n{key} = inf\n", strict=True)
+    assert code == 2
+    assert f"[run] {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
+                                  "modeshape"])
+def test_overflowing_parameter_exits_2(tmp_path, capsys, verb):
+    # A finite eta = 1e200 overflows the closed forms; that is a config
+    # error with a one-line message, not a traceback or inf/NaN cells.
+    section = REF_SECTION.replace("eta = 7", "eta = 1e200")
+    code, out = run_cli(tmp_path, verb, section, FAST_RUN + "modes = 2\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_descending_nu_grid_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path, REF_SECTION + "[run]\nnu_min = 0.2\nnu_max = 0.1\n")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -439,9 +440,8 @@ def test_find_eigenvalue_agrees_with_nelder_mead():
             assert abs(complex(point.q, point.omega) - s_nm) <= 1e-9
 
 
-def test_find_eigenvalue_cold_search_cost(monkeypatch):
-    # One rhs_coefficients call per residual evaluation, plus one for the
-    # final normalized determinant.
+def count_rhs_calls(monkeypatch):
+    """Record every rhs_coefficients call, one per residual evaluation."""
     calls = []
     original = fundsys.rhs_coefficients
 
@@ -450,13 +450,84 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(fundsys, "rhs_coefficients", counting)
+    return calls
+
+
+def test_find_eigenvalue_cold_search_cost(monkeypatch):
+    # One rhs_coefficients call per residual evaluation; the normalized
+    # determinant comes from the last of them, not from an extra one.
+    calls = count_rhs_calls(monkeypatch)
     rng = np.random.default_rng(32)
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
         for seed in asymptotic_seeds(dp, None):
             calls.clear()
             point = fundsys.find_eigenvalue(dp, seed)
             assert point.converged
-            assert len(calls) <= 12
+            assert len(calls) <= 9
+
+
+def test_find_eigenvalue_reports_its_last_evaluation():
+    opts = fundsys.SolveOptions()
+    for seed in asymptotic_seeds(REF, 5):
+        point = fundsys.find_eigenvalue(REF, seed, opts)
+        assert point.converged
+        assert point.delta_value == fundsys.delta_subdivided(
+            point.q, point.omega, REF, opts.subintervals, opts.step)
+
+
+def test_spectral_point_slope_is_not_compared_or_shown():
+    point = fundsys.SpectralPoint(q=-0.1, omega=2.0, slope=3 + 4j)
+    assert point == fundsys.SpectralPoint(q=-0.1, omega=2.0)
+    assert "slope" not in repr(point)
+    assert fundsys.SpectralPoint(q=0.0, omega=1.0).slope is None
+
+
+def test_find_eigenvalue_falls_back_on_a_bad_slope():
+    rng = np.random.default_rng(36)
+    opts = fundsys.SolveOptions()
+    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(3)]:
+        for seed in asymptotic_seeds(dp, 4):
+            plain = fundsys.find_eigenvalue(dp, seed, opts)
+            assert plain.converged and plain.slope is not None
+            answer = complex(plain.q, plain.omega)
+            # Unusable slopes leave the offset start: the same iterates.
+            for slope in (0.0, 0j, complex(np.nan, np.nan), np.nan,
+                          complex(np.inf, 0.0), -np.inf):
+                point = fundsys.find_eigenvalue(
+                    dp, replace(seed, slope=slope), opts)
+                assert point == plain
+            # A finite but far too steep slope takes a tiny first step; the
+            # search must still land on the same eigenvalue or fail.
+            point = fundsys.find_eigenvalue(
+                dp, replace(seed, slope=1e6 * plain.slope), opts)
+            if point.converged:
+                assert abs(complex(point.q, point.omega) - answer) <= 1e-9
+
+
+def test_sweep_feedback_continuation(monkeypatch):
+    # Predictor-corrector continuation in nu: at most 4 residual
+    # evaluations per row on average, against about 6 for a warm start,
+    # and every row is the eigenvalue a slope-free search from the
+    # previous row finds.
+    nu_grid = [0.005 * i for i in range(21)]
+    opts = fundsys.SolveOptions()
+    rng = np.random.default_rng(33)
+    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
+        calls = count_rhs_calls(monkeypatch)
+        rows = fundsys.sweep_feedback(dp, nu_grid, modes=(1, 2), options=opts)
+        monkeypatch.undo()
+        assert len(calls) <= 4 * len(rows)
+        assert all(r.converged for r in rows)
+        for mode in (1, 2):
+            branch = [r for r in rows if r.mode == mode]
+            for before, row in zip(branch, branch[1:]):
+                fresh = fundsys.find_eigenvalue(
+                    replace(dp, nu=row.nu),
+                    fundsys.SpectralPoint(q=before.q, omega=before.omega), opts)
+                assert fresh.converged
+                s, s_fresh = complex(row.q, row.omega), complex(fresh.q,
+                                                                fresh.omega)
+                assert abs(s - s_fresh) <= 1e-12 * abs(s_fresh)
 
 
 @pytest.mark.parametrize("package", ["scipy", "numpy"])
@@ -529,6 +600,16 @@ def test_sweep_feedback_rows_and_warm_start():
         assert r.converged
         assert abs(r.omega - OMEGA_1) < 1e-3
         assert r.q < 0.0  # all below the critical feedback
+
+
+def test_sweep_feedback_repeated_nu():
+    # Two rows at one nu give no extrapolation direction; the next row is
+    # warm-started instead.
+    rows = fundsys.sweep_feedback(REF, [0.0, 0.01, 0.01, 0.02], modes=(1,),
+                                  options=FAST)
+    assert all(r.converged for r in rows)
+    assert (rows[1].q, rows[1].omega) == pytest.approx((rows[2].q,
+                                                        rows[2].omega))
 
 
 def test_sweep_feedback_orders_rows_by_nu_then_mode():
