@@ -7,7 +7,7 @@ Three solver families are provided:
 * ``asymptotic`` — first-order complex-eigenvalue corrections and the
   self-excitation condition in closed form;
 * ``fundsys`` — fully numerical complex eigenvalues via normal fundamental
-  systems of solutions and a secant search for the zeros of the boundary
+  systems of solutions and a Newton search for the zeros of the boundary
   residual.
 
 ``params`` holds the physical and dimensionless parameter sets, and ``cli``

@@ -136,6 +136,10 @@ def boundary_frequency(nu: float, dp: DimensionlessParams) -> float | None:
           + eps1 * eta**2 * (1.0 - delta)
           - 2 * eta * delta * eps1)
     a0 = eps1 * (1.0 + eta) - 2 * eta * delta * nu
+    # The same roots with the largest coefficient scaled to 1, so that the
+    # discriminant cannot overflow for a huge mass ratio.
+    scale = max(abs(a2), abs(a1), abs(a0)) or 1.0
+    a2, a1, a0 = a2 / scale, a1 / scale, a0 / scale
 
     if a2 == 0.0:
         if a1 == 0.0:
@@ -145,8 +149,10 @@ def boundary_frequency(nu: float, dp: DimensionlessParams) -> float | None:
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < 0.0:
             return None
-        sq = math.sqrt(disc)
-        candidates = [(-a1 - sq) / (2.0 * a2), (-a1 + sq) / (2.0 * a2)]
+        # -a1 and the root of the discriminant never cancel in t; the
+        # other root is a0/t (Vieta), exact even where it is tiny.
+        t = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        candidates = [t / a2, a0 / t] if t else [0.0]
 
     admissible = [s for s in candidates if s >= 0.0]
     if not admissible:

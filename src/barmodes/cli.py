@@ -145,6 +145,9 @@ def load_config(path: str) -> RunConfig:
         (run["modes"] >= 0, "modes must be >= 0"),
         (run["omega_max"] > 0, "omega_max must be positive"),
         (run["step"] > 0, "step must be positive"),
+        (run["step"] * run["omega_max"] <= fundsys.STABILITY_EDGE,
+         "step * omega_max must not exceed the RK4 stability edge "
+         "2*sqrt(2) = 2.83"),
         (run["subintervals"] >= 1, "subintervals must be >= 1"),
         (run["nu_min"] >= 0, "nu_min must be >= 0"),
         (run["nu_step"] > 0, "nu_step must be positive"),

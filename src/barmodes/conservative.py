@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .params import DimensionlessParams
 
-_ROOT_XTOL = 1e-13     # stop once a refinement step is this small
+_ROOT_RTOL = 1e-13     # stop at a step this small relative to the root
 _MAX_REFINE_STEPS = 100  # bisection alone needs ~45 from a branch bracket
 
 
@@ -70,9 +70,15 @@ def _bracket_roots(grid, vals):
 def _refine(lo: float, hi: float, dp: DimensionlessParams) -> float:
     """The root of chi in a sign-change bracket: Newton steps from the
     midpoint, with a bisection of the shrinking bracket in place of any
-    step that would leave it."""
+    step that would leave it.  The first bracket starts at 0, and there
+    Newton starts from the small-frequency root 1/sqrt(c) of
+    chi ~ -1 + c*w^2, c = eta*(1 + delta) + 1/2, when that is lower: for a
+    huge mass ratio the root sits near 0, and from the midpoint Newton and
+    bisection would only halve their way down to it."""
     chi_lo = _chi_and_slope(lo, dp)[0]
     x = 0.5 * (lo + hi)
+    if lo == 0.0:
+        x = min(x, 1.0 / math.sqrt(dp.eta * (1.0 + dp.delta) + 0.5))
     for _ in range(_MAX_REFINE_STEPS):
         chi, slope = _chi_and_slope(x, dp)
         if chi == 0.0:
@@ -83,11 +89,11 @@ def _refine(lo: float, hi: float, dp: DimensionlessParams) -> float:
             hi = x
         x_new = x - chi / slope if slope != 0.0 else math.nan
         if lo <= x_new <= hi:
-            if abs(x_new - x) <= _ROOT_XTOL:
+            if abs(x_new - x) <= _ROOT_RTOL * x_new:
                 return x_new
         else:   # also taken for NaN
             x_new = 0.5 * (lo + hi)
-            if hi - lo <= _ROOT_XTOL:
+            if hi - lo <= _ROOT_RTOL * hi:
                 return x_new
         x = x_new
     return x
@@ -102,7 +108,7 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
     only there and at omega_max, which closes the last, partial branch.
     Each sign change is one root; the first max_count of them (all when
     None) are refined by safeguarded Newton steps until a step falls below
-    1e-13, and no branch beyond the max_count-th is evaluated.
+    1e-13 of the root, and no branch beyond the max_count-th is evaluated.
 
     Raises ValueError unless eta > 0, delta >= 0 and omega_max > 0, all
     finite: outside that premise the branch argument does not hold.

@@ -7,18 +7,23 @@ wave equation into the complex first-order system
 
 whose coefficients do not depend on x, with A^2 = K*I.  One classical RK4
 step of length h is therefore exactly (1 + e)*I + b*A with z = h^2*K,
-e = z/2 + z^2/24 and b = h*(1 + z/6); products and powers of such matrices
-keep that form, so the fundamental matrix Gamma(x) (the Cauchy problems
-whose initial states form the identity) is the pair (e, b) raised to the
-step count by binary powering on complex scalars.  The clamped end leaves
-only the solution with initial state (u, u') = (0, 1), and the end-mass
-boundary condition applied to it is the single complex row
-f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic determinant
-Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  The residual f of
-the discretised system is analytic in s (the propagator is a polynomial in
-K and D1..D4 are polynomials in s), so eigenvalues are located as its zeros
-by a complex secant iteration (Muller's method without the quadratic term)
-started at a seed; the normalized Delta then certifies the answer.
+e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the eigenvectors
+of A are 1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
+l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the
+exponents of the steps add, and the n equal subintervals multiply their
+sum by n.  The fundamental matrix Gamma(x) (the Cauchy problems whose
+initial states form the identity) is therefore exp(L)*(cosh(T)*I +
+sinh(T)*A/sqrt(K)) in closed form, a handful of complex function calls
+whatever the step count.  The clamped end leaves only the solution with
+initial state (u, u') = (0, 1), which ends at u(1) = exp(L)*sinh(T)/sqrt(K)
+and u'(1) = exp(L)*cosh(T), and the end-mass boundary condition applied to
+it is the single complex row f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the
+characteristic determinant Delta(omega, q) = |f|^2 vanishes exactly at
+eigenvalues.  The residual f of the discretised system is analytic in s
+(the propagator is a polynomial in K and D1..D4 are polynomials in s), so
+eigenvalues are located as its zeros by Newton's method from a seed, with
+the slope of the continuous system; the normalized Delta then certifies
+the answer.
 
 :func:`integrate_fundamental` returns the realified 4x4 view of the
 propagator, acting on the real state (g1, g2, g3, g4) = (u1, u2, u1', u2')
@@ -43,12 +48,12 @@ DEFAULT_SUBINTERVALS = 8
 OVERFLOW_LIMIT = 1e150
 CONVERGED_TOL = 1e-12         # normalized determinant of a converged search
 BAND_HALFWIDTH = math.pi / 2  # mode-hop guard around the seed omega
+STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
 
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _RANK_TOL = 1e-8       # normalized-determinant level accepted as "singular"
-_SECANT_OFFSET = (1 + 1j) * 1e-3  # second secant point relative to the seed
-_SECANT_RTOL = 1e-15   # stop once a secant step is this small relative to |s|
+_NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,9 @@ class SpectralPoint:
     """A point s = q + i*omega: the seed or the result of a search.
 
     A result carries the normalized determinant at s, whether the search
-    converged, and ``slope``: df/ds of the boundary residual from the last
-    secant quotient of the search (None when it formed none).  A seed with
-    a finite, non-zero slope starts its search with a Newton step, so a
-    result can seed the next search directly.  The slope takes no part in
-    equality or repr.
+    converged, and ``slope``: df/ds of the boundary residual at s (None
+    when the search evaluated nothing).  A search does not read the slope
+    of its seed.  The slope takes no part in equality or repr.
     """
 
     q: float
@@ -101,11 +104,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Controls for the secant eigenvalue search."""
+    """Controls for the Newton eigenvalue search."""
 
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS
-    max_iterations: int = 500         # secant steps
+    max_iterations: int = 500         # residual evaluations (Newton steps)
 
 
 def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]:
@@ -147,71 +150,67 @@ def boundary_coefficients(q: float, omega: float,
     return BoundaryCoefficients(D1=D1, D2=D2, D3=D3, D4=D4)
 
 
-# A propagator (1 + e)*I + b*A of the complex system, stored as (e, b).
-Pair = tuple[complex, complex]
+# A propagator exp(L*I + T*A/r) = a*I + b*A of the complex system, r^2 = K,
+# stored by its exponents (L, T); propagators commute, so composing them
+# adds their exponents and the n-th power multiplies them by n.
+Exponents = tuple[complex, complex]
 
-_IDENTITY: Pair = (0j, 0j)
+
+def _log1p(z: complex) -> complex:
+    # log(1 + z) without rounding 1 + z, whose small part carries a whole
+    # RK4 step; cmath has no log1p.  A zero 1 + z is a singular step.
+    x, y = z.real, z.imag
+    m = x * (2.0 + x) + y * y   # |1 + z|^2 - 1
+    if m <= -1.0:
+        raise ZeroDivisionError("singular RK4 step: its propagator has a zero "
+                                "eigenvalue")
+    return complex(0.5 * math.log1p(m), math.atan2(y, 1.0 + x))
 
 
-def _rk4_pair(K: complex, h: float) -> Pair:
+def _step_exponents(r: complex, h: float) -> Exponents:
     # One classical Runge-Kutta step for y' = A y is exactly multiplication
     # by the degree-4 Taylor polynomial of exp(hA); A^2 = K*I folds it into
-    # (1 + z/2 + z^2/24)*I + h*(1 + z/6)*A with z = h^2*K.
-    z = h * h * K
-    return z * (0.5 + z / 24.0), h * (1.0 + z / 6.0)
+    # (1 + e)*I + b*A with z = h^2*K, e = z/2 + z^2/24 and b = h*(1 + z/6).
+    # Its eigenvalues on the eigenvectors of A are 1 + e +- b*r, so it is
+    # exp(l*I + t*A/r) with l +- t = log1p(e +- b*r).  Any branch of the
+    # logarithm or of r gives the same propagator, because the exponents
+    # are only ever used times an integer step count.
+    w = h * r
+    z = w * w
+    e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
+    plus, minus = _log1p(e + bw), _log1p(e - bw)
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _compose(left: Pair, right: Pair, K: complex) -> Pair:
-    # Product of two propagators; the offset e is carried instead of
-    # a = 1 + e so that its small part is never rounded against 1.
-    e, b = left
-    f, d = right
-    return e + f + e * f + b * d * K, b * (1.0 + f) + d * (1.0 + e)
-
-
-def _power(pair: Pair, n: int, K: complex) -> Pair:
-    # Binary powering with _compose written out: the lowest set bit takes
-    # the current square as the result instead of multiplying it into the
-    # identity, and the square of (e, b) is (e*(2 + e) + b^2*K, 2*b*(1 + e)).
-    if not n:
-        return _IDENTITY
-    e, b = pair
-    while not n & 1:
-        e, b = e * (2.0 + e) + b * b * K, 2.0 * b * (1.0 + e)
-        n >>= 1
-    re, rb = e, b
-    n >>= 1
-    while n:
-        e, b = e * (2.0 + e) + b * b * K, 2.0 * b * (1.0 + e)
-        if n & 1:
-            re, rb = (re + e + re * e + rb * b * K,
-                      rb * (1.0 + e) + b * (1.0 + re))
-        n >>= 1
-    return re, rb
-
-
-def _check_overflow(pair: Pair, K: complex) -> None:
-    # The realified 4x4 matrix has the real and imaginary parts of a, b and
-    # b*K as its entries; NaN fails the comparison too.
-    e, b = pair
-    for c in (1.0 + e, b, b * K):
-        if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
-            raise OverflowError(
-                "fundamental matrix entry exceeded 1e150; subdivide the interval")
-
-
-def _interval_pair(K: complex, length: float, step: float) -> Pair:
-    """Propagator over one interval: full steps, then one shortened step
-    landing exactly on its end.  Overflow-checked."""
+def _interval_exponents(r: complex, length: float, step: float) -> Exponents:
+    """Exponents of the propagator over one interval: full steps, then one
+    shortened step landing exactly on its end."""
     if not step > 0:
         raise ValueError("step must be positive")
     nfull = int(math.floor(length / step + 1e-9))
     remainder = length - nfull * step
-    pair = _power(_rk4_pair(K, step), nfull, K)
+    l, t = _step_exponents(r, step)
+    L, T = nfull * l, nfull * t
     if remainder > 1e-14:
-        pair = _compose(_rk4_pair(K, remainder), pair, K)
-    _check_overflow(pair, K)
-    return pair
+        l, t = _step_exponents(r, remainder)
+        L, T = L + l, T + t
+    return L, T
+
+
+def _propagator(K: complex, r: complex, L: complex, T: complex,
+                length: float) -> tuple[complex, complex]:
+    """(a, b) of the propagator exp(L*I + T*A/r) = a*I + b*A over an
+    interval of the given length; at K = 0 it is I + length*A.  Raises
+    OverflowError when an entry of its realified 4x4 matrix (the real and
+    imaginary parts of a, b and b*K) exceeds 1e150 or is not finite."""
+    g = cmath.exp(L)
+    a = g * cmath.cosh(T)
+    b = g * cmath.sinh(T) / r if r else complex(length)
+    for c in (a, b, b * K):
+        if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
+            raise OverflowError(
+                "fundamental matrix entry exceeded 1e150; subdivide the interval")
+    return a, b
 
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
@@ -236,8 +235,9 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
         return np.eye(4)
 
     K = complex(*rhs_coefficients(q, omega, dp.eps1))
-    e, b = _interval_pair(K, length, step)
-    a, bK = 1.0 + e, b * K
+    r = cmath.sqrt(K)
+    a, b = _propagator(K, r, *_interval_exponents(r, length, step), length)
+    bK = b * K
     return np.array([
         [a.real, -a.imag, b.real, -b.imag],
         [a.imag, a.real, b.imag, b.real],
@@ -246,33 +246,35 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     ])
 
 
-def _end_propagator(q: float, omega: float, dp: DimensionlessParams,
-                    n: int, step: float) -> Pair:
-    """Overflow-checked propagator of [0, 1] as the n-th power of one
-    1/n-subinterval propagator (see :func:`delta_subdivided`)."""
+def _end_state(q: float, omega: float, dp: DimensionlessParams,
+               n: int, step: float) -> tuple[complex, complex, complex]:
+    """K and the end state (u, u') of solution 3 (initial state u = 0,
+    u' = 1), which is the column (b, a) of the propagator of [0, 1].  That
+    propagator is the n-th power of one 1/n-subinterval propagator (see
+    :func:`delta_subdivided`); both are overflow-checked."""
     if n < 1:
         raise ValueError("subinterval count must be at least 1")
     K = complex(*rhs_coefficients(q, omega, dp.eps1))
-    gamma_end = _power(_interval_pair(K, 1.0 / n, step), n, K)
-    _check_overflow(gamma_end, K)
-    return gamma_end
+    r = cmath.sqrt(K)
+    L, T = _interval_exponents(r, 1.0 / n, step)
+    _propagator(K, r, L, T, 1.0 / n)
+    a, b = _propagator(K, r, n * L, n * T, 1.0)
+    return K, b, a
 
 
-def _boundary_residual(gamma_end: Pair, q: float, omega: float,
-                       dp: DimensionlessParams) -> tuple[complex, float]:
-    """End-mass residual f and its bound from the propagator of [0, 1].
-
-    Solution 3 (initial state u = 0, u' = 1) ends at (u, u') = (b, a).  The
-    end-mass condition is the single complex row f = P*u + Q*u' with
-    P = D1 - i*D2 and Q = D3 - i*D4, and the raw 2x2 real determinant is
-    Delta = |f|^2 >= 0.  Cauchy-Schwarz bounds |f| by
-    ||(P, Q)|| * ||(u, u')||, the second value returned.
-    """
-    e, b = gamma_end
-    u, du = b, 1.0 + e
+def _boundary_rows(q: float, omega: float,
+                   dp: DimensionlessParams) -> tuple[complex, complex]:
+    """(P, Q) = (D1 - i*D2, D3 - i*D4): the end-mass condition on solution
+    3 is the single complex row f = P*u(1) + Q*u'(1)."""
     bc = boundary_coefficients(q, omega, dp)
-    P = complex(bc.D1, -bc.D2)
-    Q = complex(bc.D3, -bc.D4)
+    return complex(bc.D1, -bc.D2), complex(bc.D3, -bc.D4)
+
+
+def _residual(P: complex, Q: complex, u: complex,
+              du: complex) -> tuple[complex, float]:
+    """The end-mass residual f = P*u + Q*u' and its Cauchy-Schwarz bound
+    ||(P, Q)|| * ||(u, u')||.  The raw 2x2 real determinant is
+    Delta = |f|^2 >= 0."""
     return (P * u + Q * du,
             math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du)))
 
@@ -284,11 +286,6 @@ def _normalized(f: complex, scale: float) -> float:
     level on it.  The floor keeps it total."""
     r = f / max(scale, _NORM_FLOOR)
     return r.real * r.real + r.imag * r.imag
-
-
-def _normalized_determinant(gamma_end: Pair, q: float, omega: float,
-                            dp: DimensionlessParams) -> float:
-    return _normalized(*_boundary_residual(gamma_end, q, omega, dp))
 
 
 def delta(q: float, omega: float, dp: DimensionlessParams,
@@ -310,8 +307,8 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     power.  Both the subinterval propagator and the composed product are
     overflow-checked (OverflowError).  n = 1 is :func:`delta`.
     """
-    gamma_end = _end_propagator(q, omega, dp, n, step)
-    return _normalized_determinant(gamma_end, q, omega, dp)
+    _, u, du = _end_state(q, omega, dp, n, step)
+    return _normalized(*_residual(*_boundary_rows(q, omega, dp), u, du))
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
@@ -320,61 +317,69 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
     The residual f(s) = P*u(1) + Q*u'(1) of the discretised fundamental
     system (the propagator :func:`delta_subdivided` uses) is analytic in
-    s = q + i*omega, so a complex secant iteration converges superlinearly
-    to its zeros, which are the zeros of the normalized determinant.  Its
-    first iterate is the Newton step s0 - f(s0)/slope when the seed carries
-    a finite, non-zero slope, and s0 + (1 + i)*1e-3 otherwise.  It stops
-    when a step is below 1e-15*|s|, when f or its difference vanishes, or
-    after ``max_iterations`` steps.  An iterate that is not finite, has
-    omega <= 0 or leaves the seed's band (half-width ``BAND_HALFWIDTH``,
-    which prevents mode hopping) ends the search, as does an overflow or a
-    degenerate rhs denominator.
+    s = q + i*omega, and its zeros are the zeros of the normalized
+    determinant.  They are found by Newton's method from the seed.  Each
+    evaluation also gives the slope
+
+        f' = P'*u + Q'*u' + (P*(u' - u)/(2K) + Q*u/2) * K',
+
+    K' = s*(2 + eps1*s)/(1 + eps1*s)^2, which is exact for the continuous
+    system (u = sinh(l)/l, u' = cosh(l), l^2 = K) and within the RK4 error
+    for the discretised one.  The search stops when a step is below
+    1e-15*|s|, when f vanishes, or after ``max_iterations`` evaluations.
+    An iterate that is not finite, has omega <= 0 or leaves the seed's band
+    (half-width ``BAND_HALFWIDTH``, which prevents mode hopping) ends the
+    search, as do an overflow, a degenerate rhs denominator, a singular RK4
+    step and a zero slope.
 
     The result is the last iterate whose residual was evaluated, with the
     normalized determinant of that evaluation as delta_value (NaN when even
-    the seed cannot be evaluated) and the last secant quotient df/ds as
-    slope; converged means the iteration settled and delta_value is below
-    ``CONVERGED_TOL``.  Raises ValueError for a non-finite seed; otherwise
-    never raises: a failed search comes back with converged=False.
+    the seed cannot be evaluated) and f' there as slope; converged means
+    the iteration settled and delta_value is below ``CONVERGED_TOL``.  A
+    slope carried by the seed is not used.  Raises ValueError for a
+    non-finite seed; otherwise never raises: a failed search comes back
+    with converged=False.
     """
     opts = options or SolveOptions()
     if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
 
-    def residual(s: complex) -> tuple[complex, float]:
-        gamma_end = _end_propagator(s.real, s.imag, dp, opts.subintervals,
-                                    opts.step)
-        return _boundary_residual(gamma_end, s.real, s.imag, dp)
+    eps1, eta = dp.eps1, dp.eta
+    damp = dp.delta * (dp.nu + dp.mu)
+    a1 = eps1 + dp.mu * dp.delta
+    a2 = dp.delta * (eta + eps1 * dp.mu)
+    a3 = eps1 * eta * dp.delta
+
+    def residual(s: complex) -> tuple[complex, float, complex]:
+        K, u, du = _end_state(s.real, s.imag, dp, opts.subintervals, opts.step)
+        P, Q = _boundary_rows(s.real, s.imag, dp)
+        # P = eta*s^2*(1 + damp*s) and Q = 1 + a1*s + a2*s^2 + a3*s^3.
+        dP = eta * s * (2.0 + 3.0 * damp * s)
+        dQ = a1 + s * (2.0 * a2 + 3.0 * a3 * s)
+        den = 1.0 + eps1 * s
+        dK = s * (2.0 + eps1 * s) / (den * den)
+        df = dP * u + dQ * du + (P * (du - u) / (2.0 * K) + 0.5 * Q * u) * dK
+        return (*_residual(P, Q, u, du), df)
 
     def admissible(s: complex) -> bool:
         return (cmath.isfinite(s) and s.imag > 0.0
                 and abs(s.imag - seed.omega) < BAND_HALFWIDTH)
 
-    s0 = complex(seed.q, seed.omega)
-    last, value, slope, settled = s0, math.nan, None, False
+    s = last = complex(seed.q, seed.omega)
+    value, slope, settled = math.nan, None, False
     try:
-        f0, scale = residual(s0)
-        value = _normalized(f0, scale)
-        s1 = s0 + _SECANT_OFFSET
-        if seed.slope:  # neither None nor 0
-            # A NaN or infinite slope gives a NaN or zero step: no Newton.
-            newton = s0 - f0 / seed.slope
-            if newton != s0 and cmath.isfinite(newton):
-                s1 = newton
         for _ in range(opts.max_iterations):
-            if not admissible(s1):
-                break
-            f1, scale = residual(s1)
-            last, value = s1, _normalized(f1, scale)
-            df = f1 - f0
-            if f1 == 0 or df == 0:
+            f, scale, df = residual(s)
+            last, value, slope = s, _normalized(f, scale), df
+            if f == 0:
                 settled = True
                 break
-            slope = df / (s1 - s0)
-            ds = f1 * (s1 - s0) / df
-            s0, f0, s1 = s1, f1, s1 - ds
-            if abs(ds) <= _SECANT_RTOL * abs(s1):
+            ds = f / df
+            s = s - ds
+            if abs(ds) <= _NEWTON_RTOL * abs(s):
                 settled = True
+                break
+            if not admissible(s):
                 break
     except (OverflowError, ZeroDivisionError):
         pass
@@ -407,26 +412,40 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
 
     grid = np.linspace(0.0, 1.0, resolution)
     K = complex(*rhs_coefficients(point.q, point.omega, dp.eps1))
-    interval = _interval_pair(K, 1.0 / (resolution - 1), step)
-    gamma = _IDENTITY
-    profile = [0j]  # u of solution 3 at each grid point
-    for _ in range(resolution - 1):
-        gamma = _compose(interval, gamma, K)
-        profile.append(gamma[1])
-    _check_overflow(gamma, K)
+    r = cmath.sqrt(K)
+    cells = resolution - 1
+    L, T = _interval_exponents(r, 1.0 / cells, step)
+    _propagator(K, r, L, T, 1.0 / cells)
+    a, b = _propagator(K, r, cells * L, cells * T, 1.0)
 
-    dhat = _normalized_determinant(gamma, point.q, point.omega, dp)
+    dhat = _normalized(*_residual(*_boundary_rows(point.q, point.omega, dp),
+                                  b, a))
     if dhat >= _RANK_TOL:
         raise np.linalg.LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
-    profile = np.array(profile)
+    # u of solution 3 at grid point j: b of the j-th power of one interval.
+    j = np.arange(resolution)
+    profile = np.exp(j * L) * np.sinh(j * T) / r
     peak = int(np.argmax(np.abs(profile)))
     c_final = 1.0 / profile[peak]
     profile = profile / profile[peak]
     return ModeShape(grid=grid, u1=profile.real, u2=profile.imag,
                      C3=c_final.real, C4=c_final.imag)
+
+
+def _extrapolate(points: list[tuple[float, complex]], x: float) -> complex:
+    """Value at x of the polynomial through the (abscissa, value) points,
+    whose abscissae are distinct (Lagrange form)."""
+    total = 0j
+    for i, (xi, yi) in enumerate(points):
+        weight = 1.0
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                weight *= (x - xj) / (xi - xj)
+        total += weight * yi
+    return total
 
 
 def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
@@ -436,11 +455,11 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
 
     dp.nu is ignored; each grid value replaces it.  Mode k starts from the
     k-th undamped frequency with the closed-form growth-rate estimate.  A
-    grid point whose two predecessors converged (at distinct nu) is seeded
-    by predictor-corrector continuation: the linear extrapolation in nu of
-    those two eigenvalues, carrying the slope df/ds of the nearer one, so
-    that :func:`find_eigenvalue` starts with a Newton step.  Any other later
-    point is seeded from its predecessor's eigenvalue (warm start).
+    grid point whose two or three predecessors converged (at distinct nu)
+    is seeded by predictor-corrector continuation: the polynomial
+    extrapolation in nu through those eigenvalues, linear from two and
+    quadratic from three.  Any other later point is seeded from its
+    predecessor's eigenvalue (warm start).
     Unconverged points are flagged in their rows, never dropped.  Rows come
     back ordered by (nu, mode).
     """
@@ -463,19 +482,23 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
         first = replace(dp, nu=nu_values[0])
         seed = SpectralPoint(q=asymptotic.corrected_eigenvalue(w0, first).q,
                              omega=w0)
-        converged = []  # (nu, point) of up to two rows since the last failure
+        history = []  # (nu, s) of up to three converged rows at distinct nu
         for nu in nu_values:
-            if len(converged) == 2 and converged[0][0] < converged[1][0]:
-                (nu_a, a), (nu_b, b) = converged
-                s_a, s_b = complex(a.q, a.omega), complex(b.q, b.omega)
-                s = s_b + (s_b - s_a) * ((nu - nu_b) / (nu_b - nu_a))
-                seed = SpectralPoint(q=s.real, omega=s.imag, slope=b.slope)
+            if len(history) >= 2:
+                s = _extrapolate(history, nu)
+                seed = SpectralPoint(q=s.real, omega=s.imag)
             point = find_eigenvalue(replace(dp, nu=nu), seed, opts)
             rows.append(SweepRow(nu=nu, mode=mode, q=point.q,
                                  omega=point.omega,
                                  delta_value=point.delta_value,
                                  converged=point.converged))
             seed = SpectralPoint(q=point.q, omega=point.omega)
-            converged = converged[-1:] + [(nu, point)] if point.converged else []
+            s = complex(point.q, point.omega)
+            if not point.converged:
+                history = []
+            elif history and history[-1][0] < nu:
+                history = history[-2:] + [(nu, s)]
+            else:
+                history = [(nu, s)]
     rows.sort(key=lambda r: (r.nu, r.mode))
     return rows

@@ -128,6 +128,20 @@ def test_boundary_frequency_inverts_critical_feedback():
         assert back == pytest.approx(w, abs=1e-8)
 
 
+def test_boundary_frequency_huge_mass_ratio():
+    # eta = 1e100 puts the first mode near 1/sqrt(eta*(1 + delta)) = 9.5e-51.
+    # The unscaled discriminant overflowed to inf, and the textbook formula
+    # cancels its small root to 0; the boundary must still invert the
+    # critical feedback there.
+    big = dp_with(0.05, DimensionlessParams(0.005, 0.008, 0.0, 1e100, 0.1))
+    w1 = 1.0 / np.sqrt(1e100 * 1.1)
+    for w in (0.5 * w1, w1, 3.0 * w1):
+        nu_c = asymptotic.critical_feedback(w, big)
+        back = asymptotic.boundary_frequency(nu_c, big)
+        assert back == pytest.approx(w, rel=1e-9, abs=0.0)
+    assert asymptotic.boundary_frequency(0.0, big) is None
+
+
 # -------------------------------------------------------------- second method
 
 def test_second_method_indicator_scales_with_c2():

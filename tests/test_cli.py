@@ -161,14 +161,61 @@ def test_non_finite_run_value_exits_2(tmp_path, capsys, verb, key):
 @pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
                                   "modeshape"])
 def test_overflowing_parameter_exits_2(tmp_path, capsys, verb):
-    # A finite eta = 1e200 overflows the closed forms; that is a config
-    # error with a one-line message, not a traceback or inf/NaN cells.
+    # A finite eta = 1e200 overflows the closed forms of mode 2; that is a
+    # config error with a one-line message, not a traceback or inf/NaN
+    # cells.  (Mode 1 sits at omega = 9.5e-101 and does not overflow.)
     section = REF_SECTION.replace("eta = 7", "eta = 1e200")
-    code, out = run_cli(tmp_path, verb, section, FAST_RUN + "modes = 2\n")
+    code, out = run_cli(tmp_path, verb, section,
+                        FAST_RUN + "modes = 2\nmode = 2\n")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("step, omega_max", [(0.2, 20), (0.15, 20),
+                                              (0.3, 10)])
+def test_step_beyond_rk4_stability_edge_exits_2(tmp_path, capsys, step,
+                                                 omega_max):
+    # RK4 amplifies the undamped modes once h*omega exceeds 2*sqrt(2);
+    # 0.2 * 20 = 4 was accepted and reported wrong eigenvalues as converged.
+    code, out = run_cli(tmp_path, "spectrum", REF_SECTION,
+                        f"[run]\nmodes = 2\nstep = {step}\n"
+                        f"omega_max = {omega_max}\n", strict=True)
+    assert code == 2
+    assert "stability edge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_step_at_rk4_stability_edge_is_accepted(tmp_path):
+    # 0.14 * 20 = 2.8 lies just inside the edge.
+    code, _ = run_cli(tmp_path, "spectrum", REF_SECTION,
+                      "[run]\nmodes = 1\nstep = 0.14\n")
+    assert code == 0
+
+
+def test_huge_mass_ratio_gives_accurate_cells(tmp_path):
+    # eta = 1e100 puts mode 1 at 1/sqrt(eta*(1 + delta)) = 9.53e-51: the
+    # undamped root must be found there (not stop at 7.4e-14), and the
+    # boundary frequency must be NA or of that size (not inf).
+    section = REF_SECTION.replace("eta = 7", "eta = 1e100")
+    code, out = run_cli(tmp_path, "spectrum", section,
+                        FAST_RUN + "modes = 1\n", strict=True)
+    assert code == 0
+    _, header, rows = read_output(out)
+    row = dict(zip(header, rows[0]))
+    w1 = 1.0 / np.sqrt(1.1e100)
+    assert float(row["omega_conservative"]) == pytest.approx(w1, rel=1e-11,
+                                                             abs=0.0)
+    assert float(row["omega_numeric"]) == pytest.approx(w1, rel=1e-11, abs=0.0)
+    code, out = run_cli(tmp_path, "stability", section,
+                        FAST_RUN + "modes = 1\n")
+    assert code == 0
+    _, _, rows = read_output(out)
+    cells = [row[1] for row in rows]
+    assert cells[0] == "NA"
+    assert all(c == "NA" or 0.0 <= float(c) < 1e-49 for c in cells)
+    assert float(cells[-1]) == pytest.approx(1.5008e-50, rel=1e-4, abs=0.0)
 
 
 def test_descending_nu_grid_exits_2(tmp_path, capsys):

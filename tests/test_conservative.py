@@ -195,6 +195,18 @@ def test_find_roots_matches_brentq_refinement():
             assert abs(a - b) <= 1e-12 * b
 
 
+@pytest.mark.parametrize("eta", [1e6, 1e100, 1e200])
+def test_find_roots_huge_mass_ratio(eta):
+    # The first root tends to 1/sqrt(c), c = eta*(1 + delta) + 1/2, from
+    # chi = -1 + c*w^2 + O(w^4); an absolute step tolerance stopped at
+    # 7.4e-14 for eta = 1e100, and a relative one must reach the root.
+    dp = DimensionlessParams(0, 0, 0, eta=eta, delta=0.1)
+    w1 = find_roots(dp, 20.0, max_count=1)[0].omega
+    c = eta * 1.1 + 0.5
+    assert w1 == pytest.approx(1.0 / np.sqrt(c), rel=max(1e-14, 1.0 / c),
+                              abs=0.0)
+
+
 def test_find_roots_max_count_is_a_prefix():
     full = find_roots(REF, omega_max=20.0)
     assert find_roots(REF, omega_max=20.0, max_count=2) == full[:2]
