@@ -182,16 +182,22 @@ def _step_exponents(r: complex, h: float) -> Exponents:
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _interval_exponents(r: complex, length: float, step: float) -> Exponents:
-    """Exponents of the propagator over one interval: full steps, then one
-    shortened step landing exactly on its end."""
+def _layout(length: float, step: float) -> tuple[int, float]:
+    """Steps over an interval: nfull full steps, then one shortened step of
+    the remainder (0.0 if none) landing exactly on its end."""
     if not step > 0:
         raise ValueError("step must be positive")
     nfull = int(math.floor(length / step + 1e-9))
     remainder = length - nfull * step
+    return nfull, remainder if remainder > 1e-14 else 0.0
+
+
+def _interval_exponents(r: complex, step: float, nfull: int,
+                        remainder: float) -> Exponents:
+    """Exponents of the propagator over an interval laid out by _layout."""
     l, t = _step_exponents(r, step)
     L, T = nfull * l, nfull * t
-    if remainder > 1e-14:
+    if remainder:
         l, t = _step_exponents(r, remainder)
         L, T = L + l, T + t
     return L, T
@@ -236,7 +242,8 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
 
     K = complex(*rhs_coefficients(q, omega, dp.eps1))
     r = cmath.sqrt(K)
-    a, b = _propagator(K, r, *_interval_exponents(r, length, step), length)
+    L, T = _interval_exponents(r, step, *_layout(length, step))
+    a, b = _propagator(K, r, L, T, length)
     bK = b * K
     return np.array([
         [a.real, -a.imag, b.real, -b.imag],
@@ -246,37 +253,45 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     ])
 
 
-def _end_state(q: float, omega: float, dp: DimensionlessParams,
-               n: int, step: float) -> tuple[complex, complex, complex]:
-    """K and the end state (u, u') of solution 3 (initial state u = 0,
-    u' = 1), which is the column (b, a) of the propagator of [0, 1].  That
-    propagator is the n-th power of one 1/n-subinterval propagator (see
-    :func:`delta_subdivided`); both are overflow-checked."""
+def _residual_fn(dp: DimensionlessParams, n: int, step: float):
+    """s -> (f, scale, f') of the end-mass residual of the discretised system.
+
+    Built once per search, it validates n and step, lays out the steps of a
+    1/n-subinterval and takes the coefficients of P(s) = D1 - i*D2 =
+    eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2
+    + a3*s^3.  f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0,
+    u' = 1 at x = 0), whose end state is the column (b, a) of the n-th power
+    of the subinterval propagator; both are overflow-checked.  scale =
+    ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta = |f|^2.  f' is the slope
+    of :func:`find_eigenvalue`, with K'/(2K) = (2 + eps1*s)/(2s*(1 + eps1*s)).
+    """
     if n < 1:
         raise ValueError("subinterval count must be at least 1")
-    K = complex(*rhs_coefficients(q, omega, dp.eps1))
-    r = cmath.sqrt(K)
-    L, T = _interval_exponents(r, 1.0 / n, step)
-    _propagator(K, r, L, T, 1.0 / n)
-    a, b = _propagator(K, r, n * L, n * T, 1.0)
-    return K, b, a
+    length = 1.0 / n
+    nfull, remainder = _layout(length, step)
+    eps1, eta = dp.eps1, dp.eta
+    p3 = eta * dp.delta * (dp.nu + dp.mu)
+    a1 = eps1 + dp.mu * dp.delta
+    a2 = dp.delta * (eta + eps1 * dp.mu)
+    a3 = eps1 * eta * dp.delta
+    eta2, p33, a22, a33 = 2.0 * eta, 3.0 * p3, 2.0 * a2, 3.0 * a3
 
+    def residual(s: complex) -> tuple[complex, float, complex]:
+        K = complex(*rhs_coefficients(s.real, s.imag, eps1))
+        r = cmath.sqrt(K)
+        L, T = _interval_exponents(r, step, nfull, remainder)
+        _propagator(K, r, L, T, length)
+        du, u = _propagator(K, r, n * L, n * T, 1.0)
+        Ps = eta + p3 * s                     # P / s^2
+        P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
+        dP, dQ = s * (eta2 + p33 * s), a1 + s * (a22 + a33 * s)
+        den = 1.0 + eps1 * s
+        g = s * (2.0 + eps1 * s) / (2.0 * den)  # s^2 * K'/(2K)
+        df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
+        return (P * u + Q * du,
+                math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du)), df)
 
-def _boundary_rows(q: float, omega: float,
-                   dp: DimensionlessParams) -> tuple[complex, complex]:
-    """(P, Q) = (D1 - i*D2, D3 - i*D4): the end-mass condition on solution
-    3 is the single complex row f = P*u(1) + Q*u'(1)."""
-    bc = boundary_coefficients(q, omega, dp)
-    return complex(bc.D1, -bc.D2), complex(bc.D3, -bc.D4)
-
-
-def _residual(P: complex, Q: complex, u: complex,
-              du: complex) -> tuple[complex, float]:
-    """The end-mass residual f = P*u + Q*u' and its Cauchy-Schwarz bound
-    ||(P, Q)|| * ||(u, u')||.  The raw 2x2 real determinant is
-    Delta = |f|^2 >= 0."""
-    return (P * u + Q * du,
-            math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du)))
+    return residual
 
 
 def _normalized(f: complex, scale: float) -> float:
@@ -307,8 +322,8 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     power.  Both the subinterval propagator and the composed product are
     overflow-checked (OverflowError).  n = 1 is :func:`delta`.
     """
-    _, u, du = _end_state(q, omega, dp, n, step)
-    return _normalized(*_residual(*_boundary_rows(q, omega, dp), u, du))
+    f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
+    return _normalized(f, scale)
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
@@ -336,30 +351,15 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     normalized determinant of that evaluation as delta_value (NaN when even
     the seed cannot be evaluated) and f' there as slope; converged means
     the iteration settled and delta_value is below ``CONVERGED_TOL``.  A
-    slope carried by the seed is not used.  Raises ValueError for a
-    non-finite seed; otherwise never raises: a failed search comes back
-    with converged=False.
+    slope carried by the seed is not used.  Raises ValueError, before any
+    evaluation, for a non-finite seed and for options with fewer than one
+    subinterval or a step that is not positive; otherwise never raises: a
+    failed search comes back with converged=False.
     """
     opts = options or SolveOptions()
     if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
-
-    eps1, eta = dp.eps1, dp.eta
-    damp = dp.delta * (dp.nu + dp.mu)
-    a1 = eps1 + dp.mu * dp.delta
-    a2 = dp.delta * (eta + eps1 * dp.mu)
-    a3 = eps1 * eta * dp.delta
-
-    def residual(s: complex) -> tuple[complex, float, complex]:
-        K, u, du = _end_state(s.real, s.imag, dp, opts.subintervals, opts.step)
-        P, Q = _boundary_rows(s.real, s.imag, dp)
-        # P = eta*s^2*(1 + damp*s) and Q = 1 + a1*s + a2*s^2 + a3*s^3.
-        dP = eta * s * (2.0 + 3.0 * damp * s)
-        dQ = a1 + s * (2.0 * a2 + 3.0 * a3 * s)
-        den = 1.0 + eps1 * s
-        dK = s * (2.0 + eps1 * s) / (den * den)
-        df = dP * u + dQ * du + (P * (du - u) / (2.0 * K) + 0.5 * Q * u) * dK
-        return (*_residual(P, Q, u, du), df)
+    residual = _residual_fn(dp, opts.subintervals, opts.step)
 
     def admissible(s: complex) -> bool:
         return (cmath.isfinite(s) and s.imag > 0.0
@@ -410,23 +410,19 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
-    grid = np.linspace(0.0, 1.0, resolution)
-    K = complex(*rhs_coefficients(point.q, point.omega, dp.eps1))
-    r = cmath.sqrt(K)
     cells = resolution - 1
-    L, T = _interval_exponents(r, 1.0 / cells, step)
-    _propagator(K, r, L, T, 1.0 / cells)
-    a, b = _propagator(K, r, cells * L, cells * T, 1.0)
-
-    dhat = _normalized(*_residual(*_boundary_rows(point.q, point.omega, dp),
-                                  b, a))
+    f, scale, _ = _residual_fn(dp, cells, step)(complex(point.q, point.omega))
+    dhat = _normalized(f, scale)
     if dhat >= _RANK_TOL:
         raise np.linalg.LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
     # u of solution 3 at grid point j: b of the j-th power of one interval.
-    j = np.arange(resolution)
+    K = complex(*rhs_coefficients(point.q, point.omega, dp.eps1))
+    r = cmath.sqrt(K)
+    L, T = _interval_exponents(r, step, *_layout(1.0 / cells, step))
+    grid, j = np.linspace(0.0, 1.0, resolution), np.arange(resolution)
     profile = np.exp(j * L) * np.sinh(j * T) / r
     peak = int(np.argmax(np.abs(profile)))
     c_final = 1.0 / profile[peak]
@@ -459,10 +455,12 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     is seeded by predictor-corrector continuation: the polynomial
     extrapolation in nu through those eigenvalues, linear from two and
     quadratic from three.  Any other later point is seeded from its
-    predecessor's eigenvalue (warm start).
-    Unconverged points are flagged in their rows, never dropped.  Rows come
-    back ordered by (nu, mode).
+    predecessor's eigenvalue (warm start).  Unconverged points are flagged
+    in their rows, never dropped.  Rows come back ordered by (nu, mode).
+    Raises ValueError for a mode below 1 or a repeated mode.
     """
+    if any(mode < 1 for mode in modes) or len(set(modes)) < len(modes):
+        raise ValueError(f"modes must be distinct and at least 1: {modes}")
     nu_values = [float(v) for v in nu_values]
     if sorted(nu_values) != nu_values:
         raise ValueError("nu grid must be ascending")

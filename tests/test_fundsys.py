@@ -77,10 +77,36 @@ def nelder_mead_eigenvalue(dp, seed, opts):
 
 def end_residual(dp, s, opts):
     """The boundary residual f(s) of the discretised system."""
-    _, u, du = fundsys._end_state(s.real, s.imag, dp, opts.subintervals,
-                                  opts.step)
-    P, Q = fundsys._boundary_rows(s.real, s.imag, dp)
-    return fundsys._residual(P, Q, u, du)[0]
+    return fundsys._residual_fn(dp, opts.subintervals, opts.step)(s)[0]
+
+
+def kernel_end_state(monkeypatch, dp, s, n, step):
+    """(u(1), u'(1)) of solution 3 as the residual kernel computes them: the
+    column (b, a) of the last propagator it builds."""
+    built = []
+    original = fundsys._propagator
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(fundsys, "_propagator", recording)
+        fundsys._residual_fn(dp, n, step)(s)
+    a, b = built[-1]
+    return b, a
+
+
+def kernel_polynomials(monkeypatch, dp, s):
+    """(P(s), Q(s)) as the residual kernel evaluates them: its residual
+    P*u + Q*u' with the end state (u, u') forced to (1, 0), then (0, 1)."""
+    kernel = fundsys._residual_fn(dp, 1, fundsys.DEFAULT_STEP)
+    values = []
+    for a, b in ((0j, 1 + 0j), (1 + 0j, 0j)):
+        with monkeypatch.context() as m:
+            m.setattr(fundsys, "_propagator", lambda *args: (a, b))
+            values.append(kernel(s)[0])
+    return values
 
 
 def secant_eigenvalue(dp, seed, opts):
@@ -292,6 +318,21 @@ def test_boundary_coefficients_complex_oracle():
         assert bc.D4 == pytest.approx(-Q.imag, rel=1e-12, abs=1e-12)
 
 
+def test_kernel_polynomials_match_boundary_coefficients(monkeypatch):
+    # The search evaluates P and Q as complex polynomials in s; they must
+    # be the paper's D1 - i*D2 and D3 - i*D4.
+    rng = np.random.default_rng(19)
+    for k in range(300):
+        dp = REF if k < 20 else random_dp(rng)
+        if k % 3 == 0:
+            dp = replace(dp, nu=0.0)
+        s = complex(rng.uniform(-2, 2), rng.uniform(0.0, 10))
+        bc = fundsys.boundary_coefficients(s.real, s.imag, dp)
+        P, Q = kernel_polynomials(monkeypatch, dp, s)
+        assert abs(P - complex(bc.D1, -bc.D2)) <= 1e-13 * abs(P)
+        assert abs(Q - complex(bc.D3, -bc.D4)) <= 1e-13 * abs(Q)
+
+
 # ------------------------------------------------------------------ integrator
 
 def test_zero_length_integration_is_identity():
@@ -383,7 +424,7 @@ def test_integrator_rejects_reversed_interval():
 
 @pytest.mark.parametrize("step", [1.0 / 2000.0, 0.0007, 0.05, 0.2])
 @pytest.mark.parametrize("n", [1, 3, 8])
-def test_end_propagator_matches_exact_rk4_power(step, n):
+def test_end_propagator_matches_exact_rk4_power(monkeypatch, step, n):
     # The closed form exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) against the
     # RK4 step polynomial raised to the same power in 50 digits; 0.0007
     # divides no subinterval, so it takes a remainder step.
@@ -392,20 +433,25 @@ def test_end_propagator_matches_exact_rk4_power(step, n):
         dp = random_dp(rng)
         q = rng.uniform(-1.0, 0.5)
         omega = rng.uniform(0.01, min(20.0, 2.5 / step))
-        K, u, du = fundsys._end_state(q, omega, dp, n, step)
+        K = complex(*fundsys.rhs_coefficients(q, omega, dp.eps1))
+        u, du = kernel_end_state(monkeypatch, dp, complex(q, omega), n, step)
         a, b = mp_end_propagator(q, omega, dp, n, step)
         errors = (abs(du - a), abs(u - b), abs((u - b) * K))
         assert max(errors) <= 1e-13 * max(abs(a), abs(b), abs(b * K))
 
 
-def test_end_propagator_reaches_its_limit_at_zero():
+def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
     # K = 0 at s = 0, where A is nilpotent and every propagator is
-    # I + length*A: u(1) = u'(1) = 1.  Near it the exact end state is
-    # (sinh(l)/l, cosh(l)) = (1 + K/6, 1 + K/2) to O(K^2).
+    # I + length*A: u(1) = u'(1) = 1, so f = Q(0) = 1 and f' = Q'(0).
+    # Near it the exact end state is (sinh(l)/l, cosh(l)) = (1 + K/6,
+    # 1 + K/2) to O(K^2).
     for n, step in ((1, 1.0 / 2000.0), (8, 0.0007)):
-        assert fundsys._end_state(0.0, 0.0, REF, n, step) == (0j, 1, 1)
+        assert kernel_end_state(monkeypatch, REF, 0j, n, step) == (1, 1)
+        assert fundsys._residual_fn(REF, n, step)(0j) == (
+            1, np.sqrt(2.0), REF.eps1 + REF.mu * REF.delta)
         for s in (1e-150j, 1e-9j, 1e-7 * (1 + 1j), complex(-1e-8, 0.0)):
-            K, u, du = fundsys._end_state(s.real, s.imag, REF, n, step)
+            K = complex(*fundsys.rhs_coefficients(s.real, s.imag, REF.eps1))
+            u, du = kernel_end_state(monkeypatch, REF, s, n, step)
             assert abs(u - (1 + K / 6)) <= 1e-15
             assert abs(du - (1 + K / 2)) <= 1e-15
     G = fundsys.integrate_fundamental(0.0, 0.0, REF, x_end=0.7)
@@ -600,8 +646,13 @@ def count_rhs_calls(monkeypatch):
 
 def test_find_eigenvalue_cold_search_cost(monkeypatch):
     # One rhs_coefficients call per residual evaluation; the normalized
-    # determinant comes from the last of them, not from an extra one.
+    # determinant comes from the last of them, not from an extra one.  The
+    # search evaluates P and Q itself, without boundary_coefficients.
     calls = count_rhs_calls(monkeypatch)
+    boundary_calls = []
+    monkeypatch.setattr(fundsys, "boundary_coefficients",
+                        lambda *args: boundary_calls.append(args))
+    counts = []
     rng = np.random.default_rng(32)
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
         for seed in asymptotic_seeds(dp, None):
@@ -609,6 +660,21 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
             point = fundsys.find_eigenvalue(dp, seed)
             assert point.converged
             assert len(calls) <= 6
+            counts.append(len(calls))
+    assert np.mean(counts) <= 3.8
+    assert boundary_calls == []
+
+
+@pytest.mark.parametrize("options", [
+    fundsys.SolveOptions(subintervals=0), fundsys.SolveOptions(step=0.0),
+    fundsys.SolveOptions(step=-1e-3), fundsys.SolveOptions(step=np.nan)])
+def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
+                                                                options):
+    calls = count_rhs_calls(monkeypatch)
+    with pytest.raises(ValueError):
+        fundsys.find_eigenvalue(REF, fundsys.SpectralPoint(q=-0.01, omega=0.35),
+                                options)
+    assert calls == []
 
 
 def test_find_eigenvalue_reports_its_last_evaluation():
@@ -774,3 +840,11 @@ def test_sweep_feedback_orders_rows_by_nu_then_mode():
 def test_sweep_feedback_rejects_descending_grid():
     with pytest.raises(ValueError):
         fundsys.sweep_feedback(REF, [0.01, 0.0], modes=(1,), options=FAST)
+
+
+@pytest.mark.parametrize("modes", [(0,), (0, 2), (-1, 1), (1, 1), (2, 1, 2)])
+def test_sweep_feedback_rejects_bad_modes(modes):
+    # roots[mode - 1] would wrap around for mode 0 and label mode 2's
+    # eigenvalue "mode 0"; a repeated mode would duplicate its rows.
+    with pytest.raises(ValueError, match="modes"):
+        fundsys.sweep_feedback(REF, [0.0], modes=modes, options=FAST)
