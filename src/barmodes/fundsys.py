@@ -254,14 +254,19 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
-    """s -> (f, scale, f') of the end-mass residual of the discretised system.
+    """(s, nu) -> (f, scale, f') of the end-mass residual of the discretised
+    system, with nu defaulting to dp.nu.
 
-    Built once per search, it validates n and step, lays out the steps of a
-    1/n-subinterval and takes the coefficients of P(s) = D1 - i*D2 =
-    eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2
-    + a3*s^3.  f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0,
-    u' = 1 at x = 0), whose end state is the column (b, a) of the n-th power
-    of the subinterval propagator; both are overflow-checked.  scale =
+    Built once per search, or once per :func:`sweep_feedback` call, it
+    validates n and step, lays out the steps of a 1/n-subinterval and takes
+    the coefficients of P(s) = D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s)
+    and Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3
+    coefficient p3 = eta*delta*(nu + mu) of P depends on nu, and it is
+    formed at each evaluation, so one kernel serves every nu: its value at
+    nu is bit for bit the value of the kernel built for replace(dp, nu=nu).
+    f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0, u' = 1
+    at x = 0), whose end state is the column (b, a) of the n-th power of
+    the subinterval propagator; both are overflow-checked.  scale =
     ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta = |f|^2.  f' is the slope
     of :func:`find_eigenvalue`, with K'/(2K) = (2 + eps1*s)/(2s*(1 + eps1*s)).
     """
@@ -269,22 +274,24 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
         raise ValueError("subinterval count must be at least 1")
     length = 1.0 / n
     nfull, remainder = _layout(length, step)
-    eps1, eta = dp.eps1, dp.eta
-    p3 = eta * dp.delta * (dp.nu + dp.mu)
-    a1 = eps1 + dp.mu * dp.delta
-    a2 = dp.delta * (eta + eps1 * dp.mu)
+    eps1, eta, mu = dp.eps1, dp.eta, dp.mu
+    eta_delta = eta * dp.delta
+    a1 = eps1 + mu * dp.delta
+    a2 = dp.delta * (eta + eps1 * mu)
     a3 = eps1 * eta * dp.delta
-    eta2, p33, a22, a33 = 2.0 * eta, 3.0 * p3, 2.0 * a2, 3.0 * a3
+    eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
 
-    def residual(s: complex) -> tuple[complex, float, complex]:
+    def residual(s: complex,
+                 nu: float = dp.nu) -> tuple[complex, float, complex]:
         K = complex(*rhs_coefficients(s.real, s.imag, eps1))
         r = cmath.sqrt(K)
         L, T = _interval_exponents(r, step, nfull, remainder)
         _propagator(K, r, L, T, length)
         du, u = _propagator(K, r, n * L, n * T, 1.0)
+        p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
-        dP, dQ = s * (eta2 + p33 * s), a1 + s * (a22 + a33 * s)
+        dP, dQ = s * (eta2 + 3.0 * p3 * s), a1 + s * (a22 + a33 * s)
         den = 1.0 + eps1 * s
         g = s * (2.0 + eps1 * s) / (2.0 * den)  # s^2 * K'/(2K)
         df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
@@ -327,7 +334,8 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
-                    options: SolveOptions | None = None) -> SpectralPoint:
+                    options: SolveOptions | None = None, *,
+                    _kernel=None) -> SpectralPoint:
     """Locate an eigenvalue near the seed as a zero of the boundary residual.
 
     The residual f(s) = P*u(1) + Q*u'(1) of the discretised fundamental
@@ -353,23 +361,29 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     the iteration settled and delta_value is below ``CONVERGED_TOL``.  A
     slope carried by the seed is not used.  Raises ValueError, before any
     evaluation, for a non-finite seed and for options with fewer than one
-    subinterval or a step that is not positive; otherwise never raises: a
-    failed search comes back with converged=False.
+    subinterval, a step that is not positive or fewer than one iteration;
+    otherwise never raises: a failed search comes back with converged=False.
+
+    ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
+    of a kernel that :func:`_residual_fn` built from dp and these options,
+    and the feedback gain to evaluate it at in place of dp.nu.
     """
     opts = options or SolveOptions()
     if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
-    residual = _residual_fn(dp, opts.subintervals, opts.step)
+    if opts.max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if _kernel is None:
+        residual, nu = _residual_fn(dp, opts.subintervals, opts.step), dp.nu
+    else:
+        residual, nu = _kernel
 
-    def admissible(s: complex) -> bool:
-        return (cmath.isfinite(s) and s.imag > 0.0
-                and abs(s.imag - seed.omega) < BAND_HALFWIDTH)
-
-    s = last = complex(seed.q, seed.omega)
+    omega0 = seed.omega
+    s = last = complex(seed.q, omega0)
     value, slope, settled = math.nan, None, False
     try:
         for _ in range(opts.max_iterations):
-            f, scale, df = residual(s)
+            f, scale, df = residual(s, nu)
             last, value, slope = s, _normalized(f, scale), df
             if f == 0:
                 settled = True
@@ -379,7 +393,8 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
             if abs(ds) <= _NEWTON_RTOL * abs(s):
                 settled = True
                 break
-            if not admissible(s):
+            if not (cmath.isfinite(s) and s.imag > 0.0
+                    and abs(s.imag - omega0) < BAND_HALFWIDTH):
                 break
     except (OverflowError, ZeroDivisionError):
         pass
@@ -432,16 +447,16 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
 
 
 def _extrapolate(points: list[tuple[float, complex]], x: float) -> complex:
-    """Value at x of the polynomial through the (abscissa, value) points,
-    whose abscissae are distinct (Lagrange form)."""
-    total = 0j
-    for i, (xi, yi) in enumerate(points):
-        weight = 1.0
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                weight *= (x - xj) / (xi - xj)
-        total += weight * yi
-    return total
+    """Value at x of the line (two points) or parabola (three points) through
+    the (abscissa, value) points, whose abscissae are distinct.  Lagrange
+    form, each weight a product of the factors (x - xj)/(xi - xj) in order."""
+    if len(points) == 2:
+        (x0, y0), (x1, y1) = points
+        return 0j + (x - x1) / (x0 - x1) * y0 + (x - x0) / (x1 - x0) * y1
+    (x0, y0), (x1, y1), (x2, y2) = points
+    return (0j + (x - x1) / (x0 - x1) * ((x - x2) / (x0 - x2)) * y0
+            + (x - x0) / (x1 - x0) * ((x - x2) / (x1 - x2)) * y1
+            + (x - x0) / (x2 - x0) * ((x - x1) / (x2 - x1)) * y2)
 
 
 def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
@@ -449,19 +464,24 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
                    options: SolveOptions | None = None) -> list[SweepRow]:
     """Track eigenvalues of the requested modes across an ascending nu grid.
 
-    dp.nu is ignored; each grid value replaces it.  Mode k starts from the
-    k-th undamped frequency with the closed-form growth-rate estimate.  A
-    grid point whose two or three predecessors converged (at distinct nu)
-    is seeded by predictor-corrector continuation: the polynomial
-    extrapolation in nu through those eigenvalues, linear from two and
-    quadratic from three.  Any other later point is seeded from its
+    dp.nu is ignored; each grid value replaces it.  The residual is affine
+    in nu, so one residual kernel serves the whole sweep, and each row is
+    one :func:`find_eigenvalue` call on it at the row's nu.  Mode k starts
+    from the k-th undamped frequency with the closed-form growth-rate
+    estimate.  A grid point whose two or three predecessors converged (at
+    distinct nu) is seeded by predictor-corrector continuation: the
+    polynomial extrapolation in nu through those eigenvalues, linear from
+    two and quadratic from three.  Any other later point is seeded from its
     predecessor's eigenvalue (warm start).  Unconverged points are flagged
     in their rows, never dropped.  Rows come back ordered by (nu, mode).
-    Raises ValueError for a mode below 1 or a repeated mode.
+    Raises ValueError, before any search, for a mode below 1, a repeated
+    mode, and a nu grid that is not finite or not ascending.
     """
     if any(mode < 1 for mode in modes) or len(set(modes)) < len(modes):
         raise ValueError(f"modes must be distinct and at least 1: {modes}")
     nu_values = [float(v) for v in nu_values]
+    if not all(math.isfinite(v) for v in nu_values):
+        raise ValueError("nu grid must be finite")
     if sorted(nu_values) != nu_values:
         raise ValueError("nu grid must be ascending")
     if not nu_values:
@@ -474,10 +494,11 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             f"only {len(roots)} undamped frequencies below omega_max={omega_max:g}; "
             f"mode {max(modes)} requested")
 
+    kernel = _residual_fn(dp, opts.subintervals, opts.step)
+    first = replace(dp, nu=nu_values[0])
     rows = []
     for mode in modes:
         w0 = roots[mode - 1].omega
-        first = replace(dp, nu=nu_values[0])
         seed = SpectralPoint(q=asymptotic.corrected_eigenvalue(w0, first).q,
                              omega=w0)
         history = []  # (nu, s) of up to three converged rows at distinct nu
@@ -485,12 +506,13 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             if len(history) >= 2:
                 s = _extrapolate(history, nu)
                 seed = SpectralPoint(q=s.real, omega=s.imag)
-            point = find_eigenvalue(replace(dp, nu=nu), seed, opts)
+            # The module global, so that a wrapper of it sees every row.
+            point = find_eigenvalue(dp, seed, opts, _kernel=(kernel, nu))
             rows.append(SweepRow(nu=nu, mode=mode, q=point.q,
                                  omega=point.omega,
                                  delta_value=point.delta_value,
                                  converged=point.converged))
-            seed = SpectralPoint(q=point.q, omega=point.omega)
+            seed = point
             s = complex(point.q, point.omega)
             if not point.converged:
                 history = []

@@ -127,6 +127,59 @@ def secant_eigenvalue(dp, seed, opts):
     raise AssertionError(f"secant did not settle from {seed}")
 
 
+def lagrange_extrapolate(points, x):
+    """Value at x of the polynomial through the (abscissa, value) points
+    (Lagrange form, any number of points)."""
+    total = 0j
+    for i, (xi, yi) in enumerate(points):
+        weight = 1.0
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                weight *= (x - xj) / (xi - xj)
+        total += weight * yi
+    return total
+
+
+def reference_sweep(dp, nu_values, modes, omega_max, opts):
+    """The per-row nu sweep that one nu-kernel per sweep replaced, kept as
+    a cross-check: a replace(dp, nu=...) and a fresh search kernel per row,
+    seeds from a Lagrange extrapolation through up to three converged rows
+    at distinct nu, else from the previous row."""
+    roots = conservative.find_roots(dp, omega_max, max_count=max(modes))
+    rows = []
+    for mode in modes:
+        w0 = roots[mode - 1].omega
+        first = replace(dp, nu=nu_values[0])
+        seed = fundsys.SpectralPoint(
+            q=asymptotic.corrected_eigenvalue(w0, first).q, omega=w0)
+        history = []
+        for nu in nu_values:
+            if len(history) >= 2:
+                s = lagrange_extrapolate(history, nu)
+                seed = fundsys.SpectralPoint(q=s.real, omega=s.imag)
+            point = fundsys.find_eigenvalue(replace(dp, nu=nu), seed, opts)
+            rows.append(fundsys.SweepRow(
+                nu=nu, mode=mode, q=point.q, omega=point.omega,
+                delta_value=point.delta_value, converged=point.converged))
+            seed = fundsys.SpectralPoint(q=point.q, omega=point.omega)
+            s = complex(point.q, point.omega)
+            if not point.converged:
+                history = []
+            elif history and history[-1][0] < nu:
+                history = history[-2:] + [(nu, s)]
+            else:
+                history = [(nu, s)]
+    rows.sort(key=lambda r: (r.nu, r.mode))
+    return rows
+
+
+def row_bits(row):
+    """A sweep row with its floats as hex strings, so that == is bit
+    identity (it tells -0.0 from 0.0 and matches NaN)."""
+    return (row.nu.hex(), row.mode, row.q.hex(), row.omega.hex(),
+            row.delta_value.hex(), row.converged)
+
+
 def mp_end_propagator(q, omega, dp, n, step):
     """(a, b) of the propagator a*I + b*A of [0, 1] in 50-digit arithmetic:
     the RK4 step (1 + z/2 + z^2/24)*I + h*(1 + z/6)*A, z = h^2*K, raised to
@@ -458,6 +511,31 @@ def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
     assert np.array_equal(G, realify([[1, 0.7], [0, 1]]))
 
 
+@pytest.mark.parametrize("step", [1.0 / 2000.0, 0.01])
+@pytest.mark.parametrize("n", [1, 8])
+def test_residual_kernel_takes_nu_as_an_argument(monkeypatch, n, step):
+    # One kernel evaluated at nu is bit for bit the kernel built for
+    # replace(dp, nu=nu), and f is affine in nu: only P's s^3 coefficient
+    # eta*delta*(nu + mu) moves, so f(s; nu) - f(s; 0) = nu*eta*delta*s^3*u(1).
+    # The gap is measured against the bound scale of |f|, because f(nu) -
+    # f(0) cancels digits when nu*delta*|s| is small.
+    rng = np.random.default_rng(39 + n)
+    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(6)]:
+        kernel = fundsys._residual_fn(dp, n, step)
+        for seed in asymptotic_seeds(dp, 5):
+            s = (complex(seed.q, seed.omega)
+                 + complex(*rng.uniform(-1e-3, 1e-3, 2)))
+            u, _ = kernel_end_state(monkeypatch, dp, s, n, step)
+            f0 = kernel(s, 0.0)[0]
+            assert kernel(s) == kernel(s, dp.nu)
+            for nu in (0.0, 0.013, 0.05, 0.1):
+                f, scale, df = kernel(s, nu)
+                assert (f, scale, df) == fundsys._residual_fn(
+                    replace(dp, nu=nu), n, step)(s)
+                gap = f - f0 - nu * dp.eta * dp.delta * s ** 3 * u
+                assert abs(gap) <= 1e-13 * scale
+
+
 # ------------------------------------------------------------------ determinant
 
 def test_delta_vanishes_on_conservative_spectrum():
@@ -667,7 +745,9 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
 
 @pytest.mark.parametrize("options", [
     fundsys.SolveOptions(subintervals=0), fundsys.SolveOptions(step=0.0),
-    fundsys.SolveOptions(step=-1e-3), fundsys.SolveOptions(step=np.nan)])
+    fundsys.SolveOptions(step=-1e-3), fundsys.SolveOptions(step=np.nan),
+    fundsys.SolveOptions(max_iterations=0),
+    fundsys.SolveOptions(max_iterations=-3)])
 def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
                                                                 options):
     calls = count_rhs_calls(monkeypatch)
@@ -848,3 +928,56 @@ def test_sweep_feedback_rejects_bad_modes(modes):
     # eigenvalue "mode 0"; a repeated mode would duplicate its rows.
     with pytest.raises(ValueError, match="modes"):
         fundsys.sweep_feedback(REF, [0.0], modes=modes, options=FAST)
+
+
+@pytest.mark.parametrize("nu_values", [[0.0, np.nan], [0.0, np.inf],
+                                       [np.nan, 0.0], [-np.inf, 0.0]])
+def test_sweep_feedback_rejects_non_finite_grid(monkeypatch, nu_values):
+    # Unchecked, a NaN or infinite nu gives a silent NaN row copied from
+    # the previous one, or a "non-finite seed" error naming the wrong cause.
+    searches = []
+    monkeypatch.setattr(fundsys, "find_eigenvalue",
+                        lambda *args, **kwargs: searches.append(args))
+    with pytest.raises(ValueError, match="nu grid must be finite"):
+        fundsys.sweep_feedback(REF, nu_values, modes=(1,), options=FAST)
+    assert searches == []
+
+
+@pytest.mark.parametrize("opts", [fundsys.SolveOptions(), FAST])
+def test_sweep_feedback_matches_the_per_row_sweep(opts):
+    # One nu-kernel per sweep, the unrolled extrapolation and the result
+    # reused as the next seed change no bit of any row.
+    rng = np.random.default_rng(40)
+    grids = ([0.005 * i for i in range(21)], [0.0, 0.01, 0.01, 0.02, 0.1])
+    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
+        for nu_values in grids:
+            rows = fundsys.sweep_feedback(dp, nu_values, modes=(1, 2),
+                                          options=opts)
+            expected = reference_sweep(dp, nu_values, (1, 2), 20.0, opts)
+            assert [row_bits(r) for r in rows] == [row_bits(r)
+                                                   for r in expected]
+
+
+def test_sweep_feedback_makes_one_search_call_per_row(monkeypatch):
+    # A wrapper of the module global find_eigenvalue sees every row as one
+    # call with dp and the seed positional, and the sweep builds one
+    # residual kernel in all, not one per row or per mode.
+    searches, kernels = [], []
+    search, build = fundsys.find_eigenvalue, fundsys._residual_fn
+
+    def counting_search(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    def counting_build(*args):
+        kernels.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fundsys, "find_eigenvalue", counting_search)
+    monkeypatch.setattr(fundsys, "_residual_fn", counting_build)
+    nu_grid = [0.005 * i for i in range(21)]
+    rows = fundsys.sweep_feedback(REF, nu_grid, modes=(1, 2), options=FAST)
+    assert len(rows) == len(searches) == 42
+    assert all(args[0] is REF and isinstance(args[1], fundsys.SpectralPoint)
+               for args in searches)
+    assert kernels == [(REF, FAST.subintervals, FAST.step)]
