@@ -17,7 +17,8 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
+import types
+from dataclasses import replace
 
 from . import asymptotic, conservative, fundsys
 from .params import DimensionlessParams, PhysicalParams, to_dimensionless, validate
@@ -27,10 +28,12 @@ class ConfigError(Exception):
     """Anything wrong with the config file; mapped to exit code 2."""
 
 
-_PHYSICAL_KEYS = ("rho", "S", "E", "beta", "b", "c", "d", "m", "l")
-_DIMLESS_KEYS = ("eps1", "mu", "nu", "eta", "delta")
-
-# [run] keys in echo order: name -> (parser, default)
+# Section keys in echo order: name -> (parser, default); a key without a
+# default is required.
+_PHYSICAL_KEYS = dict.fromkeys(
+    ("rho", "S", "E", "beta", "b", "c", "d", "m", "l"), (float, None))
+_DIMLESS_KEYS = dict.fromkeys(("eps1", "mu", "nu", "eta", "delta"),
+                              (float, None))
 _RUN_KEYS = {
     "modes": (int, 5),
     "omega_max": (float, 20.0),
@@ -43,46 +46,75 @@ _RUN_KEYS = {
     "mode": (int, 1),
 }
 
+_MAX_GRID_POINTS = 10**6  # cap on the nu grid and the mode-shape profile
 
-@dataclass(frozen=True)
-class RunConfig:
-    dimensionless: DimensionlessParams
-    physical: PhysicalParams | None   # kept only for the config echo
-    modes: int
-    omega_max: float
-    step: float
-    subintervals: int
-    nu_min: float
-    nu_max: float
-    nu_step: float
-    grid_points: int
-    mode: int
+
+class RunConfig(types.SimpleNamespace):
+    """A loaded config: the `dimensionless` parameters, the `physical` ones
+    (None for a [dimensionless] config; kept only for the echo) and one
+    attribute per _RUN_KEYS key."""
 
     def solve_options(self) -> fundsys.SolveOptions:
         return fundsys.SolveOptions(step=self.step,
                                     subintervals=self.subintervals)
 
     def nu_grid(self) -> list[float]:
-        count = int(math.floor((self.nu_max - self.nu_min) / self.nu_step
-                               + 1e-9)) + 1
+        count = int(math.floor(self._nu_steps())) + 1
         return [self.nu_min + i * self.nu_step for i in range(count)]
 
+    def _nu_steps(self) -> float:
+        """Steps of the nu grid, a float: nu_grid() has floor(this) + 1
+        points, so below _MAX_GRID_POINTS it keeps within the cap."""
+        return (self.nu_max - self.nu_min) / self.nu_step + 1e-9
 
-def _parse_section(section, keys, kind):
-    values = {}
-    for key in keys:
-        if key not in section:
-            raise ConfigError(f"[{section.name}] is missing key '{key}'")
-        raw = section[key]
+
+def _parse_section(parser, name, keys) -> dict:
+    """The values of section [name] (empty when absent) as `keys` declares
+    them.  ConfigError for an unknown key, a missing required key, a value
+    its parser rejects and a float that is not finite."""
+    section = parser[name] if parser.has_section(name) else {}
+    values = {key: default for key, (_, default) in keys.items()
+              if default is not None}
+    for key, raw in section.items():
+        if key not in keys:
+            raise ConfigError(f"[{name}] has unknown key '{key}'")
+        kind = keys[key][0]
         try:
             values[key] = kind(raw)
         except ValueError:
+            what = "a number" if kind is float else "a valid int"
             raise ConfigError(
-                f"[{section.name}] {key} = {raw!r} is not a number") from None
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"[{section.name}] has unknown key '{key}'")
+                f"[{name}] {key} = {raw!r} is not {what}") from None
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigError(f"[{name}] {key} must be finite")
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"[{name}] is missing key '{key}'")
     return values
+
+
+def _run_checks(c: RunConfig):
+    """(holds, message) of each [run] check in order.  A check is evaluated
+    only after every earlier one held, so it may divide by step or nu_step."""
+    yield c.modes >= 0, "modes must be >= 0"
+    yield c.omega_max > 0, "omega_max must be positive"
+    yield c.step > 0, "step must be positive"
+    yield (math.isfinite(1.0 / c.step),
+           "step is too small: 1/step overflows floating-point arithmetic")
+    yield (c.step * c.omega_max <= fundsys.STABILITY_EDGE,
+           "step * omega_max must not exceed the RK4 stability edge "
+           "2*sqrt(2) = 2.83")
+    yield c.subintervals >= 1, "subintervals must be >= 1"
+    yield c.nu_min >= 0, "nu_min must be >= 0"
+    yield c.nu_step > 0, "nu_step must be positive"
+    yield c.nu_max >= c.nu_min, "nu_max must be >= nu_min"
+    yield (c._nu_steps() < _MAX_GRID_POINTS,
+           f"the nu grid (nu_min to nu_max by nu_step) must not exceed "
+           f"{_MAX_GRID_POINTS} points")
+    yield c.grid_points >= 2, "grid_points must be >= 2"
+    yield (c.grid_points <= _MAX_GRID_POINTS,
+           f"grid_points must not exceed {_MAX_GRID_POINTS}")
+    yield c.mode >= 1, "mode must be >= 1"
 
 
 def load_config(path: str) -> RunConfig:
@@ -97,69 +129,37 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from None
 
-    known = {"physical", "dimensionless", "run"}
     for name in parser.sections():
-        if name not in known:
+        if name not in ("physical", "dimensionless", "run"):
             raise ConfigError(f"unknown section [{name}]")
 
     has_phys = parser.has_section("physical")
-    has_dim = parser.has_section("dimensionless")
-    if has_phys == has_dim:
+    if has_phys == parser.has_section("dimensionless"):
         raise ConfigError(
             "exactly one of [physical] or [dimensionless] must be present")
 
     physical = None
     if has_phys:
-        values = _parse_section(parser["physical"], _PHYSICAL_KEYS, float)
+        values = _parse_section(parser, "physical", _PHYSICAL_KEYS)
         try:
             physical = PhysicalParams(**values)
         except ValueError as exc:
             raise ConfigError(f"[physical] {exc}") from None
         dp = to_dimensionless(physical)
     else:
-        values = _parse_section(parser["dimensionless"], _DIMLESS_KEYS, float)
-        dp = DimensionlessParams(**values)
+        dp = DimensionlessParams(
+            **_parse_section(parser, "dimensionless", _DIMLESS_KEYS))
 
     violations = validate(dp)
     if violations:
         raise ConfigError("invalid parameters: " + "; ".join(violations))
 
-    run = {key: default for key, (_, default) in _RUN_KEYS.items()}
-    if parser.has_section("run"):
-        section = parser["run"]
-        for key in section:
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"[run] has unknown key '{key}'")
-            kind = _RUN_KEYS[key][0]
-            try:
-                run[key] = kind(section[key])
-            except ValueError:
-                raise ConfigError(
-                    f"[run] {key} = {section[key]!r} is not a valid "
-                    f"{kind.__name__}") from None
-
-    for key, (kind, _) in _RUN_KEYS.items():
-        if kind is float and not math.isfinite(run[key]):
-            raise ConfigError(f"[run] {key} must be finite")
-    checks = [
-        (run["modes"] >= 0, "modes must be >= 0"),
-        (run["omega_max"] > 0, "omega_max must be positive"),
-        (run["step"] > 0, "step must be positive"),
-        (run["step"] * run["omega_max"] <= fundsys.STABILITY_EDGE,
-         "step * omega_max must not exceed the RK4 stability edge "
-         "2*sqrt(2) = 2.83"),
-        (run["subintervals"] >= 1, "subintervals must be >= 1"),
-        (run["nu_min"] >= 0, "nu_min must be >= 0"),
-        (run["nu_step"] > 0, "nu_step must be positive"),
-        (run["nu_max"] >= run["nu_min"], "nu_max must be >= nu_min"),
-        (run["grid_points"] >= 2, "grid_points must be >= 2"),
-        (run["mode"] >= 1, "mode must be >= 1"),
-    ]
-    for ok, message in checks:
-        if not ok:
+    config = RunConfig(dimensionless=dp, physical=physical,
+                       **_parse_section(parser, "run", _RUN_KEYS))
+    for holds, message in _run_checks(config):
+        if not holds:
             raise ConfigError(f"[run] {message}")
-
-    return RunConfig(dimensionless=dp, physical=physical, **run)
+    return config
 
 
 def _fmt(value) -> str:
@@ -294,11 +294,15 @@ def run_modeshape(config: RunConfig):
     return header, rows, True
 
 
-_ANALYSES = {
-    "spectrum": run_spectrum,
-    "stability": run_stability,
-    "sweep": run_sweep,
-    "modeshape": run_modeshape,
+# verb -> (analysis, help text)
+_VERBS = {
+    "spectrum": (run_spectrum,
+                 "first modes via conservative, asymptotic and direct search"),
+    "stability": (run_stability,
+                  "boundary frequency, critical feedback and excitation map"),
+    "sweep": (run_sweep, "eigenvalue branches across the feedback grid"),
+    "modeshape": (run_modeshape,
+                  "normalized displacement profile of one mode"),
 }
 
 
@@ -318,13 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eigenvalue analyses of a damped bar with an end mass "
                     "under velocity feedback; results as CSV.")
     sub = parser.add_subparsers(dest="analysis", required=True)
-    descriptions = {
-        "spectrum": "first modes via conservative, asymptotic and direct search",
-        "stability": "boundary frequency, critical feedback and excitation map",
-        "sweep": "eigenvalue branches across the feedback grid",
-        "modeshape": "normalized displacement profile of one mode",
-    }
-    for name, text in descriptions.items():
+    for name, (_, text) in _VERBS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, metavar="PATH",
                          help="INI config file")
@@ -339,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        header, rows, all_converged = _ANALYSES[args.analysis](config)
+        header, rows, all_converged = _VERBS[args.analysis][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

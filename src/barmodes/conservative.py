@@ -54,19 +54,6 @@ def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]
     return chi, slope
 
 
-def _bracket_roots(grid, vals):
-    """Sign-change brackets [(lo, hi)] of chi sampled as vals on an
-    ascending grid; an exact zero off 0 yields a degenerate (x, x) one."""
-    brackets = []
-    for i, (x, v) in enumerate(zip(grid, vals)):
-        if v == 0.0:
-            if x > 0.0:
-                brackets.append((x, x))
-        elif i + 1 < len(grid) and v * vals[i + 1] < 0.0:
-            brackets.append((x, grid[i + 1]))
-    return brackets
-
-
 def _refine(lo: float, hi: float, dp: DimensionlessParams) -> float:
     """The root of chi in a sign-change bracket: Newton steps from the
     midpoint, with a bisection of the shrinking bracket in place of any
@@ -103,12 +90,14 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
                max_count: int | None = None) -> list[ConservativeRoot]:
     """All roots of the characteristic on (0, omega_max], sorted ascending.
 
-    Root k lies on the k-th branch of tan, between the grid points
-    0, pi/2, 3pi/2, ... (see the module docstring), so chi is evaluated
-    only there and at omega_max, which closes the last, partial branch.
-    Each sign change is one root; the first max_count of them (all when
-    None) are refined by safeguarded Newton steps until a step falls below
-    1e-13 of the root, and no branch beyond the max_count-th is evaluated.
+    Root k lies on the k-th branch of tan, between the edges 0, pi/2,
+    3pi/2, ... (see the module docstring), so the branches are walked edge
+    by edge, with omega_max closing the last, partial one, and chi is
+    evaluated only at the edges.  A sign change of chi across a branch is
+    one root, refined by safeguarded Newton steps until a step falls below
+    1e-13 of the root; an exact zero at an edge is taken as the root.  The
+    walk stops at omega_max or after the max_count-th branch (no cap when
+    None).
 
     Raises ValueError unless eta > 0, delta >= 0 and omega_max > 0, all
     finite: outside that premise the branch argument does not hold.
@@ -122,15 +111,16 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
         raise ValueError("omega_max must be positive and finite")
 
     count = math.inf if max_count is None else max_count
-    grid = [0.0]
-    while len(grid) <= count:
-        edge = (len(grid) - 0.5) * math.pi
-        if edge >= omega_max:
-            grid.append(omega_max)
-            break
-        grid.append(edge)
-    vals = [_chi_and_slope(w, dp)[0] for w in grid]
-
-    roots = [lo if lo == hi else _refine(lo, hi, dp)
-             for lo, hi in _bracket_roots(grid, vals)[:max_count]]
+    roots = []
+    lo, chi_lo = 0.0, -1.0   # chi(0) = -1
+    k = 1
+    while k <= count and lo < omega_max:
+        hi = min((k - 0.5) * math.pi, omega_max)
+        chi_hi = _chi_and_slope(hi, dp)[0]
+        if chi_hi == 0.0:
+            roots.append(hi)
+        elif chi_lo * chi_hi < 0.0:
+            roots.append(_refine(lo, hi, dp))
+        lo, chi_lo = hi, chi_hi
+        k += 1
     return [ConservativeRoot(omega=w, index=i + 1) for i, w in enumerate(roots)]

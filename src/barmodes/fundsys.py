@@ -184,10 +184,15 @@ def _step_exponents(r: complex, h: float) -> Exponents:
 
 def _layout(length: float, step: float) -> tuple[int, float]:
     """Steps over an interval: nfull full steps, then one shortened step of
-    the remainder (0.0 if none) landing exactly on its end."""
+    the remainder (0.0 if none) landing exactly on its end.  Raises
+    ValueError for a step that is not positive, or so small (subnormal)
+    that length/step, the step count, is not finite."""
     if not step > 0:
         raise ValueError("step must be positive")
-    nfull = int(math.floor(length / step + 1e-9))
+    steps = length / step
+    if not math.isfinite(steps):
+        raise ValueError(f"step {step!r} is too small: length/step overflows")
+    nfull = int(math.floor(steps + 1e-9))
     remainder = length - nfull * step
     return nfull, remainder if remainder > 1e-14 else 0.0
 
@@ -228,7 +233,8 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     shortened to land exactly on x_end.  The result is the real 4x4 form of
     the complex propagator [[a, b], [b*K, a]].  Raises OverflowError when
     any entry exceeds 1e150 (the caller should subdivide), ValueError on a
-    reversed interval or non-positive step.
+    reversed interval, a non-positive step or one too small for the
+    interval (see :func:`_layout`).
     """
     import numpy as np
 
@@ -327,7 +333,9 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     multiplication of the per-subinterval matrices.  The coefficients do not
     depend on x, so all n are the same matrix and the product is its n-th
     power.  Both the subinterval propagator and the composed product are
-    overflow-checked (OverflowError).  n = 1 is :func:`delta`.
+    overflow-checked (OverflowError).  n = 1 is :func:`delta`.  Raises
+    ValueError for n < 1, a step that is not positive and a step so small
+    that the step count of a subinterval, (1/n)/step, is not finite.
     """
     f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
     return _normalized(f, scale)
@@ -361,8 +369,10 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     the iteration settled and delta_value is below ``CONVERGED_TOL``.  A
     slope carried by the seed is not used.  Raises ValueError, before any
     evaluation, for a non-finite seed and for options with fewer than one
-    subinterval, a step that is not positive or fewer than one iteration;
-    otherwise never raises: a failed search comes back with converged=False.
+    subinterval, a step that is not positive, a step so small that the step
+    count of a subinterval, (1/subintervals)/step, is not finite, or fewer
+    than one iteration; otherwise never raises: a failed search comes back
+    with converged=False.
 
     ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
     of a kernel that :func:`_residual_fn` built from dp and these options,
@@ -414,7 +424,8 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     positive (rendering the conservative limit purely real) and scaled to
     unit peak amplitude, which fixes C = 1/u(x_peak).
 
-    Raises ValueError for an unconverged point and numpy.linalg.LinAlgError
+    Raises ValueError for an unconverged point, a resolution below 2 and a
+    step that :func:`delta_subdivided` rejects, and numpy.linalg.LinAlgError
     when the boundary system is numerically full-rank (the point is not an
     eigenvalue).
     """

@@ -27,6 +27,20 @@ eta = 7
 delta = 0.1
 """
 
+# A steel-like bar; only plumbing is under test, values just need to be legal.
+PHYSICAL_SECTION = """\
+[physical]
+rho = 7800
+S = 1e-4
+E = 2.1e11
+beta = 1e-5
+b = 10
+c = 2e6
+d = 50
+m = 5
+l = 2
+"""
+
 # The [run] section of the README configuration.
 README_RUN = """\
 [run]
@@ -158,6 +172,60 @@ def test_non_finite_run_value_exits_2(tmp_path, capsys, verb, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, text, key", [
+    ("physical", PHYSICAL_SECTION, "E"),
+    ("dimensionless", REF_SECTION, "eta"),
+    ("run", REF_SECTION + README_RUN, "omega_max")],
+    ids=["physical", "dimensionless", "run"])
+@pytest.mark.parametrize("line, message", [
+    ("{key} = 1\nbogus = 1", "[{section}] has unknown key 'bogus'"),
+    ("{key} = fast", "[{section}] {key} = 'fast' is not a number"),
+    ("{key} = inf", "[{section}] {key} must be finite")],
+    ids=["unknown", "malformed", "inf"])
+def test_bad_key_or_value_names_section_and_key(tmp_path, capsys, section,
+                                                text, key, line, message):
+    # An unknown key, a malformed number and a non-finite value are rejected
+    # by one section parser, with one message form for all three sections.
+    text = re.sub(rf"^{key} = .*$", line.format(key=key), text, flags=re.M)
+    code, out = run_cli(tmp_path, "spectrum", text)
+    assert code == 2
+    expected = message.format(section=section, key=key)
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
+                                  "modeshape"])
+def test_subnormal_step_exits_2(tmp_path, capsys, verb):
+    # 1/step overflows: spectrum exited 2 blaming the parameters, and
+    # stability echoed the step and exited 0.
+    code, out = run_cli(tmp_path, verb, REF_SECTION,
+                        "[run]\nmodes = 1\nstep = 1e-320\n", strict=True)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: [run] step ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run, message", [
+    ("nu_step = 1e-300", "nu grid"),
+    ("nu_max = 1000000\nnu_step = 1", "nu grid"),
+    ("nu_max = 1e308\nnu_step = 1e-10", "nu grid"),
+    ("grid_points = 1000001", "grid_points")],
+    ids=["tiny-nu-step", "one-too-many", "overflowing-count", "profile"])
+def test_grid_beyond_a_million_points_is_a_config_error(tmp_path, run,
+                                                        message):
+    # load_config only: without the cap, a verb would build the grid.
+    path = write_config(tmp_path, REF_SECTION + f"[run]\n{run}\n")
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.load_config(path)
+
+
+def test_grid_of_a_million_points_is_accepted(tmp_path):
+    path = write_config(tmp_path, REF_SECTION + "[run]\nnu_max = 999999\n"
+                        "nu_step = 1\ngrid_points = 1000000\n")
+    cli.load_config(path)
+
+
 @pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
                                   "modeshape"])
 def test_overflowing_parameter_exits_2(tmp_path, capsys, verb):
@@ -226,19 +294,7 @@ def test_descending_nu_grid_exits_2(tmp_path, capsys):
 
 
 def test_physical_section_accepted(tmp_path):
-    # A steel-like bar; only plumbing is under test, values just need to be legal.
-    cfg = write_config(tmp_path, """\
-[physical]
-rho = 7800
-S = 1e-4
-E = 2.1e11
-beta = 1e-5
-b = 10
-c = 2e6
-d = 50
-m = 5
-l = 2
-
+    cfg = write_config(tmp_path, PHYSICAL_SECTION + """
 [run]
 modes = 1
 step = 0.0025
@@ -250,6 +306,13 @@ subintervals = 2
     assert echo["params"] == "physical"
     assert "eps1" in echo and "rho" in echo
     assert len(rows) == 1
+
+
+def test_absent_run_section_gives_every_default(tmp_path):
+    config = cli.load_config(write_config(tmp_path, REF_SECTION))
+    for key, (kind, default) in cli._RUN_KEYS.items():
+        value = getattr(config, key)
+        assert value == default and type(value) is kind, key
 
 
 def test_default_nu_grid_has_21_points(tmp_path):
@@ -322,6 +385,40 @@ def test_readme_config_echo_block(tmp_path):
         "# nu = 0.05",
         "# eta = 7",
         "# delta = 0.1",
+        "# modes = 2",
+        "# omega_max = 20",
+        "# step = 0.0005",
+        "# subintervals = 8",
+        "# nu_min = 0",
+        "# nu_max = 0.1",
+        "# nu_step = 0.005",
+        "# grid_points = 201",
+        "# mode = 1",
+    ]
+
+
+def test_physical_config_echo_block(tmp_path):
+    code, out = run_cli(tmp_path, "stability", PHYSICAL_SECTION, README_RUN)
+    assert code == 0
+    echo = [line for line in out.read_text().splitlines()
+            if line.startswith("#")]
+    assert echo == [
+        "# analysis = stability",
+        "# params = physical",
+        "# rho = 7800",
+        "# S = 0.0001",
+        "# E = 210000000000",
+        "# beta = 1e-05",
+        "# b = 10",
+        "# c = 2000000",
+        "# d = 50",
+        "# m = 5",
+        "# l = 2",
+        "# eps1 = 0.0259437260831",
+        "# mu = 0.00247083105554",
+        "# nu = 0.0123541552777",
+        "# eta = 3.20512820513",
+        "# delta = 5.25",
         "# modes = 2",
         "# omega_max = 20",
         "# step = 0.0005",

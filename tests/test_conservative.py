@@ -49,7 +49,9 @@ def scan_grid(dp, omega_max, step):
 
 
 def loop_brackets(grid, vals):
-    """The element-by-element sign scan that _bracket_roots vectorises."""
+    """Sign-change brackets [(lo, hi)] of chi sampled as vals on an ascending
+    grid, by an element-by-element scan; an exact zero off 0 gives a
+    degenerate (x, x) one."""
     n = len(grid) - 1
     brackets = []
     for i in range(n):
@@ -158,25 +160,14 @@ def test_first_root_band_location():
         assert (k - 1) * np.pi < r.omega < (k + 1) * np.pi
 
 
-def test_bracket_scan_matches_loop_reference():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        dp = random_undamped(rng)
-        for step in (0.01, 0.005):
-            grid, vals = scan_grid(dp, 20.0, step)
-            assert (conservative._bracket_roots(grid, vals)
-                    == loop_brackets(grid, vals))
-
-
-def test_bracket_scan_exact_grid_zeros(monkeypatch):
-    # Zeros on grid points 0, 1 and 2 (the last one): the one at 0 is not
-    # in (0, omega_max], the others give degenerate brackets.
-    monkeypatch.setattr(conservative, "characteristic",
-                        lambda w, dp: w * (w - 1.0) * (w - 2.0))
-    expected = [(1.0, 1.0), (2.0, 2.0)]
-    grid, vals = scan_grid(REF, 2.0, 0.01)
-    assert loop_brackets(grid, vals) == expected
-    assert conservative._bracket_roots(grid, vals) == expected
+def test_find_roots_takes_an_exact_zero_at_an_edge(monkeypatch):
+    # chi vanishing exactly at the edge pi/2 and at omega_max = 4 makes those
+    # edges roots 1 and 2, unrefined; no sign change means no other root.
+    zeros = (0.5 * np.pi, 4.0)
+    monkeypatch.setattr(conservative, "_chi_and_slope",
+                        lambda w, dp: (0.0 if w in zeros else -1.0, 1.0))
+    roots = find_roots(REF, 4.0)
+    assert [(r.index, r.omega) for r in roots] == [(1, 0.5 * np.pi), (2, 4.0)]
 
 
 def test_find_roots_matches_brentq_refinement():
@@ -187,8 +178,7 @@ def test_find_roots_matches_brentq_refinement():
         expected = [
             lo if lo == hi else brentq(characteristic, lo, hi, args=(dp,),
                                        xtol=1e-13)
-            for lo, hi in conservative._bracket_roots(*scan_grid(
-                dp, 20.0, 0.005))]
+            for lo, hi in loop_brackets(*scan_grid(dp, 20.0, 0.005))]
         got = [r.omega for r in find_roots(dp, 20.0)]
         assert len(got) == len(expected)
         for a, b in zip(got, expected):

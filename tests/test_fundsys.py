@@ -599,6 +599,19 @@ def test_delta_subdivided_rejects_bad_count():
         fundsys.delta_subdivided(0.0, 1.0, REF, n=0)
 
 
+@pytest.mark.parametrize("step", [1e-320, 5e-324])
+def test_subnormal_step_is_a_value_error(conservative_mode_one, step):
+    # length/step overflows to inf, whose step count int(floor(inf)) raised
+    # OverflowError, the "subdivide" signal, instead of rejecting the step.
+    with pytest.raises(ValueError, match="too small"):
+        fundsys.delta_subdivided(0.0, 0.35, REF, 1, step)
+    with pytest.raises(ValueError, match="too small"):
+        fundsys.integrate_fundamental(0.0, 0.35, REF, step=step)
+    with pytest.raises(ValueError, match="too small"):
+        fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=11,
+                           step=step)
+
+
 # ------------------------------------------------------------------- eigensolve
 
 def test_find_eigenvalue_recovers_conservative_root():
@@ -747,7 +760,9 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
     fundsys.SolveOptions(subintervals=0), fundsys.SolveOptions(step=0.0),
     fundsys.SolveOptions(step=-1e-3), fundsys.SolveOptions(step=np.nan),
     fundsys.SolveOptions(max_iterations=0),
-    fundsys.SolveOptions(max_iterations=-3)])
+    fundsys.SolveOptions(max_iterations=-3),
+    fundsys.SolveOptions(step=1e-320, subintervals=1),
+    fundsys.SolveOptions(step=5e-324)])
 def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
                                                                 options):
     calls = count_rhs_calls(monkeypatch)
