@@ -129,6 +129,10 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from None
 
+    # configparser merges [DEFAULT] into every section; reject it as the
+    # section it is rather than as unknown keys of the others.
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     for name in parser.sections():
         if name not in ("physical", "dimensionless", "run"):
             raise ConfigError(f"unknown section [{name}]")
@@ -163,6 +167,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def _fmt(value) -> str:
+    """A CSV cell: %.12g, with NaN as the missing value NA."""
+    if math.isnan(value):
+        return "NA"
     if value == 0.0:
         value = 0.0  # keep -0.0 from printing as "-0"
     return "%.12g" % value
@@ -251,17 +258,15 @@ def run_sweep(config: RunConfig):
     """Wide rows (nu, q_k, omega_k ..., converged_k ...) tracking the first
     `modes` eigenvalues across the nu grid."""
     modes = tuple(range(1, config.modes + 1))
+    _conservative_roots(config, config.modes)  # the shortfall check
     header = "nu" \
         + "".join(f",q_{k},omega_{k}" for k in modes) \
         + "".join(f",converged_{k}" for k in modes)
     if not modes:
         return header, [], True
-    try:
-        sweep = fundsys.sweep_feedback(config.dimensionless, config.nu_grid(),
-                                       modes=modes, omega_max=config.omega_max,
-                                       options=config.solve_options())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sweep = fundsys.sweep_feedback(config.dimensionless, config.nu_grid(),
+                                   modes=modes, omega_max=config.omega_max,
+                                   options=config.solve_options())
 
     rows, all_converged = [], True
     for i in range(0, len(sweep), len(modes)):

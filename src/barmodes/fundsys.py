@@ -49,6 +49,7 @@ OVERFLOW_LIMIT = 1e150
 CONVERGED_TOL = 1e-12         # normalized determinant of a converged search
 BAND_HALFWIDTH = math.pi / 2  # mode-hop guard around the seed omega
 STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
+MAX_ITERATIONS = 500          # residual evaluations (Newton steps) per search
 
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
@@ -104,11 +105,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Controls for the Newton eigenvalue search."""
+    """Discretisation of the fundamental system that the Newton eigenvalue
+    search uses: the RK4 step and the number of equal subintervals."""
 
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS
-    max_iterations: int = 500         # residual evaluations (Newton steps)
 
 
 def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]:
@@ -197,15 +198,20 @@ def _layout(length: float, step: float) -> tuple[int, float]:
     return nfull, remainder if remainder > 1e-14 else 0.0
 
 
-def _interval_exponents(r: complex, step: float, nfull: int,
-                        remainder: float) -> Exponents:
-    """Exponents of the propagator over an interval laid out by _layout."""
+def _point_exponents(q: float, omega: float, eps1: float, step: float,
+                     layout: tuple[int, float]) -> tuple[complex, ...]:
+    """(K, r, L, T) at s = q + i*omega: K = s^2/(1 + eps1*s), r = sqrt(K)
+    and the exponents of the propagator over an interval whose steps
+    _layout gave as layout.  Raises as rhs_coefficients and _log1p do."""
+    K = complex(*rhs_coefficients(q, omega, eps1))
+    r = cmath.sqrt(K)
+    nfull, remainder = layout
     l, t = _step_exponents(r, step)
     L, T = nfull * l, nfull * t
     if remainder:
         l, t = _step_exponents(r, remainder)
         L, T = L + l, T + t
-    return L, T
+    return K, r, L, T
 
 
 def _propagator(K: complex, r: complex, L: complex, T: complex,
@@ -229,26 +235,23 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
                           step: float = DEFAULT_STEP) -> np.ndarray:
     """Fundamental matrix at x_end for identity initial data at x_start.
 
-    Fixed-step classical fourth-order integration; the last step is
-    shortened to land exactly on x_end.  The result is the real 4x4 form of
-    the complex propagator [[a, b], [b*K, a]].  Raises OverflowError when
-    any entry exceeds 1e150 (the caller should subdivide), ValueError on a
-    reversed interval, a non-positive step or one too small for the
-    interval (see :func:`_layout`).
+    Fixed-step classical fourth-order integration in closed form; the last
+    step is shortened to land exactly on x_end.  The result is the real 4x4
+    form of the complex propagator [[a, b], [b*K, a]] (the identity on an
+    empty interval).  Raises OverflowError when any entry exceeds 1e150
+    (the caller should subdivide), ValueError on a reversed interval and a
+    step that :func:`_layout` rejects, even on an empty interval.
     """
     import numpy as np
 
     if x_end < x_start:
         raise ValueError("x_end must not precede x_start")
-    if not step > 0:
-        raise ValueError("step must be positive")
     length = x_end - x_start
+    layout = _layout(length, step)
     if length == 0.0:
         return np.eye(4)
 
-    K = complex(*rhs_coefficients(q, omega, dp.eps1))
-    r = cmath.sqrt(K)
-    L, T = _interval_exponents(r, step, *_layout(length, step))
+    K, r, L, T = _point_exponents(q, omega, dp.eps1, step, layout)
     a, b = _propagator(K, r, L, T, length)
     bK = b * K
     return np.array([
@@ -272,14 +275,15 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     nu is bit for bit the value of the kernel built for replace(dp, nu=nu).
     f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0, u' = 1
     at x = 0), whose end state is the column (b, a) of the n-th power of
-    the subinterval propagator; both are overflow-checked.  scale =
-    ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta = |f|^2.  f' is the slope
-    of :func:`find_eigenvalue`, with K'/(2K) = (2 + eps1*s)/(2s*(1 + eps1*s)).
+    the subinterval propagator; that power, formed from n times the
+    subinterval's exponents, is the one propagator built and checked for
+    overflow.  scale = ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta =
+    |f|^2.  f' is the slope of :func:`find_eigenvalue`, with K'/(2K) =
+    (2 + eps1*s)/(2s*(1 + eps1*s)).
     """
     if n < 1:
         raise ValueError("subinterval count must be at least 1")
-    length = 1.0 / n
-    nfull, remainder = _layout(length, step)
+    layout = _layout(1.0 / n, step)
     eps1, eta, mu = dp.eps1, dp.eta, dp.mu
     eta_delta = eta * dp.delta
     a1 = eps1 + mu * dp.delta
@@ -289,10 +293,7 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
 
     def residual(s: complex,
                  nu: float = dp.nu) -> tuple[complex, float, complex]:
-        K = complex(*rhs_coefficients(s.real, s.imag, eps1))
-        r = cmath.sqrt(K)
-        L, T = _interval_exponents(r, step, nfull, remainder)
-        _propagator(K, r, L, T, length)
+        K, r, L, T = _point_exponents(s.real, s.imag, eps1, step, layout)
         du, u = _propagator(K, r, n * L, n * T, 1.0)
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
@@ -332,10 +333,10 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     data; matching values and derivatives at the junctions is exactly
     multiplication of the per-subinterval matrices.  The coefficients do not
     depend on x, so all n are the same matrix and the product is its n-th
-    power.  Both the subinterval propagator and the composed product are
-    overflow-checked (OverflowError).  n = 1 is :func:`delta`.  Raises
-    ValueError for n < 1, a step that is not positive and a step so small
-    that the step count of a subinterval, (1/n)/step, is not finite.
+    power; only that product is built and overflow-checked (OverflowError).
+    n = 1 is :func:`delta`.  Raises ValueError for n < 1, a step that is
+    not positive and a step so small that the step count of a subinterval,
+    (1/n)/step, is not finite.
     """
     f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
     return _normalized(f, scale)
@@ -357,7 +358,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     K' = s*(2 + eps1*s)/(1 + eps1*s)^2, which is exact for the continuous
     system (u = sinh(l)/l, u' = cosh(l), l^2 = K) and within the RK4 error
     for the discretised one.  The search stops when a step is below
-    1e-15*|s|, when f vanishes, or after ``max_iterations`` evaluations.
+    1e-15*|s|, when f vanishes, or after ``MAX_ITERATIONS`` evaluations.
     An iterate that is not finite, has omega <= 0 or leaves the seed's band
     (half-width ``BAND_HALFWIDTH``, which prevents mode hopping) ends the
     search, as do an overflow, a degenerate rhs denominator, a singular RK4
@@ -369,10 +370,10 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     the iteration settled and delta_value is below ``CONVERGED_TOL``.  A
     slope carried by the seed is not used.  Raises ValueError, before any
     evaluation, for a non-finite seed and for options with fewer than one
-    subinterval, a step that is not positive, a step so small that the step
-    count of a subinterval, (1/subintervals)/step, is not finite, or fewer
-    than one iteration; otherwise never raises: a failed search comes back
-    with converged=False.
+    subinterval, a step that is not positive, or a step so small that the
+    step count of a subinterval, (1/subintervals)/step, is not finite;
+    otherwise never raises: a failed search comes back with
+    converged=False.
 
     ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
     of a kernel that :func:`_residual_fn` built from dp and these options,
@@ -381,8 +382,6 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     opts = options or SolveOptions()
     if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
-    if opts.max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
     if _kernel is None:
         residual, nu = _residual_fn(dp, opts.subintervals, opts.step), dp.nu
     else:
@@ -392,7 +391,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     s = last = complex(seed.q, omega0)
     value, slope, settled = math.nan, None, False
     try:
-        for _ in range(opts.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             f, scale, df = residual(s, nu)
             last, value, slope = s, _normalized(f, scale), df
             if f == 0:
@@ -437,17 +436,15 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
     cells = resolution - 1
-    f, scale, _ = _residual_fn(dp, cells, step)(complex(point.q, point.omega))
-    dhat = _normalized(f, scale)
+    dhat = delta_subdivided(point.q, point.omega, dp, cells, step)
     if dhat >= _RANK_TOL:
         raise np.linalg.LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
     # u of solution 3 at grid point j: b of the j-th power of one interval.
-    K = complex(*rhs_coefficients(point.q, point.omega, dp.eps1))
-    r = cmath.sqrt(K)
-    L, T = _interval_exponents(r, step, *_layout(1.0 / cells, step))
+    _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1, step,
+                                  _layout(1.0 / cells, step))
     grid, j = np.linspace(0.0, 1.0, resolution), np.arange(resolution)
     profile = np.exp(j * L) * np.sinh(j * T) / r
     peak = int(np.argmax(np.abs(profile)))

@@ -120,6 +120,17 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    # configparser would merge [DEFAULT] into every section, and the error
+    # would name [dimensionless] for a key written under [DEFAULT].
+    cfg = write_config(tmp_path, "[DEFAULT]\nstep = 0.0025\n\n"
+                       + REF_SECTION + README_RUN)
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "unknown section [DEFAULT]" in err
+    assert "[dimensionless]" not in err
+
+
 def test_missing_parameter_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, REF_SECTION.replace("delta = 0.1\n", ""))
     assert cli.main(["spectrum", "--config", cfg]) == 2
@@ -362,14 +373,34 @@ def test_spectrum_zero_modes_is_header_only(tmp_path):
 
 
 @pytest.mark.parametrize("verb, strict", [("spectrum", True),
-                                           ("stability", False)])
+                                           ("stability", False),
+                                           ("sweep", False),
+                                           ("modeshape", False)])
 def test_mode_shortfall_exits_2(tmp_path, capsys, verb, strict):
-    # omega_max = 3 holds only two undamped frequencies, five are asked for.
+    # omega_max = 3 holds only two undamped frequencies, five are asked for;
+    # every verb reports the shortfall with the same message.
     code, out = run_cli(tmp_path, verb, REF_SECTION,
-                        "[run]\nmodes = 5\nomega_max = 3\n", strict=strict)
+                        "[run]\nmodes = 5\nmode = 5\nomega_max = 3\n",
+                        strict=strict)
     assert code == 2
-    assert "mode 5" in capsys.readouterr().err
+    assert ("mode 5 has no conservative frequency below omega_max = 3"
+            in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_spectrum_writes_no_nan_cell(tmp_path, capsys):
+    # Mechanism damping mu = 1e6 makes every seed overflow, so no search
+    # evaluates anything and delta_hat is missing: NA, never nan.
+    section = CONSERVATIVE_SECTION.replace("mu = 0\n", "mu = 1e6\n")
+    with pytest.warns(UserWarning, match="small-dissipation"):
+        code, out = run_cli(tmp_path, "spectrum", section, "[run]\nmodes = 3\n")
+    assert code == 0
+    assert "did not converge" in capsys.readouterr().err
+    _, header, rows = read_output(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert "nan" not in [cell.lower() for cell in row]
+        assert row[header.index("delta_hat")] == "NA"
 
 
 def test_readme_config_echo_block(tmp_path):

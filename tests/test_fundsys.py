@@ -82,7 +82,7 @@ def end_residual(dp, s, opts):
 
 def kernel_end_state(monkeypatch, dp, s, n, step):
     """(u(1), u'(1)) of solution 3 as the residual kernel computes them: the
-    column (b, a) of the last propagator it builds."""
+    column (b, a) of the one propagator it builds."""
     built = []
     original = fundsys._propagator
 
@@ -594,6 +594,34 @@ def test_delta_subdivided_composed_overflow_raises():
         fundsys.delta_subdivided(0.0, 1e4, REF)
 
 
+@pytest.mark.parametrize("n", [1, 8, 200])
+def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
+    # The end state comes straight from the composed propagator over [0, 1];
+    # the subinterval's is never built, whatever the subinterval count.
+    built = []
+    original = fundsys._propagator
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fundsys, "_propagator", recording)
+    calls = count_rhs_calls(monkeypatch)
+    kernel = fundsys._residual_fn(REF, n, fundsys.DEFAULT_STEP)
+    for s in (complex(-0.01, 0.35), complex(0.0, 5.0), complex(0.3, 17.0)):
+        built.clear()
+        kernel(s)
+        assert len(built) == 1
+        assert built[0][-1] == 1.0
+    # A search evaluates the same kernel: one propagator per evaluation.
+    built.clear()
+    calls.clear()
+    seed = asymptotic_seeds(REF, 2)[-1]
+    assert fundsys.find_eigenvalue(
+        REF, seed, fundsys.SolveOptions(subintervals=n)).converged
+    assert len(built) == len(calls) > 0
+
+
 def test_delta_subdivided_rejects_bad_count():
     with pytest.raises(ValueError):
         fundsys.delta_subdivided(0.0, 1.0, REF, n=0)
@@ -637,11 +665,11 @@ def test_find_eigenvalue_stays_in_seed_band():
     assert abs(point.omega - 0.36) < np.pi / 2
 
 
-def test_find_eigenvalue_never_raises_on_starved_budget():
+def test_find_eigenvalue_never_raises_on_starved_budget(monkeypatch):
     # A far seed with almost no iteration budget cannot reach the spectrum:
     # the solver must report failure, not throw.
-    opts = fundsys.SolveOptions(step=1.0 / 200.0, subintervals=1,
-                                max_iterations=3)
+    monkeypatch.setattr(fundsys, "MAX_ITERATIONS", 3)
+    opts = fundsys.SolveOptions(step=1.0 / 200.0, subintervals=1)
     point = fundsys.find_eigenvalue(
         UNDAMPED, fundsys.SpectralPoint(q=0.5, omega=1.8), opts)
     assert not point.converged
@@ -759,8 +787,8 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
 @pytest.mark.parametrize("options", [
     fundsys.SolveOptions(subintervals=0), fundsys.SolveOptions(step=0.0),
     fundsys.SolveOptions(step=-1e-3), fundsys.SolveOptions(step=np.nan),
-    fundsys.SolveOptions(max_iterations=0),
-    fundsys.SolveOptions(max_iterations=-3),
+    fundsys.SolveOptions(subintervals=-3),
+    fundsys.SolveOptions(step=-np.inf),
     fundsys.SolveOptions(step=1e-320, subintervals=1),
     fundsys.SolveOptions(step=5e-324)])
 def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
