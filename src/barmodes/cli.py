@@ -18,6 +18,7 @@ import configparser
 import math
 import sys
 import types
+import warnings
 from dataclasses import replace
 
 from . import asymptotic, conservative, fundsys
@@ -154,7 +155,13 @@ def load_config(path: str) -> RunConfig:
         dp = DimensionlessParams(
             **_parse_section(parser, "dimensionless", _DIMLESS_KEYS))
 
-    violations = validate(dp)
+    # validate warns outside the small-dissipation regime; the CLI reports
+    # that as a one-line warning of its own, not in Python's warning format.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        violations = validate(dp)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if violations:
         raise ConfigError("invalid parameters: " + "; ".join(violations))
 
@@ -256,7 +263,8 @@ def run_stability(config: RunConfig):
 
 def run_sweep(config: RunConfig):
     """Wide rows (nu, q_k, omega_k ..., converged_k ...) tracking the first
-    `modes` eigenvalues across the nu grid."""
+    `modes` eigenvalues across the nu grid; q_k and omega_k are NA where
+    the search could not evaluate even its seed."""
     modes = tuple(range(1, config.modes + 1))
     _conservative_roots(config, config.modes)  # the shortfall check
     header = "nu" \
@@ -273,7 +281,8 @@ def run_sweep(config: RunConfig):
         group = sweep[i:i + len(modes)]
         cells = [_fmt(group[0].nu)]
         for row in group:
-            cells += [_fmt(row.q), _fmt(row.omega)]
+            cells += (["NA", "NA"] if math.isnan(row.delta_value)
+                      else [_fmt(row.q), _fmt(row.omega)])
         for row in group:
             cells.append("1" if row.converged else "0")
             all_converged &= row.converged
@@ -285,15 +294,16 @@ def run_modeshape(config: RunConfig):
     """Normalized displacement profile (xbar, u1, u2) of the configured mode
     at the configured parameters."""
     dp = config.dimensionless
+    opts = config.solve_options()
     w0 = _conservative_roots(config, config.mode)[-1].omega
     ev = asymptotic.corrected_eigenvalue(w0, dp)
     point = fundsys.find_eigenvalue(dp, fundsys.SpectralPoint(q=ev.q, omega=w0),
-                                    config.solve_options())
+                                    opts)
     header = "xbar,u1,u2"
     if not point.converged:
         return header, [], False
     shape = fundsys.mode_shape(point, dp, resolution=config.grid_points,
-                               step=config.step)
+                               options=opts)
     rows = [",".join([_fmt(x), _fmt(u1), _fmt(u2)])
             for x, u1, u2 in zip(shape.grid, shape.u1, shape.u2)]
     return header, rows, True

@@ -413,20 +413,20 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
-               resolution: int = 201, step: float = DEFAULT_STEP) -> ModeShape:
+               resolution: int = 201,
+               options: SolveOptions | None = None) -> ModeShape:
     """Displacement profile (u1, u2) of a converged eigenvalue on a grid.
 
-    The profile is C * u(x) with u the displacement of solution 3 and
-    C = C3 + i*C4 a null direction of the 2x2 boundary system.  That system
-    is a scaled rotation, so C is only defined up to a complex factor; the
-    shape is therefore rotated to make its largest-magnitude sample real and
-    positive (rendering the conservative limit purely real) and scaled to
-    unit peak amplitude, which fixes C = 1/u(x_peak).
-
-    Raises ValueError for an unconverged point, a resolution below 2 and a
-    step that :func:`delta_subdivided` rejects, and numpy.linalg.LinAlgError
-    when the boundary system is numerically full-rank (the point is not an
-    eigenvalue).
+    The profile is C*u(x) on the discretised system that find_eigenvalue
+    solves with these options: u = exp(x*L)*sinh(x*T)/sqrt(K), with (L, T)
+    the exponents of its [0, 1] propagator, sampled at `resolution` evenly
+    spaced x.  C = C3 + i*C4, a null direction of the boundary system, is
+    fixed by rotating the largest sample to real and positive (so the
+    conservative limit is real) and scaling the peak to 1: C = 1/u(x_peak).
+    Raises ValueError for an unconverged point, a resolution below 2 and
+    options the search rejects, and numpy.linalg.LinAlgError when the rank
+    check, delta_subdivided with these options (a search result's own
+    delta_value), is not below 1e-8: the point is not an eigenvalue.
     """
     import numpy as np
 
@@ -435,18 +435,19 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
-    cells = resolution - 1
-    dhat = delta_subdivided(point.q, point.omega, dp, cells, step)
+    opts = options or SolveOptions()
+    n, step = opts.subintervals, opts.step
+    dhat = delta_subdivided(point.q, point.omega, dp, n, step)
     if dhat >= _RANK_TOL:
         raise np.linalg.LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
-    # u of solution 3 at grid point j: b of the j-th power of one interval.
+    # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
     _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1, step,
-                                  _layout(1.0 / cells, step))
-    grid, j = np.linspace(0.0, 1.0, resolution), np.arange(resolution)
-    profile = np.exp(j * L) * np.sinh(j * T) / r
+                                  _layout(1.0 / n, step))
+    grid = np.linspace(0.0, 1.0, resolution)
+    profile = np.exp(grid * (n * L)) * np.sinh(grid * (n * T)) / r
     peak = int(np.argmax(np.abs(profile)))
     c_final = 1.0 / profile[peak]
     profile = profile / profile[peak]

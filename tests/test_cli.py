@@ -27,6 +27,13 @@ eta = 7
 delta = 0.1
 """
 
+# Mechanism damping mu = 1e6 makes every seed overflow, so no search
+# evaluates anything; it is also outside the small-dissipation regime.
+OVERFLOW_SECTION = CONSERVATIVE_SECTION.replace("mu = 0\n", "mu = 1e6\n")
+SMALL_DISSIPATION_WARNING = ("warning: mu = 1e+06 exceeds 0.1; outside the "
+                             "small-dissipation regime of the perturbation "
+                             "solvers\n")
+
 # A steel-like bar; only plumbing is under test, values just need to be legal.
 PHYSICAL_SECTION = """\
 [physical]
@@ -389,18 +396,30 @@ def test_mode_shortfall_exits_2(tmp_path, capsys, verb, strict):
 
 
 def test_spectrum_writes_no_nan_cell(tmp_path, capsys):
-    # Mechanism damping mu = 1e6 makes every seed overflow, so no search
-    # evaluates anything and delta_hat is missing: NA, never nan.
-    section = CONSERVATIVE_SECTION.replace("mu = 0\n", "mu = 1e6\n")
-    with pytest.warns(UserWarning, match="small-dissipation"):
-        code, out = run_cli(tmp_path, "spectrum", section, "[run]\nmodes = 3\n")
+    # No search evaluates anything, so delta_hat is missing: NA, never nan.
+    code, out = run_cli(tmp_path, "spectrum", OVERFLOW_SECTION,
+                        "[run]\nmodes = 3\n")
     assert code == 0
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert SMALL_DISSIPATION_WARNING in err
+    assert "did not converge" in err
     _, header, rows = read_output(out)
     assert len(rows) == 3
     for row in rows:
         assert "nan" not in [cell.lower() for cell in row]
         assert row[header.index("delta_hat")] == "NA"
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
+                                  "modeshape"])
+def test_small_dissipation_warning_is_one_line(tmp_path, capsys, verb):
+    # The CLI states the warning in its own format, with no source location
+    # or code line, and it changes no exit code.
+    code, _ = run_cli(tmp_path, verb, OVERFLOW_SECTION, "[run]\nmodes = 3\n")
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.startswith(SMALL_DISSIPATION_WARNING)
+    assert "UserWarning" not in err and ".py:" not in err
 
 
 def test_readme_config_echo_block(tmp_path):
@@ -524,6 +543,35 @@ def test_sweep_wide_rows(tmp_path):
         assert float(row[2]) == pytest.approx(0.3534042288, abs=1e-3)
 
 
+def test_sweep_writes_na_for_unevaluated_searches(tmp_path, capsys):
+    # Every seed overflows, so no row has an eigenvalue to report: q and
+    # omega are NA, not a repeat of the seeds.
+    code, out = run_cli(tmp_path, "sweep", OVERFLOW_SECTION,
+                        "[run]\nmodes = 3\n", strict=True)
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    _, header, rows = read_output(out)
+    assert len(rows) == 21
+    for row in rows:
+        assert row[1:7] == ["NA"] * 6
+        assert row[7:] == ["0"] * 3
+
+
+def test_sweep_keeps_an_evaluated_unconverged_row(tmp_path, monkeypatch):
+    # A search that evaluated its residual but did not converge still
+    # reports where it stopped.
+    def stopped(dp, seed, options=None, **kwargs):
+        return fundsys.SpectralPoint(q=-0.25, omega=0.5, delta_value=0.5,
+                                     converged=False)
+
+    monkeypatch.setattr(fundsys, "find_eigenvalue", stopped)
+    code, out = run_cli(tmp_path, "sweep", REF_SECTION,
+                        FAST_RUN + "modes = 1\nnu_max = 0.005\n")
+    assert code == 0
+    _, _, rows = read_output(out)
+    assert rows == [["0", "-0.25", "0.5", "0"], ["0.005", "-0.25", "0.5", "0"]]
+
+
 # ------------------------------------------------------------------ modeshape
 
 def test_modeshape_conservative_profile(tmp_path):
@@ -540,6 +588,21 @@ def test_modeshape_conservative_profile(tmp_path):
         assert u1 == pytest.approx(np.sin(omega1 * x) / np.sin(omega1),
                                    abs=1e-5)
         assert abs(u2) < 1e-6
+
+
+@pytest.mark.parametrize("step, mode", [(0.05, 5), (0.05, 7), (0.1, 3),
+                                        (0.1, 5), (0.1, 7)])
+def test_modeshape_at_coarse_step(tmp_path, step, mode):
+    # The profile and its rank check belong to the system the search
+    # solved, so a converged search always has a profile.
+    extra = README_RUN.replace("modes = 2\n", "modes = 7\n") \
+        .replace("step = 0.0005\n", f"step = {step}\n") \
+        .replace("mode = 1\n", f"mode = {mode}\n")
+    code, out = run_cli(tmp_path, "modeshape", REF_SECTION, extra)
+    assert code == 0
+    _, _, rows = read_output(out)
+    assert len(rows) == 201
+    assert [float(cell) for cell in rows[0]] == [0.0, 0.0, 0.0]
 
 
 def test_modeshape_mode_out_of_range_exits_2(tmp_path, capsys):

@@ -19,6 +19,8 @@ OMEGA_1 = 0.3534042288
 # Coarser-than-production controls keep the unit suite quick; accuracy
 # statements at production resolution live in the acceptance tests.
 FAST = fundsys.SolveOptions(step=1.0 / 400.0, subintervals=2)
+# The search options of the conservative_mode_one fixture.
+SHAPE_OPTS = fundsys.SolveOptions(step=1.0 / 1000.0, subintervals=2)
 
 
 def random_dp(rng):
@@ -637,7 +639,7 @@ def test_subnormal_step_is_a_value_error(conservative_mode_one, step):
         fundsys.integrate_fundamental(0.0, 0.35, REF, step=step)
     with pytest.raises(ValueError, match="too small"):
         fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=11,
-                           step=step)
+                           options=replace(SHAPE_OPTS, step=step))
 
 
 # ------------------------------------------------------------------- eigensolve
@@ -886,15 +888,14 @@ def test_import_loads_no_scipy(package):
 @pytest.fixture(scope="module")
 def conservative_mode_one():
     seed = fundsys.SpectralPoint(q=0.0, omega=0.36)
-    opts = fundsys.SolveOptions(step=1.0 / 1000.0, subintervals=2)
-    point = fundsys.find_eigenvalue(UNDAMPED, seed, opts)
+    point = fundsys.find_eigenvalue(UNDAMPED, seed, SHAPE_OPTS)
     assert point.converged
     return point
 
 
 def test_mode_shape_conservative_is_real_sine(conservative_mode_one):
     shape = fundsys.mode_shape(conservative_mode_one, UNDAMPED,
-                               resolution=101, step=1.0 / 1000.0)
+                               resolution=101, options=SHAPE_OPTS)
     assert np.max(np.abs(shape.u2)) <= 1e-6
     expected = np.sin(conservative_mode_one.omega * shape.grid)
     expected = expected / np.max(np.abs(expected))
@@ -903,7 +904,7 @@ def test_mode_shape_conservative_is_real_sine(conservative_mode_one):
 
 def test_mode_shape_clamped_end_and_normalization(conservative_mode_one):
     shape = fundsys.mode_shape(conservative_mode_one, UNDAMPED,
-                               resolution=64, step=1.0 / 1000.0)
+                               resolution=64, options=SHAPE_OPTS)
     assert shape.u1[0] == 0.0 and shape.u2[0] == 0.0
     assert np.max(np.hypot(shape.u1, shape.u2)) == pytest.approx(1.0, abs=1e-15)
     assert len(shape.grid) == 64
@@ -921,7 +922,57 @@ def test_mode_shape_rejects_non_eigenvalue():
     forged = fundsys.SpectralPoint(q=0.25, omega=1.9, delta_value=0.0,
                                    converged=True)
     with pytest.raises(np.linalg.LinAlgError):
-        fundsys.mode_shape(forged, UNDAMPED, resolution=11, step=1.0 / 500.0)
+        fundsys.mode_shape(forged, UNDAMPED, resolution=11,
+                           options=replace(SHAPE_OPTS, step=1.0 / 500.0))
+
+
+# Option sets the CLI accepts for modes below omega = 20: production, and
+# coarse steps with 8, 3 and 1 subintervals.
+SHAPE_OPTION_SETS = [fundsys.SolveOptions(step=step, subintervals=n)
+                     for step, n in [(1.0 / 2000.0, 8), (0.003, 8), (0.05, 8),
+                                     (0.1, 8), (0.01, 3), (0.07, 1)]]
+
+
+@pytest.mark.parametrize("opts", SHAPE_OPTION_SETS)
+def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
+    # The rank check is the search's own residual, so a converged search
+    # always has a shape: 77 searches per option set, all converged.
+    delta_subdivided, seen = fundsys.delta_subdivided, []
+
+    def spy(*args):
+        seen.append(delta_subdivided(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(fundsys, "delta_subdivided", spy)
+    rng = np.random.default_rng(43)
+    shapes = 0
+    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
+        roots = conservative.find_roots(dp, 20.0)
+        for seed in asymptotic_seeds(dp, len(roots)):
+            point = fundsys.find_eigenvalue(dp, seed, opts)
+            if not point.converged:
+                continue
+            seen.clear()
+            shape = fundsys.mode_shape(point, dp, options=opts)
+            assert seen == [point.delta_value]
+            assert len(shape.grid) == 201
+            shapes += 1
+    assert shapes >= 70
+
+
+def test_mode_shape_resolution_only_sets_the_sampling():
+    opts = fundsys.SolveOptions(step=0.03, subintervals=8)
+    point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 1)[0], opts)
+    assert point.converged
+    middle, end = [], []
+    for resolution in (11, 101, 201):
+        shape = fundsys.mode_shape(point, REF, resolution, options=opts)
+        half = (resolution - 1) // 2
+        assert shape.grid[half] == 0.5
+        middle.append(complex(shape.u1[half], shape.u2[half]))
+        end.append(complex(shape.u1[-1], shape.u2[-1]))
+    assert np.allclose(middle, middle[0], rtol=0.0, atol=1e-15)
+    assert np.allclose(end, end[0], rtol=0.0, atol=1e-15)
 
 
 # ------------------------------------------------------------------- nu sweep
