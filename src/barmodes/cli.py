@@ -125,7 +125,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from None
@@ -292,7 +292,8 @@ def run_sweep(config: RunConfig):
 
 def run_modeshape(config: RunConfig):
     """Normalized displacement profile (xbar, u1, u2) of the configured mode
-    at the configured parameters."""
+    at the configured parameters: fundsys.mode_shape's samples, taken
+    without loading numpy."""
     dp = config.dimensionless
     opts = config.solve_options()
     w0 = _conservative_roots(config, config.mode)[-1].omega
@@ -302,10 +303,10 @@ def run_modeshape(config: RunConfig):
     header = "xbar,u1,u2"
     if not point.converged:
         return header, [], False
-    shape = fundsys.mode_shape(point, dp, resolution=config.grid_points,
-                               options=opts)
-    rows = [",".join([_fmt(x), _fmt(u1), _fmt(u2)])
-            for x, u1, u2 in zip(shape.grid, shape.u1, shape.u2)]
+    grid, profile, _ = fundsys._mode_profile(point, dp, config.grid_points,
+                                             opts)
+    rows = [",".join([_fmt(x), _fmt(u.real), _fmt(u.imag)])
+            for x, u in zip(grid, profile)]
     return header, rows, True
 
 

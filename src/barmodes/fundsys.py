@@ -422,14 +422,29 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     the exponents of its [0, 1] propagator, sampled at `resolution` evenly
     spaced x.  C = C3 + i*C4, a null direction of the boundary system, is
     fixed by rotating the largest sample to real and positive (so the
-    conservative limit is real) and scaling the peak to 1: C = 1/u(x_peak).
-    Raises ValueError for an unconverged point, a resolution below 2 and
-    options the search rejects, and numpy.linalg.LinAlgError when the rank
-    check, delta_subdivided with these options (a search result's own
-    delta_value), is not below 1e-8: the point is not an eigenvalue.
+    conservative limit is real) and scaling the peak to 1: C = 1/u(x_peak),
+    and the peak sample is exactly 1 + 0i.  The samples are computed in
+    cmath by _mode_profile, which the modeshape verb formats without
+    loading numpy.  Raises ValueError for an unconverged point, a
+    resolution below 2 and options the search rejects, and
+    numpy.linalg.LinAlgError when the rank check, delta_subdivided with
+    these options (a search result's own delta_value), is not below 1e-8:
+    the point is not an eigenvalue.
     """
     import numpy as np
 
+    grid, profile, peak = _mode_profile(point, dp, resolution, options)
+    profile = np.array(profile)
+    c_final = 1.0 / peak
+    return ModeShape(grid=np.array(grid), u1=profile.real, u2=profile.imag,
+                     C3=c_final.real, C4=c_final.imag)
+
+
+def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
+                  resolution: int, options: SolveOptions | None
+                  ) -> tuple[list[float], list[complex], complex]:
+    """(grid, u1 + i*u2, u(x_peak)) of :func:`mode_shape` as lists and the
+    unnormalised peak sample.  Raises as mode_shape does."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not point.converged:
@@ -439,20 +454,24 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     n, step = opts.subintervals, opts.step
     dhat = delta_subdivided(point.q, point.omega, dp, n, step)
     if dhat >= _RANK_TOL:
-        raise np.linalg.LinAlgError(
+        from numpy.linalg import LinAlgError
+        raise LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
     # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
     _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1, step,
                                   _layout(1.0 / n, step))
-    grid = np.linspace(0.0, 1.0, resolution)
-    profile = np.exp(grid * (n * L)) * np.sinh(grid * (n * T)) / r
-    peak = int(np.argmax(np.abs(profile)))
-    c_final = 1.0 / profile[peak]
-    profile = profile / profile[peak]
-    return ModeShape(grid=grid, u1=profile.real, u2=profile.imag,
-                     C3=c_final.real, C4=c_final.imag)
+    L, T = n * L, n * T
+    # np.linspace(0, 1, resolution)'s arithmetic, bit for bit.
+    h = 1.0 / (resolution - 1)
+    grid = [i * h for i in range(resolution - 1)] + [1.0]
+    profile = [cmath.exp(x * L) * cmath.sinh(x * T) / r for x in grid]
+    top = max(range(resolution), key=lambda i: abs(profile[i]))
+    peak = profile[top]
+    profile = [u / peak for u in profile]
+    profile[top] = 1 + 0j
+    return grid, profile, peak
 
 
 def _extrapolate(points: list[tuple[float, complex]], x: float) -> complex:

@@ -908,6 +908,7 @@ def test_mode_shape_clamped_end_and_normalization(conservative_mode_one):
     assert shape.u1[0] == 0.0 and shape.u2[0] == 0.0
     assert np.max(np.hypot(shape.u1, shape.u2)) == pytest.approx(1.0, abs=1e-15)
     assert len(shape.grid) == 64
+    assert np.array_equal(shape.grid, np.linspace(0.0, 1.0, 64))
 
 
 def test_mode_shape_rejects_unconverged_point():
@@ -956,6 +957,10 @@ def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
             shape = fundsys.mode_shape(point, dp, options=opts)
             assert seen == [point.delta_value]
             assert len(shape.grid) == 201
+            # Dividing the peak sample by itself can leave roundoff in its
+            # u2, where the normalisation defines u2 = 0.
+            assert (1.0, 0.0) in zip(shape.u1.tolist(), shape.u2.tolist())
+            assert np.max(np.hypot(shape.u1, shape.u2)) <= 1.0 + 1e-15
             shapes += 1
     assert shapes >= 70
 
