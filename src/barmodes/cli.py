@@ -174,8 +174,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    """A CSV cell: %.12g, with NaN as the missing value NA."""
-    if math.isnan(value):
+    """A CSV cell: %.12g, with a non-finite value (NaN, +-inf) as the
+    missing value NA."""
+    if not math.isfinite(value):
         return "NA"
     if value == 0.0:
         value = 0.0  # keep -0.0 from printing as "-0"
@@ -207,34 +208,51 @@ def _conservative_roots(config, count):
     return roots
 
 
+def _search(config: RunConfig, nu_values, modes: range):
+    """(roots, rows): the first modes[-1] undamped frequencies (ConfigError
+    when omega_max holds fewer) and fundsys.sweep_feedback's rows for
+    `modes` over `nu_values` at the configured omega_max and discretisation
+    (none for no modes).  Every eigenvalue search of every verb runs here.
+    `modes` is a range, so a huge count costs nothing before the shortfall
+    check."""
+    roots = _conservative_roots(config, modes[-1] if modes else 0)
+    if not modes:
+        return roots, []
+    return roots, fundsys.sweep_feedback(config.dimensionless, nu_values,
+                                         modes, omega_max=config.omega_max,
+                                         options=config.solve_options())
+
+
 def run_spectrum(config: RunConfig):
     """Rows (index, omega_conservative, q/omega asymptotic, q/omega numeric,
-    delta_hat) for the first `modes` modes; numeric cells NA when the direct
-    search fails to converge."""
+    delta_hat) for the first `modes` modes.  The searches are a one-point
+    sweep at the configured nu; numeric cells are NA when a search did not
+    converge (a second mode landing on an earlier mode's eigenvalue counts
+    as unconverged), asymptotic cells NA where the closed form degenerates."""
     dp = config.dimensionless
-    opts = config.solve_options()
+    roots, sweep = _search(config, [dp.nu], range(1, config.modes + 1))
     header = ("index,omega_conservative,q_asymptotic,omega_asymptotic,"
               "q_numeric,omega_numeric,delta_hat")
     rows, all_converged = [], True
-    for root in _conservative_roots(config, config.modes):
-        ev = asymptotic.corrected_eigenvalue(root.omega, dp)
-        seed = fundsys.SpectralPoint(q=ev.q, omega=root.omega)
-        point = fundsys.find_eigenvalue(dp, seed, opts)
-        if point.converged:
-            q_num, omega_num = _fmt(point.q), _fmt(point.omega)
-        else:
-            q_num, omega_num = "NA", "NA"
-            all_converged = False
-        rows.append(",".join([str(root.index), _fmt(root.omega), _fmt(ev.q),
-                              _fmt(ev.omega), q_num, omega_num,
-                              _fmt(point.delta_value)]))
+    for root, row in zip(roots, sweep):
+        try:
+            ev = asymptotic.corrected_eigenvalue(root.omega, dp)
+            asym = [_fmt(ev.q), _fmt(ev.omega)]
+        except ZeroDivisionError:
+            asym = ["NA", "NA"]
+        numeric = ([_fmt(row.q), _fmt(row.omega)] if row.converged
+                   else ["NA", "NA"])
+        all_converged &= row.converged
+        rows.append(",".join([str(root.index), _fmt(root.omega)] + asym
+                             + numeric + [_fmt(row.delta_value)]))
     return header, rows, all_converged
 
 
 def run_stability(config: RunConfig):
     """The stability map over the nu grid: closed-form boundary frequency
     (NA when none exists), critical feedback per mode ("never-excited" when
-    the mode cannot be driven unstable), and 0/1 excitation flags."""
+    the mode cannot be driven unstable), and 0/1 excitation flags (NA where
+    the excitation condition degenerates)."""
     dp = config.dimensionless
     roots = _conservative_roots(config, config.modes)
 
@@ -254,27 +272,31 @@ def run_stability(config: RunConfig):
     for nu in config.nu_grid():
         at_nu = replace(dp, nu=nu)
         wb = asymptotic.boundary_frequency(nu, dp)
-        flags = ["1" if asymptotic.excitation_indicator(r.omega, at_nu).excited
-                 else "0" for r in roots]
+        flags = [_excitation_flag(r.omega, at_nu) for r in roots]
         cells = [_fmt(nu), "NA" if wb is None else _fmt(wb)]
         rows.append(",".join(cells + crit_cells + flags))
     return header, rows, True
+
+
+def _excitation_flag(omega, dp) -> str:
+    try:
+        excited = asymptotic.excitation_indicator(omega, dp).excited
+    except ZeroDivisionError:
+        return "NA"
+    return "1" if excited else "0"
 
 
 def run_sweep(config: RunConfig):
     """Wide rows (nu, q_k, omega_k ..., converged_k ...) tracking the first
     `modes` eigenvalues across the nu grid; q_k and omega_k are NA where
     the search could not evaluate even its seed."""
-    modes = tuple(range(1, config.modes + 1))
-    _conservative_roots(config, config.modes)  # the shortfall check
+    modes = range(1, config.modes + 1)
+    _, sweep = _search(config, config.nu_grid(), modes)
     header = "nu" \
         + "".join(f",q_{k},omega_{k}" for k in modes) \
         + "".join(f",converged_{k}" for k in modes)
     if not modes:
         return header, [], True
-    sweep = fundsys.sweep_feedback(config.dimensionless, config.nu_grid(),
-                                   modes=modes, omega_max=config.omega_max,
-                                   options=config.solve_options())
 
     rows, all_converged = [], True
     for i in range(0, len(sweep), len(modes)):
@@ -293,18 +315,15 @@ def run_sweep(config: RunConfig):
 def run_modeshape(config: RunConfig):
     """Normalized displacement profile (xbar, u1, u2) of the configured mode
     at the configured parameters: fundsys.mode_shape's samples, taken
-    without loading numpy."""
+    without loading numpy, of the eigenvalue that a one-point sweep of that
+    mode at the configured nu found."""
     dp = config.dimensionless
-    opts = config.solve_options()
-    w0 = _conservative_roots(config, config.mode)[-1].omega
-    ev = asymptotic.corrected_eigenvalue(w0, dp)
-    point = fundsys.find_eigenvalue(dp, fundsys.SpectralPoint(q=ev.q, omega=w0),
-                                    opts)
+    _, (row,) = _search(config, [dp.nu], range(config.mode, config.mode + 1))
     header = "xbar,u1,u2"
-    if not point.converged:
+    if not row.converged:
         return header, [], False
-    grid, profile, _ = fundsys._mode_profile(point, dp, config.grid_points,
-                                             opts)
+    grid, profile, _ = fundsys._mode_profile(row, dp, config.grid_points,
+                                             config.solve_options())
     rows = [",".join([_fmt(x), _fmt(u.real), _fmt(u.imag)])
             for x, u in zip(grid, profile)]
     return header, rows, True

@@ -55,6 +55,7 @@ _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _RANK_TOL = 1e-8       # normalized-determinant level accepted as "singular"
 _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
+_DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,9 @@ def _layout(length: float, step: float) -> tuple[int, float]:
         raise ValueError(f"step {step!r} is too small: length/step overflows")
     nfull = int(math.floor(steps + 1e-9))
     remainder = length - nfull * step
-    return nfull, remainder if remainder > 1e-14 else 0.0
+    # Below 1e-14 a remainder is the rounding of the full steps, unless
+    # there are none: an interval shorter than that is one short step.
+    return nfull, remainder if remainder > 1e-14 or not nfull else 0.0
 
 
 def _point_exponents(q: float, omega: float, eps1: float, step: float,
@@ -219,7 +222,9 @@ def _propagator(K: complex, r: complex, L: complex, T: complex,
     """(a, b) of the propagator exp(L*I + T*A/r) = a*I + b*A over an
     interval of the given length; at K = 0 it is I + length*A.  Raises
     OverflowError when an entry of its realified 4x4 matrix (the real and
-    imaginary parts of a, b and b*K) exceeds 1e150 or is not finite."""
+    imaginary parts of a, b and b*K) exceeds 1e150 or is not finite, and
+    when a or b is 0, which only an underflow gives (of exp(L), or of a
+    step's h*sqrt(K), which makes every T zero)."""
     g = cmath.exp(L)
     a = g * cmath.cosh(T)
     b = g * cmath.sinh(T) / r if r else complex(length)
@@ -227,6 +232,8 @@ def _propagator(K: complex, r: complex, L: complex, T: complex,
         if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
             raise OverflowError(
                 "fundamental matrix entry exceeded 1e150; subdivide the interval")
+    if not (a and b):
+        raise OverflowError("fundamental matrix entry underflowed to 0")
     return a, b
 
 
@@ -444,7 +451,8 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
                   resolution: int, options: SolveOptions | None
                   ) -> tuple[list[float], list[complex], complex]:
     """(grid, u1 + i*u2, u(x_peak)) of :func:`mode_shape` as lists and the
-    unnormalised peak sample.  Raises as mode_shape does."""
+    unnormalised peak sample.  Reads only q, omega and converged of point,
+    so a SweepRow serves as well.  Raises as mode_shape does."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not point.converged:
@@ -494,14 +502,22 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
 
     dp.nu is ignored; each grid value replaces it.  The residual is affine
     in nu, so one residual kernel serves the whole sweep, and each row is
-    one :func:`find_eigenvalue` call on it at the row's nu.  Mode k starts
-    from the k-th undamped frequency with the closed-form growth-rate
-    estimate.  A grid point whose two or three predecessors converged (at
-    distinct nu) is seeded by predictor-corrector continuation: the
-    polynomial extrapolation in nu through those eigenvalues, linear from
-    two and quadratic from three.  Any other later point is seeded from its
-    predecessor's eigenvalue (warm start).  Unconverged points are flagged
-    in their rows, never dropped.  Rows come back ordered by (nu, mode).
+    one :func:`find_eigenvalue` call on it at the row's nu.  This is the one
+    place that turns an undamped frequency into a search: a one-point grid
+    [dp.nu] is the single search of each mode at dp.  Mode k starts from
+    the k-th undamped frequency with the closed-form growth-rate estimate
+    at the first grid value, or from the conservative point (q = 0) where
+    that estimate degenerates (ZeroDivisionError) or is not finite.  A grid
+    point whose two or three predecessors converged (at distinct nu) is
+    seeded by predictor-corrector continuation: the polynomial
+    extrapolation in nu through those eigenvalues, linear from two and
+    quadratic from three.  Any other later point is seeded from its
+    predecessor's eigenvalue (warm start).  At each grid point (by
+    position: a grid may repeat a value), a converged row whose eigenvalue
+    lies within 1e-8 (relative) of a converged row of a mode listed
+    earlier in ``modes`` is a second search landing on one eigenvalue and
+    comes back with converged=False.  Unconverged points are flagged in
+    their rows, never dropped.  Rows come back ordered by (nu, mode).
     Raises ValueError, before any search, for a mode below 1, a repeated
     mode, and a nu grid that is not finite or not ascending.
     """
@@ -527,8 +543,11 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     rows = []
     for mode in modes:
         w0 = roots[mode - 1].omega
-        seed = SpectralPoint(q=asymptotic.corrected_eigenvalue(w0, first).q,
-                             omega=w0)
+        try:
+            q0 = asymptotic.corrected_eigenvalue(w0, first).q
+        except ZeroDivisionError:
+            q0 = math.nan
+        seed = SpectralPoint(q=q0 if math.isfinite(q0) else 0.0, omega=w0)
         history = []  # (nu, s) of up to three converged rows at distinct nu
         for nu in nu_values:
             if len(history) >= 2:
@@ -548,5 +567,20 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
                 history = history[-2:] + [(nu, s)]
             else:
                 history = [(nu, s)]
+
+    # Each mode holds a block of len(nu_values) rows, so the rows of the
+    # modes before row j's, at its grid point, are j % count + k*count < j.
+    count = len(nu_values)
+    for j in range(count, len(rows)):
+        row = rows[j]
+        if not row.converged:
+            continue
+        s = complex(row.q, row.omega)
+        for i in range(j % count, j, count):
+            other = rows[i]
+            if (other.converged and abs(complex(other.q, other.omega) - s)
+                    <= _DUPLICATE_RTOL * abs(s)):
+                rows[j] = replace(row, converged=False)
+                break
     rows.sort(key=lambda r: (r.nu, r.mode))
     return rows

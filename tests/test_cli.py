@@ -1,4 +1,9 @@
+import collections
+import contextlib
+import io
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -403,6 +408,19 @@ def test_mode_shortfall_exits_2(tmp_path, capsys, verb, strict):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "sweep"])
+def test_huge_mode_count_is_a_shortfall_not_a_memory_error(tmp_path, capsys,
+                                                           verb):
+    # The shortfall check comes before anything is built per requested
+    # mode: sweep built a tuple of all 10**12 mode numbers first.
+    code, out = run_cli(tmp_path, verb, REF_SECTION,
+                        "[run]\nmodes = 1000000000000\nomega_max = 3\n")
+    assert code == 2
+    assert ("mode 1000000000000 has no conservative frequency below "
+            "omega_max = 3" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_spectrum_writes_no_nan_cell(tmp_path, capsys):
     # No search evaluates anything, so delta_hat is missing: NA, never nan.
     code, out = run_cli(tmp_path, "spectrum", OVERFLOW_SECTION,
@@ -622,7 +640,7 @@ def test_modeshape_mode_out_of_range_exits_2(tmp_path, capsys):
 
 # ------------------------------------------------------------------ strictness
 
-def unconverged_stub(dp, seed, options=None):
+def unconverged_stub(dp, seed, options=None, **kwargs):
     return fundsys.SpectralPoint(q=seed.q, omega=seed.omega, delta_value=1.0,
                                  converged=False)
 
@@ -645,6 +663,146 @@ def test_nonconvergence_without_strict_exits_0(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
     _, _, rows = read_output(out)
     assert rows[0][4] == "NA"
+
+
+# ------------------------------------------------ closed forms out of reach
+
+def dimensionless_section(eps1, mu, nu, eta, delta):
+    return (f"[dimensionless]\neps1 = {eps1}\nmu = {mu}\nnu = {nu}\n"
+            f"eta = {eta}\ndelta = {delta}\n")
+
+
+# corrected_eigenvalue raises ZeroDivisionError at mode 1 (omega = 1).
+DEGENERATE_SEED = dimensionless_section("4e-05", "2.9", "0.0003", "1e-300",
+                                        "1e+300")
+# corrected_eigenvalue gives q = -inf at modes 2 and 3.
+NON_FINITE_SEED = dimensionless_section("0", "1e+150", "0.14", "1e+150",
+                                        "0.035")
+# Mode 2 is aperiodic; the searches of modes 1 and 2 both land on mode 1's
+# eigenvalue.
+DUPLICATING = dimensionless_section(
+    "0.0013097058547352455", "0.4876225461206822", "0.008175825081262286",
+    "0.15590497168843653", "2.5715024029470617")
+
+
+def assert_finite_cells(out):
+    _, _, rows = read_output(out)
+    for row in rows:
+        for cell in row:
+            assert cell.lower() not in ("nan", "inf", "-inf"), row
+
+
+@pytest.mark.parametrize("section, run, verb", [
+    (DEGENERATE_SEED, "", "spectrum"),
+    (DEGENERATE_SEED, "nu_max = 0.01\n", "sweep"),
+    (DEGENERATE_SEED, "", "modeshape"),
+    (NON_FINITE_SEED, "modes = 3\n", "spectrum"),
+    (NON_FINITE_SEED, "modes = 3\nnu_max = 0.01\n", "sweep")],
+    ids=["degenerate-spectrum", "degenerate-sweep", "degenerate-modeshape",
+         "non-finite-spectrum", "non-finite-sweep"])
+def test_unusable_first_order_seed_falls_back(tmp_path, section, run, verb):
+    # These verbs ended in a traceback (ZeroDivisionError, or ValueError:
+    # non-finite seed); the search now starts at the conservative point.
+    code, out = run_cli(tmp_path, verb, section, FAST_RUN + run, strict=True)
+    assert code in (0, 3)
+    assert_finite_cells(out)
+
+
+def test_spectrum_asymptotic_cells_are_na_where_the_closed_form_fails(
+        tmp_path):
+    code, out = run_cli(tmp_path, "spectrum", DEGENERATE_SEED,
+                        FAST_RUN + "modes = 2\n")
+    assert code == 0
+    _, header, rows = read_output(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert cells[0]["q_asymptotic"] == cells[0]["omega_asymptotic"] == "NA"
+    assert float(cells[1]["q_asymptotic"]) < 0.0
+    code, out = run_cli(tmp_path, "spectrum", NON_FINITE_SEED,
+                        FAST_RUN + "modes = 3\n")
+    assert code == 0
+    _, header, rows = read_output(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [c["q_asymptotic"] for c in cells[1:]] == ["NA", "NA"]
+    assert [c["omega_asymptotic"] for c in cells[1:]] == [
+        c["omega_conservative"] for c in cells[1:]]
+
+
+def test_stability_writes_na_for_an_infinite_critical_feedback(tmp_path):
+    # The closed-form critical feedback overflows to inf, which was written
+    # as "inf" in every nu_crit_k cell.
+    section = dimensionless_section("1e+298", "1e+148", "0.0001", "1e-15",
+                                    "1.5")
+    code, out = run_cli(tmp_path, "stability", section,
+                        "[run]\nmodes = 4\nnu_max = 0.01\n")
+    assert code == 0
+    assert_finite_cells(out)
+    _, header, rows = read_output(out)
+    for row in rows:
+        assert row[2:6] == ["NA"] * 4
+
+
+def test_stability_writes_na_for_a_degenerate_excitation_flag(tmp_path):
+    # excitation_indicator raises ZeroDivisionError for mode 1, which ended
+    # stability in a traceback.
+    section = dimensionless_section(
+        "6.6016315452939995", "0.0014229758456258742", "0.06117458291837345",
+        "1e-15", "1e+150")
+    code, out = run_cli(tmp_path, "stability", section,
+                        "[run]\nmodes = 6\nomega_max = 40\nnu_max = 0.01\n")
+    assert code == 0
+    _, header, rows = read_output(out)
+    assert len(rows) == 3
+    for row in rows:
+        flags = dict(zip(header, row))
+        assert flags["excited_1"] == "NA"
+        assert all(flags[f"excited_{k}"] in ("0", "1") for k in range(2, 7))
+
+
+def test_spectrum_counts_a_duplicated_eigenvalue_as_unconverged(tmp_path,
+                                                                capsys):
+    # Modes 1 and 2 were both written as -0.0742147686683,1.33562192492
+    # with exit 0.
+    code, out = run_cli(tmp_path, "spectrum", DUPLICATING,
+                        "[run]\nmodes = 3\n", strict=True)
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    _, header, rows = read_output(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert cells[1]["q_numeric"] == cells[1]["omega_numeric"] == "NA"
+    for k in (0, 2):
+        assert "NA" not in (cells[k]["q_numeric"], cells[k]["omega_numeric"])
+
+
+def test_sweep_counts_a_duplicated_eigenvalue_as_unconverged(tmp_path):
+    code, out = run_cli(tmp_path, "sweep", DUPLICATING, "[run]\nmodes = 3\n",
+                        strict=True)
+    assert code == 3
+    _, header, rows = read_output(out)
+    assert len(rows) == 21
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["converged_2"] == "0"
+        assert cells["converged_1"] == "1"
+
+
+def test_underflowing_step_is_unconverged_not_a_traceback(tmp_path):
+    # eta = 1e150 puts mode 1 at omega ~ 1e-75, where a step of 1e-300 has
+    # h*sqrt(K) below the float range: spectrum reported a zero of the
+    # boundary polynomial Q as a converged eigenvalue, and modeshape ended
+    # in ZeroDivisionError normalising an all-zero profile.
+    section = dimensionless_section("0.001", "0.001", "0.001", "1e150", "0.1")
+    code, out = run_cli(tmp_path, "modeshape", section,
+                        "[run]\nstep = 1e-300\n", strict=True)
+    assert code == 3
+    assert read_output(out)[2] == []
+    code, out = run_cli(tmp_path, "spectrum", section,
+                        "[run]\nmodes = 2\nstep = 1e-300\n", strict=True)
+    assert code == 3
+    _, header, rows = read_output(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert cells[0]["q_numeric"] == cells[0]["omega_numeric"] == "NA"
+    assert float(cells[1]["omega_numeric"]) == pytest.approx(2.8627714,
+                                                             abs=1e-6)
 
 
 # ------------------------------------------------------------- console entry
@@ -681,3 +839,119 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     assert proc.stdout.strip() == "[]"
     _, _, rows = read_output(tmp_path / "out.csv")
     assert len(rows) == 201
+
+
+# ----------------------------------------------------------- contract fuzzer
+
+# A fixed seed and count: about 2.5 ms per verb run, under 2 s in all.
+FUZZ_SEED, FUZZ_RUNS = 1, 500
+FUZZ_EXTREMES = (0.0, 5e-324, 1e-300, 1e-15, 1e150, 1e300)
+
+
+def fuzz_value(rng, low=1e-4):
+    """Log-uniform over low..30, with one of FUZZ_EXTREMES in one draw of
+    four."""
+    if rng.random() < 0.25:
+        return rng.choice(FUZZ_EXTREMES)
+    return 10.0 ** rng.uniform(math.log10(low), math.log10(30.0))
+
+
+def fuzz_config(rng):
+    """Every [dimensionless] key drawn; each [run] key drawn or left at its
+    default, a count as the ceiling of a draw over 1..30 (below 1 every
+    draw would be the count 1)."""
+    lines = ["[dimensionless]"]
+    lines += [f"{key} = {fuzz_value(rng)!r}" for key in cli._DIMLESS_KEYS]
+    lines.append("[run]")
+    for key, (kind, _) in cli._RUN_KEYS.items():
+        if rng.random() < 0.5:
+            value = (math.ceil(fuzz_value(rng, 1.0)) if kind is int
+                     else repr(fuzz_value(rng)))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def contract_run(verb, cfg, out):
+    """(exit code, or the exception that escaped main; stderr; the output
+    file's bytes, or None when none was written) of one --strict run."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([verb, "--config", str(cfg), "--out", str(out),
+                             "--strict"])
+        except Exception as exc:  # the contract allows none to escape
+            code = f"{type(exc).__name__}: {exc}"
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def converged_eigenvalues(verb, header, rows):
+    """Per spectrum file, or per sweep row, the converged eigenvalues."""
+    if verb == "spectrum":
+        return [[complex(float(row[4]), float(row[5])) for row in rows
+                 if row[4] != "NA"]]
+    modes = (len(header) - 1) // 3
+    return [[complex(float(row[1 + 2 * k]), float(row[2 + 2 * k]))
+             for k in range(modes) if row[1 + 2 * modes + k] == "1"]
+            for row in rows]
+
+
+def contract_violations(verb, cfg, code, err, output):
+    """How one run breaks the README contract, as a list of reasons."""
+    if code not in (0, 2, 3):
+        return [f"exit {code}"]
+    if code == 2:
+        errors = [line for line in err.splitlines()
+                  if line.startswith(("config error:", "output error:"))]
+        return [] if len(errors) == 1 else [f"exit 2 with {len(errors)} "
+                                            "error lines"]
+    if output is None:
+        return [f"exit {code} without an output file"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        config = cli.load_config(str(cfg))
+    lines = output.decode().splitlines()
+    echo = len(cli._echo_lines(config, verb))
+    if lines[:echo] != cli._echo_lines(config, verb):
+        return ["no echo block"]
+    header, rows = lines[echo].split(","), [line.split(",")
+                                             for line in lines[echo + 1:]]
+    expected = {"spectrum": config.modes,
+                "stability": len(config.nu_grid()),
+                "sweep": len(config.nu_grid()) if config.modes else 0,
+                "modeshape": config.grid_points if code == 0 else 0}[verb]
+    problems = []
+    if len(rows) != expected:
+        problems.append(f"{len(rows)} rows, {expected} expected")
+    if any(cell.lower() in ("nan", "inf", "-inf") for row in rows
+           for cell in row):
+        problems.append("nan or inf cell")
+    if verb in ("spectrum", "sweep"):
+        for values in converged_eigenvalues(verb, header, rows):
+            if any(abs(a - b) <= 1e-8 * abs(a) for i, a in enumerate(values)
+                   for b in values[i + 1:]):
+                problems.append("two converged modes hold one eigenvalue")
+                break
+    return problems
+
+
+def test_cli_contract_holds_on_drawn_configs(tmp_path):
+    # Draws from far outside the small-dissipation box reach the closed
+    # forms' degenerate and overflowing corners, which unit tests of single
+    # configs found only one at a time.
+    rng = random.Random(FUZZ_SEED)
+    cfg, out = tmp_path / "fuzz.ini", tmp_path / "fuzz.csv"
+    violations, exits = [], collections.Counter()
+    for _ in range(FUZZ_RUNS):
+        text, verb = fuzz_config(rng), rng.choice(sorted(cli._VERBS))
+        cfg.write_text(text)
+        code, err, output = contract_run(verb, cfg, out)
+        exits[code] += 1
+        problems = contract_violations(verb, cfg, code, err, output)
+        if output is not None and contract_run(verb, cfg, out) != (
+                code, err, output):
+            problems.append("rerun differs")
+        violations += [f"{verb}: {problem}\n{text}" for problem in problems]
+    assert not violations, f"{len(violations)} violations, the first:\n" \
+        + "\n".join(violations[:3])
+    # Enough runs get past the config checks to test the solvers.
+    assert exits[0] + exits[3] >= FUZZ_RUNS // 10, exits

@@ -472,6 +472,34 @@ def test_integrator_overflow_raises():
         fundsys.integrate_fundamental(400.0, 1.0, UNDAMPED, step=1.0 / 500.0)
 
 
+def test_integrator_underflow_raises():
+    # At omega ~ 1e-75 one step of 1e-300 has h*sqrt(K) below the float
+    # range: every step exponent, and so u(1), is 0, and the residual
+    # f = Q(s) had spurious zeros that searches reported as converged.
+    with pytest.raises(OverflowError, match="underflow"):
+        fundsys.integrate_fundamental(0.0, 1e-75, REF, step=1e-300)
+    dp = replace(REF, eta=1e150)
+    w1 = conservative.find_roots(dp, 20.0, max_count=1)[0].omega
+    point = fundsys.find_eigenvalue(
+        dp, fundsys.SpectralPoint(q=0.0, omega=w1),
+        fundsys.SolveOptions(step=1e-300, subintervals=8))
+    assert not point.converged
+
+
+def test_subinterval_shorter_than_rounding_slop_is_one_step():
+    # 1/subintervals = 1e-15 used to be dropped as rounding of no full
+    # steps: the propagator was the identity and the search converged on
+    # a zero of Q(s), at omega = 1.195 for mode 1.
+    assert fundsys._layout(1e-15, fundsys.DEFAULT_STEP) == (0, 1e-15)
+    seed = asymptotic_seeds(REF, 1)[0]
+    point = fundsys.find_eigenvalue(
+        REF, seed, fundsys.SolveOptions(subintervals=10**15))
+    production = fundsys.find_eigenvalue(REF, seed)
+    assert point.converged
+    assert abs(complex(point.q, point.omega)
+               - complex(production.q, production.omega)) < 1e-9
+
+
 def test_integrator_rejects_reversed_interval():
     with pytest.raises(ValueError):
         fundsys.integrate_fundamental(0.0, 1.0, REF, x_start=1.0, x_end=0.0)
@@ -1080,3 +1108,54 @@ def test_sweep_feedback_makes_one_search_call_per_row(monkeypatch):
     assert all(args[0] is REF and isinstance(args[1], fundsys.SpectralPoint)
                for args in searches)
     assert kernels == [(REF, FAST.subintervals, FAST.step)]
+
+
+# Outside small dissipation, with mode 2 aperiodic: both searches of modes 1
+# and 2 land on mode 1's eigenvalue.
+DUPLICATING = DimensionlessParams(
+    eps1=0.0013097058547352455, mu=0.4876225461206822,
+    nu=0.008175825081262286, eta=0.15590497168843653,
+    delta=2.5715024029470617)
+
+
+def test_sweep_feedback_flags_a_repeated_eigenvalue_per_grid_point():
+    # The guard compares rows at the same grid position, not the same nu
+    # value: the grid repeats 0.0, and a guard keyed on nu would also
+    # compare mode 3's second row with its first and flag it.
+    rows = fundsys.sweep_feedback(DUPLICATING, [0.0, 0.0], modes=(1, 2, 3),
+                                  options=FAST)
+    assert [(r.mode, r.converged) for r in rows] == [
+        (1, True), (1, True), (2, False), (2, False), (3, True), (3, True)]
+    for one, two in zip(rows[0:2], rows[2:4]):
+        assert abs(complex(one.q, one.omega) - complex(two.q, two.omega)) \
+            <= 1e-8 * abs(complex(one.q, one.omega))
+
+
+@pytest.mark.parametrize("dp", [
+    # corrected_eigenvalue raises ZeroDivisionError
+    DimensionlessParams(eps1=4e-05, mu=2.9, nu=0.0003, eta=1e-300,
+                        delta=1e+300),
+    # corrected_eigenvalue gives q = -inf for modes 2 and 3
+    DimensionlessParams(eps1=0.0, mu=1e150, nu=0.14, eta=1e150,
+                        delta=0.035)], ids=["degenerate", "non-finite"])
+def test_sweep_feedback_falls_back_to_the_conservative_seed(monkeypatch, dp):
+    # An unusable first-order estimate seeds the search at (0, omega_k)
+    # instead of ending the sweep in an exception.
+    seeds, search = [], fundsys.find_eigenvalue
+
+    def recording(dp, seed, *args, **kwargs):
+        seeds.append(seed)
+        return search(dp, seed, *args, **kwargs)
+
+    monkeypatch.setattr(fundsys, "find_eigenvalue", recording)
+    roots = conservative.find_roots(dp, 20.0, max_count=3)
+    rows = fundsys.sweep_feedback(dp, [dp.nu], modes=(1, 2, 3), options=FAST)
+    assert len(rows) == 3
+    for seed, root in zip(seeds, roots):
+        assert seed.omega == root.omega
+        try:
+            q = asymptotic.corrected_eigenvalue(root.omega, dp).q
+        except ZeroDivisionError:
+            q = np.nan
+        assert seed.q == (q if np.isfinite(q) else 0.0)
+    assert 0.0 in [seed.q for seed in seeds]
