@@ -197,11 +197,15 @@ def _echo_lines(config: RunConfig, analysis: str) -> list[str]:
 
 def _conservative_roots(config, count):
     """The first `count` undamped frequencies; ConfigError when omega_max
-    holds fewer."""
+    holds fewer.  Root k lies above (k - 3/2)*pi (see conservative), so a
+    count above omega_max/pi + 2, which keeps half a branch of slack for
+    rounding, is a shortfall found without walking the branches."""
     if count == 0:
         return []
-    roots = conservative.find_roots(config.dimensionless, config.omega_max,
-                                    max_count=count)
+    roots = []
+    if count <= config.omega_max / math.pi + 2.0:
+        roots = conservative.find_roots(config.dimensionless,
+                                        config.omega_max, max_count=count)
     if len(roots) < count:
         raise ConfigError(f"mode {count} has no conservative frequency "
                           f"below omega_max = {_fmt(config.omega_max)}")
@@ -315,10 +319,13 @@ def run_sweep(config: RunConfig):
 def run_modeshape(config: RunConfig):
     """Normalized displacement profile (xbar, u1, u2) of the configured mode
     at the configured parameters: fundsys.mode_shape's samples, taken
-    without loading numpy, of the eigenvalue that a one-point sweep of that
-    mode at the configured nu found."""
+    without loading numpy, of the eigenvalue that a one-point sweep of
+    modes 1 to that mode at the configured nu found.  The earlier modes
+    are searched so that the duplicate guard sees them: a mode landing on
+    an earlier mode's eigenvalue is unconverged and has no profile."""
     dp = config.dimensionless
-    _, (row,) = _search(config, [dp.nu], range(config.mode, config.mode + 1))
+    _, sweep = _search(config, [dp.nu], range(1, config.mode + 1))
+    row = sweep[-1]
     header = "xbar,u1,u2"
     if not row.converged:
         return header, [], False

@@ -34,14 +34,9 @@ class ConservativeRoot:
     index: int  # 1-based mode number
 
 
-def characteristic(omega, dp: DimensionlessParams):
-    """chi(omega); accepts scalars or arrays, zero exactly at eigenfrequencies."""
-    import numpy as np
-
-    omega = np.asarray(omega, dtype=float)
-    chi = (dp.eta * dp.delta * omega**2 - 1.0) * np.cos(omega) \
-        + dp.eta * omega * np.sin(omega)
-    return chi if chi.ndim else float(chi)
+def characteristic(omega: float, dp: DimensionlessParams) -> float:
+    """chi(omega) at one frequency, zero exactly at eigenfrequencies."""
+    return _chi_and_slope(omega, dp)[0]
 
 
 def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]:

@@ -25,16 +25,16 @@ eigenvalues are located as its zeros by Newton's method from a seed, with
 the slope of the continuous system; the normalized Delta then certifies
 the answer.
 
-:func:`integrate_fundamental` returns the realified 4x4 view of the
-propagator, acting on the real state (g1, g2, g3, g4) = (u1, u2, u1', u2')
-with u = u1 + i*u2.
+:func:`integrate_fundamental` returns the propagator a*I + b*A of an
+interval as the complex pair (a, b), and :func:`boundary_coefficients` the
+real form D1..D4 of the residual kernel's P and Q.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import asymptotic, conservative
@@ -72,17 +72,14 @@ class BoundaryCoefficients:
 class SpectralPoint:
     """A point s = q + i*omega: the seed or the result of a search.
 
-    A result carries the normalized determinant at s, whether the search
-    converged, and ``slope``: df/ds of the boundary residual at s (None
-    when the search evaluated nothing).  A search does not read the slope
-    of its seed.  The slope takes no part in equality or repr.
+    A result carries the normalized determinant at s and whether the search
+    converged.
     """
 
     q: float
     omega: float
     delta_value: float = math.nan
     converged: bool = False
-    slope: complex | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -129,27 +126,25 @@ def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]
     return K1, K2
 
 
+def _row_coefficients(dp: DimensionlessParams) -> tuple[float, ...]:
+    """(eta, eta*delta, a1, a2, a3) of the end-mass row P*u(1) + Q*u'(1):
+    P(s) = s^2*(eta + eta*delta*(nu + mu)*s) and
+    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3."""
+    eps1, eta, mu, delta = dp.eps1, dp.eta, dp.mu, dp.delta
+    return (eta, eta * delta, eps1 + mu * delta, delta * (eta + eps1 * mu),
+            eps1 * eta * delta)
+
+
 def boundary_coefficients(q: float, omega: float,
                           dp: DimensionlessParams) -> BoundaryCoefficients:
-    """The four end-mass boundary polynomials in (q, omega) and the parameters.
-
-    They are the real/imaginary parts of the complex boundary polynomials:
-    D1 + i*D2 ~ coefficient of u(1), D3 + i*D4 ~ coefficient of u'(1)
-    (conjugated), which tests verify independently.
-    """
-    eps1, mu, nu, eta, delta = dp.eps1, dp.mu, dp.nu, dp.eta, dp.delta
-    q2, w2 = q * q, omega * omega
-    D1 = eta * (q2 - w2) + eta * delta * q * q2 * (nu + mu) \
-        - 3.0 * eta * delta * q * w2 * (nu + mu)
-    D2 = -3.0 * eta * delta * q2 * omega * (nu + mu) \
-        + eta * omega * (mu * delta * w2 - 2.0 * q + nu * delta * w2)
-    D3 = delta * (q2 - w2) * (eps1 * mu + eta) \
-        + eps1 * eta * delta * q * (q2 - 3.0 * w2) \
-        + q * (mu * delta + eps1) + 1.0
-    D4 = -omega * (eps1 + mu * delta) \
-        + eps1 * eta * delta * omega * (w2 - 3.0 * q2) \
-        - 2.0 * delta * q * omega * (eta + eps1 * mu)
-    return BoundaryCoefficients(D1=D1, D2=D2, D3=D3, D4=D4)
+    """The end-mass boundary polynomials at s = q + i*omega in real form:
+    D1 = Re P, D2 = -Im P, D3 = Re Q and D4 = -Im Q, with P and Q evaluated
+    as the residual kernel of :func:`find_eigenvalue` evaluates them."""
+    eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
+    s = complex(q, omega)
+    P = (eta + eta_delta * (dp.nu + dp.mu) * s) * s * s
+    Q = 1.0 + s * (a1 + s * (a2 + a3 * s))
+    return BoundaryCoefficients(D1=P.real, D2=-P.imag, D3=Q.real, D4=-Q.imag)
 
 
 # A propagator exp(L*I + T*A/r) = a*I + b*A of the complex system, r^2 = K,
@@ -221,10 +216,10 @@ def _propagator(K: complex, r: complex, L: complex, T: complex,
                 length: float) -> tuple[complex, complex]:
     """(a, b) of the propagator exp(L*I + T*A/r) = a*I + b*A over an
     interval of the given length; at K = 0 it is I + length*A.  Raises
-    OverflowError when an entry of its realified 4x4 matrix (the real and
-    imaginary parts of a, b and b*K) exceeds 1e150 or is not finite, and
-    when a or b is 0, which only an underflow gives (of exp(L), or of a
-    step's h*sqrt(K), which makes every T zero)."""
+    OverflowError when the real or imaginary part of an entry of
+    [[a, b], [b*K, a]] exceeds 1e150 or is not finite, and when a or b is 0,
+    which only an underflow gives (of exp(L), or of a step's h*sqrt(K),
+    which makes every T zero)."""
     g = cmath.exp(L)
     a = g * cmath.cosh(T)
     b = g * cmath.sinh(T) / r if r else complex(length)
@@ -239,34 +234,26 @@ def _propagator(K: complex, r: complex, L: complex, T: complex,
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
                           x_start: float = 0.0, x_end: float = 1.0,
-                          step: float = DEFAULT_STEP) -> np.ndarray:
+                          step: float = DEFAULT_STEP
+                          ) -> tuple[complex, complex]:
     """Fundamental matrix at x_end for identity initial data at x_start.
 
     Fixed-step classical fourth-order integration in closed form; the last
-    step is shortened to land exactly on x_end.  The result is the real 4x4
-    form of the complex propagator [[a, b], [b*K, a]] (the identity on an
-    empty interval).  Raises OverflowError when any entry exceeds 1e150
-    (the caller should subdivide), ValueError on a reversed interval and a
-    step that :func:`_layout` rejects, even on an empty interval.
+    step is shortened to land exactly on x_end.  The result is the pair
+    (a, b) of the complex propagator a*I + b*A = [[a, b], [b*K, a]] acting
+    on (u, u'); (1, 0), the identity, on an empty interval.  Raises
+    OverflowError as :func:`_propagator` does (the caller should
+    subdivide), ValueError on a reversed interval and a step that
+    :func:`_layout` rejects, even on an empty interval.
     """
-    import numpy as np
-
     if x_end < x_start:
         raise ValueError("x_end must not precede x_start")
     length = x_end - x_start
     layout = _layout(length, step)
     if length == 0.0:
-        return np.eye(4)
-
-    K, r, L, T = _point_exponents(q, omega, dp.eps1, step, layout)
-    a, b = _propagator(K, r, L, T, length)
-    bK = b * K
-    return np.array([
-        [a.real, -a.imag, b.real, -b.imag],
-        [a.imag, a.real, b.imag, b.real],
-        [bK.real, -bK.imag, a.real, -a.imag],
-        [bK.imag, bK.real, a.imag, a.real],
-    ])
+        return 1 + 0j, 0j
+    return _propagator(*_point_exponents(q, omega, dp.eps1, step, layout),
+                       length)
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
@@ -275,8 +262,9 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
 
     Built once per search, or once per :func:`sweep_feedback` call, it
     validates n and step, lays out the steps of a 1/n-subinterval and takes
-    the coefficients of P(s) = D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s)
-    and Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3
+    from :func:`_row_coefficients` the coefficients of P(s) = D1 - i*D2 =
+    eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 = 1 + a1*s +
+    a2*s^2 + a3*s^3.  Only the s^3
     coefficient p3 = eta*delta*(nu + mu) of P depends on nu, and it is
     formed at each evaluation, so one kernel serves every nu: its value at
     nu is bit for bit the value of the kernel built for replace(dp, nu=nu).
@@ -291,11 +279,8 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     if n < 1:
         raise ValueError("subinterval count must be at least 1")
     layout = _layout(1.0 / n, step)
-    eps1, eta, mu = dp.eps1, dp.eta, dp.mu
-    eta_delta = eta * dp.delta
-    a1 = eps1 + mu * dp.delta
-    a2 = dp.delta * (eta + eps1 * mu)
-    a3 = eps1 * eta * dp.delta
+    eps1, mu = dp.eps1, dp.mu
+    eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
     eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
 
     def residual(s: complex,
@@ -373,10 +358,9 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
     The result is the last iterate whose residual was evaluated, with the
     normalized determinant of that evaluation as delta_value (NaN when even
-    the seed cannot be evaluated) and f' there as slope; converged means
-    the iteration settled and delta_value is below ``CONVERGED_TOL``.  A
-    slope carried by the seed is not used.  Raises ValueError, before any
-    evaluation, for a non-finite seed and for options with fewer than one
+    the seed cannot be evaluated); converged means the iteration settled
+    and delta_value is below ``CONVERGED_TOL``.  Raises ValueError, before
+    any evaluation, for a non-finite seed and for options with fewer than one
     subinterval, a step that is not positive, or a step so small that the
     step count of a subinterval, (1/subintervals)/step, is not finite;
     otherwise never raises: a failed search comes back with
@@ -396,11 +380,11 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
     omega0 = seed.omega
     s = last = complex(seed.q, omega0)
-    value, slope, settled = math.nan, None, False
+    value, settled = math.nan, False
     try:
         for _ in range(MAX_ITERATIONS):
             f, scale, df = residual(s, nu)
-            last, value, slope = s, _normalized(f, scale), df
+            last, value = s, _normalized(f, scale)
             if f == 0:
                 settled = True
                 break
@@ -415,8 +399,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     except (OverflowError, ZeroDivisionError):
         pass
     return SpectralPoint(q=last.real, omega=last.imag, delta_value=value,
-                         converged=settled and value < CONVERGED_TOL,
-                         slope=slope)
+                         converged=settled and value < CONVERGED_TOL)
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,

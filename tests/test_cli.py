@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barmodes import cli, fundsys
+from barmodes import cli, conservative, fundsys
 
 REF_SECTION = """\
 [dimensionless]
@@ -421,6 +421,33 @@ def test_huge_mode_count_is_a_shortfall_not_a_memory_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
+                                  "modeshape"])
+@pytest.mark.parametrize("count, run, walks", [
+    (10**12, "omega_max = 1e6\nstep = 1e-6\n", False),
+    (2, "omega_max = 2.5\n", True)], ids=["beyond-bound", "within-bound"])
+def test_shortfall_beyond_the_branch_bound_walks_no_roots(
+        tmp_path, capsys, monkeypatch, verb, count, run, walks):
+    # Root k lies above (k - 3/2)*pi, so 10**12 modes cannot fit below
+    # omega_max = 1e6: find_roots walked and stored the ~318000 branches
+    # below it (4.2 s, 69 MB) before reporting the shortfall.  Two modes
+    # may fit below 2.5, so the roots are walked, and one is found.
+    walked, find_roots = [], conservative.find_roots
+
+    def recording(*args, **kwargs):
+        walked.append(args)
+        return find_roots(*args, **kwargs)
+
+    monkeypatch.setattr(conservative, "find_roots", recording)
+    code, out = run_cli(tmp_path, verb, REF_SECTION,
+                        f"[run]\nmodes = {count}\nmode = {count}\n{run}")
+    assert code == 2
+    assert (f"mode {count} has no conservative frequency below omega_max = "
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert bool(walked) == walks
+
+
 def test_spectrum_writes_no_nan_cell(tmp_path, capsys):
     # No search evaluates anything, so delta_hat is missing: NA, never nan.
     code, out = run_cli(tmp_path, "spectrum", OVERFLOW_SECTION,
@@ -783,6 +810,22 @@ def test_sweep_counts_a_duplicated_eigenvalue_as_unconverged(tmp_path):
         cells = dict(zip(header, row))
         assert cells["converged_2"] == "0"
         assert cells["converged_1"] == "1"
+
+
+def test_modeshape_counts_a_duplicated_eigenvalue_as_unconverged(tmp_path,
+                                                                 capsys):
+    # Mode 2's search lands on mode 1's eigenvalue.  A sweep of mode 2
+    # alone gave the duplicate guard nothing to compare with, and the verb
+    # profiled mode 1's eigenvalue as mode 2 with exit 0.
+    code, out = run_cli(tmp_path, "modeshape", DUPLICATING,
+                        "[run]\nmode = 2\n", strict=True)
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert read_output(out)[2] == []
+    code, out = run_cli(tmp_path, "modeshape", DUPLICATING,
+                        "[run]\nmode = 3\n", strict=True)
+    assert code == 0
+    assert len(read_output(out)[2]) == 201
 
 
 def test_underflowing_step_is_unconverged_not_a_traceback(tmp_path):

@@ -17,7 +17,7 @@ def scan_and_bisect(dp, omega_max, scan_step=1e-4, tol=1e-13):
     hand-rolled bisection.  Deliberately does not share code with find_roots
     beyond the characteristic itself."""
     grid = np.linspace(0.0, omega_max, int(round(omega_max / scan_step)) + 1)
-    vals = characteristic(grid, dp)
+    vals = [characteristic(w, dp) for w in grid]
     roots = []
     for i in range(len(grid) - 1):
         lo, hi = grid[i], grid[i + 1]
@@ -45,7 +45,7 @@ def scan_grid(dp, omega_max, step):
     """chi sampled on the uniform grid of (0, omega_max] at about `step`."""
     n = max(int(np.ceil(omega_max / step)), 1)
     grid = np.linspace(0.0, omega_max, n + 1)
-    return grid, conservative.characteristic(grid, dp)
+    return grid, [conservative.characteristic(w, dp) for w in grid]
 
 
 def loop_brackets(grid, vals):

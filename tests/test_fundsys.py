@@ -217,16 +217,44 @@ def mp_end_propagator(q, omega, dp, n, step):
         return complex(a), complex(b)
 
 
+def paper_boundary_coefficients(q, omega, dp):
+    """(D1, D2, D3, D4): the paper's end-mass boundary polynomials, expanded
+    in real (q, omega) as the paper writes them; D1 - i*D2 and D3 - i*D4
+    are the coefficients of u(1) and u'(1) in the end-mass row."""
+    eps1, mu, nu, eta, delta = dp.eps1, dp.mu, dp.nu, dp.eta, dp.delta
+    q2, w2 = q * q, omega * omega
+    D1 = eta * (q2 - w2) + eta * delta * q * q2 * (nu + mu) \
+        - 3.0 * eta * delta * q * w2 * (nu + mu)
+    D2 = -3.0 * eta * delta * q2 * omega * (nu + mu) \
+        + eta * omega * (mu * delta * w2 - 2.0 * q + nu * delta * w2)
+    D3 = delta * (q2 - w2) * (eps1 * mu + eta) \
+        + eps1 * eta * delta * q * (q2 - 3.0 * w2) \
+        + q * (mu * delta + eps1) + 1.0
+    D4 = -omega * (eps1 + mu * delta) \
+        + eps1 * eta * delta * omega * (w2 - 3.0 * q2) \
+        - 2.0 * delta * q * omega * (eta + eps1 * mu)
+    return D1, D2, D3, D4
+
+
+def propagator_entries(q, omega, dp, *args, **kwargs):
+    """(a, b, b*K): the distinct entries of the propagator [[a, b],
+    [b*K, a]] whose pair (a, b) integrate_fundamental returns."""
+    a, b = fundsys.integrate_fundamental(q, omega, dp, *args, **kwargs)
+    return a, b, b * complex(*fundsys.rhs_coefficients(q, omega, dp.eps1))
+
+
+def entry_error(entries, exact):
+    """Largest gap between the real or imaginary parts of matching
+    propagator entries: the largest entry gap of their real 4x4 forms."""
+    return max(max(abs((x - y).real), abs((x - y).imag))
+               for x, y in zip(entries, exact))
+
+
 def undamped_gamma(omega, x):
-    """Analytic fundamental matrix for eps1 = 0, q = 0: two decoupled
-    harmonic oscillators gamma'' = -omega^2 gamma."""
+    """Analytic propagator entries (a, b, b*K) for eps1 = 0, q = 0: the
+    harmonic oscillator gamma'' = -omega^2 gamma."""
     c, s = np.cos(omega * x), np.sin(omega * x)
-    return np.array([
-        [c, 0.0, s / omega, 0.0],
-        [0.0, c, 0.0, s / omega],
-        [-omega * s, 0.0, c, 0.0],
-        [0.0, -omega * s, 0.0, c],
-    ])
+    return c, s / omega, -omega * s
 
 
 def realify(M):
@@ -242,10 +270,11 @@ def realify(M):
 
 
 def damped_gamma(q, omega, dp, x):
-    """Analytic fundamental matrix of u'' = lambda^2 u, lambda^2 = K."""
+    """Analytic propagator entries (a, b, b*K) of u'' = lambda^2 u,
+    lambda^2 = K."""
     lam = np.sqrt(complex(*fundsys.rhs_coefficients(q, omega, dp.eps1)))
-    c, s = np.cosh(lam * x), np.sinh(lam * x)
-    return realify([[c, s / lam], [lam * s, c]])
+    s = np.sinh(lam * x)
+    return np.cosh(lam * x), s / lam, lam * s
 
 
 def reference_propagator(q, omega, dp, length, step):
@@ -278,13 +307,13 @@ def reference_delta(q, omega, dp, n, step):
     G = np.eye(4)
     for a, b in zip(edges, edges[1:]):
         G = reference_propagator(q, omega, dp, b - a, step) @ G
-    bc = fundsys.boundary_coefficients(q, omega, dp)
+    D1, D2, D3, D4 = paper_boundary_coefficients(q, omega, dp)
     cols = G[:, 2:4]
-    rows = np.array([[bc.D1, bc.D2, bc.D3, bc.D4],
-                     [-bc.D2, bc.D1, -bc.D4, bc.D3]])
+    rows = np.array([[D1, D2, D3, D4],
+                     [-D2, D1, -D4, D3]])
     E = rows @ cols
     raw = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
-    d_norm2 = bc.D1**2 + bc.D2**2 + bc.D3**2 + bc.D4**2
+    d_norm2 = D1**2 + D2**2 + D3**2 + D4**2
     return max(raw, 0.0) / (0.5 * d_norm2 * float(np.sum(cols * cols)))
 
 
@@ -375,41 +404,45 @@ def test_boundary_coefficients_complex_oracle():
 
 def test_kernel_polynomials_match_boundary_coefficients(monkeypatch):
     # The search evaluates P and Q as complex polynomials in s; they must
-    # be the paper's D1 - i*D2 and D3 - i*D4.
+    # be the paper's D1 - i*D2 and D3 - i*D4, and boundary_coefficients
+    # must be their real form bit for bit.
     rng = np.random.default_rng(19)
     for k in range(300):
         dp = REF if k < 20 else random_dp(rng)
         if k % 3 == 0:
             dp = replace(dp, nu=0.0)
         s = complex(rng.uniform(-2, 2), rng.uniform(0.0, 10))
-        bc = fundsys.boundary_coefficients(s.real, s.imag, dp)
+        D1, D2, D3, D4 = paper_boundary_coefficients(s.real, s.imag, dp)
         P, Q = kernel_polynomials(monkeypatch, dp, s)
-        assert abs(P - complex(bc.D1, -bc.D2)) <= 1e-13 * abs(P)
-        assert abs(Q - complex(bc.D3, -bc.D4)) <= 1e-13 * abs(Q)
+        assert abs(P - complex(D1, -D2)) <= 1e-13 * abs(P)
+        assert abs(Q - complex(D3, -D4)) <= 1e-13 * abs(Q)
+        bc = fundsys.boundary_coefficients(s.real, s.imag, dp)
+        assert (complex(bc.D1, -bc.D2), complex(bc.D3, -bc.D4)) == (P, Q)
 
 
 # ------------------------------------------------------------------ integrator
 
 def test_zero_length_integration_is_identity():
-    G = fundsys.integrate_fundamental(0.1, 1.0, REF, x_start=0.4, x_end=0.4)
-    assert np.array_equal(G, np.eye(4))
+    assert fundsys.integrate_fundamental(
+        0.1, 1.0, REF, x_start=0.4, x_end=0.4) == (1, 0)
 
 
 def test_integrator_matches_harmonic_oracle():
-    G = fundsys.integrate_fundamental(0.0, np.pi, UNDAMPED, step=1.0 / 2000.0)
-    assert G[0, 0] == pytest.approx(-1.0, abs=1e-8)   # cos(pi)
-    assert G[0, 2] == pytest.approx(0.0, abs=1e-8)    # sin(pi)/pi
-    assert np.max(np.abs(G - undamped_gamma(np.pi, 1.0))) < 1e-8
+    entries = propagator_entries(0.0, np.pi, UNDAMPED, step=1.0 / 2000.0)
+    a, b, _ = entries
+    assert a.real == pytest.approx(-1.0, abs=1e-8)   # cos(pi)
+    assert b.real == pytest.approx(0.0, abs=1e-8)    # sin(pi)/pi
+    assert entry_error(entries, undamped_gamma(np.pi, 1.0)) < 1e-8
 
 
 @pytest.mark.parametrize("q, omega", [(-0.3, 2.0 * np.pi), (0.4, 5.0),
                                       (-1.0, 8.0)])
 def test_integrator_matches_damped_oracle(q, omega):
     exact = damped_gamma(q, omega, REF, 1.0)
-    e1 = np.max(np.abs(fundsys.integrate_fundamental(
-        q, omega, REF, step=1.0 / 2000.0) - exact))
-    e2 = np.max(np.abs(fundsys.integrate_fundamental(
-        q, omega, REF, step=1.0 / 4000.0) - exact))
+    e1 = entry_error(propagator_entries(q, omega, REF, step=1.0 / 2000.0),
+                     exact)
+    e2 = entry_error(propagator_entries(q, omega, REF, step=1.0 / 4000.0),
+                     exact)
     assert e1 < 1e-8
     assert e2 <= e1 / 8.0
 
@@ -422,7 +455,8 @@ def test_integrator_matches_matrix_reference():
         omega = rng.uniform(0.01, 10)
         for x_end, step in ((1.0, 1.0 / 500.0), (0.775, 1.0 / 300.0),
                             (0.125, 1.0 / 2000.0)):
-            G = fundsys.integrate_fundamental(q, omega, dp, 0.0, x_end, step)
+            a, b, bK = propagator_entries(q, omega, dp, 0.0, x_end, step)
+            G = realify([[a, b], [bK, a]])
             ref = reference_propagator(q, omega, dp, x_end, step)
             assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -442,29 +476,32 @@ def test_delta_subdivided_matches_matrix_reference(n):
 
 def test_integrator_fourth_order_error_signature():
     exact = undamped_gamma(np.pi, 1.0)
-    e1 = np.max(np.abs(fundsys.integrate_fundamental(
-        0.0, np.pi, UNDAMPED, step=1.0 / 250.0) - exact))
-    e2 = np.max(np.abs(fundsys.integrate_fundamental(
-        0.0, np.pi, UNDAMPED, step=1.0 / 500.0) - exact))
+    e1 = entry_error(propagator_entries(0.0, np.pi, UNDAMPED,
+                                        step=1.0 / 250.0), exact)
+    e2 = entry_error(propagator_entries(0.0, np.pi, UNDAMPED,
+                                        step=1.0 / 500.0), exact)
     assert e2 <= e1 / 8.0
 
 
 def test_integrator_short_final_step_lands_on_endpoint():
     # 1/300 does not divide 0.775; the remainder step must close the gap.
     omega = 2.0
-    G = fundsys.integrate_fundamental(0.0, omega, UNDAMPED, x_start=0.0,
-                                      x_end=0.775, step=1.0 / 300.0)
-    assert np.max(np.abs(G - undamped_gamma(omega, 0.775))) < 1e-9
+    entries = propagator_entries(0.0, omega, UNDAMPED, x_start=0.0,
+                                 x_end=0.775, step=1.0 / 300.0)
+    assert entry_error(entries, undamped_gamma(omega, 0.775)) < 1e-9
 
 
 def test_fundamental_determinant_is_one():
+    # det [[a, b], [b*K, a]] = a^2 - b^2*K; its real 4x4 form has |det|^2.
     rng = np.random.default_rng(5)
     for _ in range(25):
         dp = random_dp(rng)
         q = rng.uniform(-1, 1)
         omega = rng.uniform(0.1, 8)
-        G = fundsys.integrate_fundamental(q, omega, dp, step=1.0 / 500.0)
-        assert np.linalg.det(G) == pytest.approx(1.0, abs=1e-6)
+        a, b, bK = propagator_entries(q, omega, dp, step=1.0 / 500.0)
+        det = a * a - b * bK
+        assert det == pytest.approx(1.0, abs=1e-6)
+        assert abs(det) ** 2 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_integrator_overflow_raises():
@@ -537,8 +574,7 @@ def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
             u, du = kernel_end_state(monkeypatch, REF, s, n, step)
             assert abs(u - (1 + K / 6)) <= 1e-15
             assert abs(du - (1 + K / 2)) <= 1e-15
-    G = fundsys.integrate_fundamental(0.0, 0.0, REF, x_end=0.7)
-    assert np.array_equal(G, realify([[1, 0.7], [0, 1]]))
+    assert fundsys.integrate_fundamental(0.0, 0.0, REF, x_end=0.7) == (1, 0.7)
 
 
 @pytest.mark.parametrize("step", [1.0 / 2000.0, 0.01])
@@ -608,13 +644,16 @@ def test_delta_subdivided_consistency():
 
 
 def test_delta_subdivided_composition_matches_oracle():
+    # (a, b) composes as a*I + b*A does: A^2 = K*I.
     n = 4
-    G = np.eye(4)
+    K = complex(*fundsys.rhs_coefficients(0.0, np.pi, UNDAMPED.eps1))
+    a, b = 1, 0
     edges = np.linspace(0.0, 1.0, n + 1)
     for i in range(n):
-        G = fundsys.integrate_fundamental(0.0, np.pi, UNDAMPED, edges[i],
-                                          edges[i + 1], step=1.0 / 2000.0) @ G
-    assert G[0, 0] == pytest.approx(-1.0, abs=1e-8)
+        ai, bi = fundsys.integrate_fundamental(0.0, np.pi, UNDAMPED, edges[i],
+                                               edges[i + 1], step=1.0 / 2000.0)
+        a, b = ai * a + bi * b * K, ai * b + bi * a
+    assert a.real == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_delta_subdivided_composed_overflow_raises():
@@ -839,39 +878,19 @@ def test_find_eigenvalue_reports_its_last_evaluation():
             point.q, point.omega, REF, opts.subintervals, opts.step)
 
 
-def test_spectral_point_slope_is_not_compared_or_shown():
-    point = fundsys.SpectralPoint(q=-0.1, omega=2.0, slope=3 + 4j)
-    assert point == fundsys.SpectralPoint(q=-0.1, omega=2.0)
-    assert "slope" not in repr(point)
-    assert fundsys.SpectralPoint(q=0.0, omega=1.0).slope is None
-
-
-def test_find_eigenvalue_ignores_a_seed_slope():
-    # Every Newton step takes its slope from its own evaluation, so a slope
-    # carried by the seed, usable or not, changes nothing.
-    rng = np.random.default_rng(36)
+def test_residual_kernel_slope_at_an_eigenvalue():
+    # The kernel's slope f', which Newton's method divides by, is df/ds of
+    # the discretised residual at a search's answer, up to the RK4 error of
+    # the continuous-system derivative.
     opts = fundsys.SolveOptions()
-    for dp in [REF] + [small_dissipation_dp(rng) for _ in range(3)]:
-        for seed in asymptotic_seeds(dp, 4):
-            plain = fundsys.find_eigenvalue(dp, seed, opts)
-            assert plain.converged and plain.slope is not None
-            for slope in (0.0, complex(np.nan, np.nan), -np.inf,
-                          1e6 * plain.slope, plain.slope):
-                point = fundsys.find_eigenvalue(
-                    dp, replace(seed, slope=slope), opts)
-                assert point == plain and point.slope == plain.slope
-
-
-def test_find_eigenvalue_reports_the_slope_at_its_answer():
-    # slope is df/ds of the discretised residual at the returned point, up
-    # to the RK4 error of the continuous-system derivative.
-    opts = fundsys.SolveOptions()
+    kernel = fundsys._residual_fn(REF, opts.subintervals, opts.step)
     for seed in asymptotic_seeds(REF, 5):
         point = fundsys.find_eigenvalue(REF, seed, opts)
+        assert point.converged
         s, h = complex(point.q, point.omega), 1e-5
         central = (end_residual(REF, s + h, opts)
                    - end_residual(REF, s - h, opts)) / (2 * h)
-        assert abs(point.slope - central) <= 1e-7 * abs(central)
+        assert abs(kernel(s)[2] - central) <= 1e-7 * abs(central)
 
 
 def test_sweep_feedback_continuation(monkeypatch):
@@ -908,6 +927,27 @@ def test_import_loads_no_scipy(package):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
+
+
+def test_propagator_and_polynomials_load_no_numpy():
+    # integrate_fundamental, characteristic and boundary_coefficients are
+    # cmath/math only; numpy is loaded by mode_shape and forced_mode alone.
+    src = str(Path(barmodes.__file__).resolve().parents[1])
+    code = """
+import sys
+from barmodes import conservative, fundsys
+from barmodes.params import DimensionlessParams
+dp = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
+a, b = fundsys.integrate_fundamental(-0.01, 0.35, dp)
+assert isinstance(a, complex) and isinstance(b, complex)
+assert isinstance(conservative.characteristic(0.35, dp), float)
+assert isinstance(fundsys.boundary_coefficients(-0.01, 0.35, dp).D1, float)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
