@@ -47,7 +47,7 @@ _RUN_KEYS = {
     "mode": (int, 1),
 }
 
-_MAX_GRID_POINTS = 10**6  # cap on the nu grid and the mode-shape profile
+_MAX_GRID_POINTS = 10**6  # cap on the nu grid, the profile and a mode count
 
 
 class RunConfig(types.SimpleNamespace):
@@ -199,11 +199,16 @@ def _conservative_roots(config, count):
     """The first `count` undamped frequencies; ConfigError when omega_max
     holds fewer.  Root k lies above (k - 3/2)*pi (see conservative), so a
     count above omega_max/pi + 2, which keeps half a branch of slack for
-    rounding, is a shortfall found without walking the branches."""
+    rounding, is a shortfall found without walking the branches.  A count
+    below that bound but above _MAX_GRID_POINTS is a ConfigError too, also
+    raised before any branch is walked."""
     if count == 0:
         return []
     roots = []
     if count <= config.omega_max / math.pi + 2.0:
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(f"[run] mode {count} exceeds the cap of "
+                              f"{_MAX_GRID_POINTS} modes")
         roots = conservative.find_roots(config.dimensionless,
                                         config.omega_max, max_count=count)
     if len(roots) < count:

@@ -309,26 +309,20 @@ def _normalized(f: complex, scale: float) -> float:
     return r.real * r.real + r.imag * r.imag
 
 
-def delta(q: float, omega: float, dp: DimensionlessParams,
-          step: float = DEFAULT_STEP) -> float:
-    """Normalized characteristic determinant from a single-interval
-    integration of [0, 1]; non-negative, zero exactly at eigenvalues."""
-    return delta_subdivided(q, omega, dp, 1, step)
-
-
 def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
                      n: int = DEFAULT_SUBINTERVALS,
                      step: float = DEFAULT_STEP) -> float:
-    """Normalized determinant with [0, 1] split into n equal subintervals.
+    """Normalized characteristic determinant with [0, 1] split into n equal
+    subintervals; non-negative, zero exactly at eigenvalues.
 
     Each subinterval gets a fresh fundamental matrix from identity initial
     data; matching values and derivatives at the junctions is exactly
     multiplication of the per-subinterval matrices.  The coefficients do not
     depend on x, so all n are the same matrix and the product is its n-th
     power; only that product is built and overflow-checked (OverflowError).
-    n = 1 is :func:`delta`.  Raises ValueError for n < 1, a step that is
-    not positive and a step so small that the step count of a subinterval,
-    (1/n)/step, is not finite.
+    n = 1 is a single-interval integration of [0, 1].  Raises ValueError
+    for n < 1, a step that is not positive and a step so small that the
+    step count of a subinterval, (1/n)/step, is not finite.
     """
     f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
     return _normalized(f, scale)
@@ -495,14 +489,15 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     seeded by predictor-corrector continuation: the polynomial
     extrapolation in nu through those eigenvalues, linear from two and
     quadratic from three.  Any other later point is seeded from its
-    predecessor's eigenvalue (warm start).  At each grid point (by
-    position: a grid may repeat a value), a converged row whose eigenvalue
-    lies within 1e-8 (relative) of a converged row of a mode listed
-    earlier in ``modes`` is a second search landing on one eigenvalue and
-    comes back with converged=False.  Unconverged points are flagged in
-    their rows, never dropped.  Rows come back ordered by (nu, mode).
-    Raises ValueError, before any search, for a mode below 1, a repeated
-    mode, and a nu grid that is not finite or not ascending.
+    predecessor's eigenvalue (warm start); "converged" here is the search's
+    own verdict.  At each grid point, a converged row whose eigenvalue lies
+    within 1e-8 (relative) of a converged row of a mode listed earlier in
+    ``modes`` is a second search landing on one eigenvalue and comes back
+    with converged=False.  Unconverged points are flagged in their rows,
+    never dropped.  Rows come back grid point by grid point, each point's
+    in the order of ``modes``: row i*len(modes) + k is mode modes[k] at
+    nu_values[i].  Raises ValueError, before any search, for a mode below
+    1, a repeated mode, and a nu grid that is not finite or not ascending.
     """
     if any(mode < 1 for mode in modes) or len(set(modes)) < len(modes):
         raise ValueError(f"modes must be distinct and at least 1: {modes}")
@@ -523,47 +518,43 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
 
     kernel = _residual_fn(dp, opts.subintervals, opts.step)
     first = replace(dp, nu=nu_values[0])
-    rows = []
+    seeds = []
     for mode in modes:
         w0 = roots[mode - 1].omega
         try:
             q0 = asymptotic.corrected_eigenvalue(w0, first).q
         except ZeroDivisionError:
             q0 = math.nan
-        seed = SpectralPoint(q=q0 if math.isfinite(q0) else 0.0, omega=w0)
-        history = []  # (nu, s) of up to three converged rows at distinct nu
-        for nu in nu_values:
+        seeds.append(SpectralPoint(q=q0 if math.isfinite(q0) else 0.0,
+                                   omega=w0))
+    # Per mode, (nu, s) of up to three converged rows at distinct nu.
+    histories = [[] for _ in modes]
+    rows = []
+    for nu in nu_values:
+        accepted = []  # eigenvalues of this grid point's converged rows
+        for k, mode in enumerate(modes):
+            history = histories[k]
             if len(history) >= 2:
                 s = _extrapolate(history, nu)
-                seed = SpectralPoint(q=s.real, omega=s.imag)
+                seeds[k] = SpectralPoint(q=s.real, omega=s.imag)
             # The module global, so that a wrapper of it sees every row.
-            point = find_eigenvalue(dp, seed, opts, _kernel=(kernel, nu))
+            point = find_eigenvalue(dp, seeds[k], opts, _kernel=(kernel, nu))
+            seeds[k] = point
+            s = complex(point.q, point.omega)
+            converged = point.converged
+            for other in accepted:
+                if converged and abs(other - s) <= _DUPLICATE_RTOL * abs(s):
+                    converged = False
+            if converged:
+                accepted.append(s)
             rows.append(SweepRow(nu=nu, mode=mode, q=point.q,
                                  omega=point.omega,
                                  delta_value=point.delta_value,
-                                 converged=point.converged))
-            seed = point
-            s = complex(point.q, point.omega)
+                                 converged=converged))
             if not point.converged:
-                history = []
+                histories[k] = []
             elif history and history[-1][0] < nu:
-                history = history[-2:] + [(nu, s)]
+                histories[k] = history[-2:] + [(nu, s)]
             else:
-                history = [(nu, s)]
-
-    # Each mode holds a block of len(nu_values) rows, so the rows of the
-    # modes before row j's, at its grid point, are j % count + k*count < j.
-    count = len(nu_values)
-    for j in range(count, len(rows)):
-        row = rows[j]
-        if not row.converged:
-            continue
-        s = complex(row.q, row.omega)
-        for i in range(j % count, j, count):
-            other = rows[i]
-            if (other.converged and abs(complex(other.q, other.omega) - s)
-                    <= _DUPLICATE_RTOL * abs(s)):
-                rows[j] = replace(row, converged=False)
-                break
-    rows.sort(key=lambda r: (r.nu, r.mode))
+                histories[k] = [(nu, s)]
     return rows

@@ -207,7 +207,8 @@ def test_criterion_10_subdivision_consistency():
     for _ in range(100):
         q = rng.uniform(-0.05, 0.05)
         omega = OMEGA_1 + rng.uniform(-0.05, 0.05)
-        base = fundsys.delta(q, omega, REF, step=PRODUCTION.step)
+        base = fundsys.delta_subdivided(q, omega, REF, n=1,
+                                        step=PRODUCTION.step)
         for n in (2, 4, 8):
             dn = fundsys.delta_subdivided(q, omega, REF, n=n,
                                           step=PRODUCTION.step)

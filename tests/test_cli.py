@@ -448,6 +448,30 @@ def test_shortfall_beyond_the_branch_bound_walks_no_roots(
     assert bool(walked) == walks
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "stability", "sweep",
+                                  "modeshape"])
+def test_mode_count_above_the_cap_walks_no_roots(tmp_path, capsys,
+                                                 monkeypatch, verb):
+    # omega_max = 1e150 may hold 10**9 modes, so the branch bound lets the
+    # count through; find_roots then walked root by root for as long as
+    # it was left to run.  The cap on the nu grid caps a mode count too.
+    walked = []
+
+    def recording(*args, **kwargs):
+        walked.append(args)
+        return []
+
+    monkeypatch.setattr(conservative, "find_roots", recording)
+    code, out = run_cli(tmp_path, verb, REF_SECTION,
+                        "[run]\nmodes = 1000000000\nmode = 1000000000\n"
+                        "omega_max = 1e150\nstep = 1e-300\n", strict=True)
+    assert code == 2
+    assert ("mode 1000000000 exceeds the cap of 1000000 modes"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert walked == []
+
+
 def test_spectrum_writes_no_nan_cell(tmp_path, capsys):
     # No search evaluates anything, so delta_hat is missing: NA, never nan.
     code, out = run_cli(tmp_path, "spectrum", OVERFLOW_SECTION,
@@ -594,6 +618,32 @@ def test_sweep_wide_rows(tmp_path):
         assert row[3] == "1"
         assert float(row[1]) < 0.0
         assert float(row[2]) == pytest.approx(0.3534042288, abs=1e-3)
+
+
+def test_sweep_keeps_each_mode_in_its_columns_on_a_repeated_grid_value(
+        tmp_path):
+    # nu_min + i*nu_step rounds to 0.05 more than once.  Rows sorted by
+    # (nu, mode) and cut into groups of two put mode 1's eigenvalue under
+    # q_2, omega_2 in one row and mode 2's under q_1, omega_1 in the next.
+    grid = README_RUN.replace("nu_min = 0\n", "nu_min = 0.05\n") \
+        .replace("nu_max = 0.1\n", "nu_max = 0.05000000000000002\n") \
+        .replace("nu_step = 0.005\n", "nu_step = 4e-18\n")
+    code, out = run_cli(tmp_path, "spectrum", REF_SECTION, grid, strict=True)
+    assert code == 0
+    _, header, rows = read_output(out)
+    modes = [(float(row[header.index("q_numeric")]),
+              float(row[header.index("omega_numeric")])) for row in rows]
+    code, out = run_cli(tmp_path, "sweep", REF_SECTION, grid, strict=True)
+    assert code == 0
+    _, header, rows = read_output(out)
+    nus = [float(row[0]) for row in rows]
+    assert len(set(nus)) < len(nus)
+    for row in rows:
+        cells = dict(zip(header, row))
+        for k, (q, omega) in enumerate(modes, start=1):
+            assert float(cells[f"q_{k}"]) == pytest.approx(q, rel=1e-9)
+            assert float(cells[f"omega_{k}"]) == pytest.approx(omega,
+                                                               rel=1e-9)
 
 
 def test_sweep_writes_na_for_unevaluated_searches(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -146,21 +147,23 @@ def reference_sweep(dp, nu_values, modes, omega_max, opts):
     """The per-row nu sweep that one nu-kernel per sweep replaced, kept as
     a cross-check: a replace(dp, nu=...) and a fresh search kernel per row,
     seeds from a Lagrange extrapolation through up to three converged rows
-    at distinct nu, else from the previous row."""
+    at distinct nu, else from the previous row.  Mode by mode, then laid
+    out grid position by grid position, modes in the order given; no
+    duplicate guard."""
     roots = conservative.find_roots(dp, omega_max, max_count=max(modes))
-    rows = []
+    branches = []
     for mode in modes:
         w0 = roots[mode - 1].omega
         first = replace(dp, nu=nu_values[0])
         seed = fundsys.SpectralPoint(
             q=asymptotic.corrected_eigenvalue(w0, first).q, omega=w0)
-        history = []
+        history, branch = [], []
         for nu in nu_values:
             if len(history) >= 2:
                 s = lagrange_extrapolate(history, nu)
                 seed = fundsys.SpectralPoint(q=s.real, omega=s.imag)
             point = fundsys.find_eigenvalue(replace(dp, nu=nu), seed, opts)
-            rows.append(fundsys.SweepRow(
+            branch.append(fundsys.SweepRow(
                 nu=nu, mode=mode, q=point.q, omega=point.omega,
                 delta_value=point.delta_value, converged=point.converged))
             seed = fundsys.SpectralPoint(q=point.q, omega=point.omega)
@@ -171,8 +174,8 @@ def reference_sweep(dp, nu_values, modes, omega_max, opts):
                 history = history[-2:] + [(nu, s)]
             else:
                 history = [(nu, s)]
-    rows.sort(key=lambda r: (r.nu, r.mode))
-    return rows
+        branches.append(branch)
+    return [row for at_nu in zip(*branches) for row in at_nu]
 
 
 def row_bits(row):
@@ -608,12 +611,14 @@ def test_delta_vanishes_on_conservative_spectrum():
     roots = conservative.find_roots(UNDAMPED, omega_max=10.0)
     assert len(roots) >= 2
     for r in roots:
-        assert fundsys.delta(0.0, r.omega, UNDAMPED, step=1.0 / 2000.0) < 1e-10
+        assert fundsys.delta_subdivided(0.0, r.omega, UNDAMPED, n=1,
+                                        step=1.0 / 2000.0) < 1e-10
 
 
 def test_delta_positive_off_spectrum():
     w1 = conservative.find_roots(UNDAMPED, omega_max=1.0)[0].omega
-    assert fundsys.delta(0.3, w1, UNDAMPED, step=1.0 / 1000.0) > 1e-4
+    assert fundsys.delta_subdivided(0.3, w1, UNDAMPED, n=1,
+                                    step=1.0 / 1000.0) > 1e-4
 
 
 def test_delta_nonnegative_at_random_points():
@@ -621,15 +626,23 @@ def test_delta_nonnegative_at_random_points():
     for _ in range(300):
         q = rng.uniform(-1, 1)
         omega = rng.uniform(1e-3, 10.0)
-        value = fundsys.delta(q, omega, REF, step=1.0 / 200.0)
+        value = fundsys.delta_subdivided(q, omega, REF, n=1,
+                                         step=1.0 / 200.0)
         assert value >= 0.0
 
 
 def test_delta_subdivided_single_interval_equals_basic():
+    # n = 1 is the end-mass row P*u(1) + Q*u'(1) on one integration of
+    # [0, 1], normalized by its Cauchy-Schwarz bound: the same arithmetic,
+    # so bitwise equal.
     for (q, omega) in ((0.0, OMEGA_1), (0.1, 2.0), (-0.3, 5.5)):
-        a = fundsys.delta(q, omega, REF, step=1.0 / 500.0)
-        b = fundsys.delta_subdivided(q, omega, REF, n=1, step=1.0 / 500.0)
-        assert a == b  # identical code path -> bitwise equal
+        du, u = fundsys.integrate_fundamental(q, omega, REF, step=1.0 / 500.0)
+        D = fundsys.boundary_coefficients(q, omega, REF)
+        P, Q = complex(D.D1, -D.D2), complex(D.D3, -D.D4)
+        r = (P * u + Q * du) / (math.hypot(abs(P), abs(Q))
+                                * math.hypot(abs(u), abs(du)))
+        value = fundsys.delta_subdivided(q, omega, REF, n=1, step=1.0 / 500.0)
+        assert value == r.real * r.real + r.imag * r.imag
 
 
 def test_delta_subdivided_consistency():
@@ -1165,10 +1178,29 @@ def test_sweep_feedback_flags_a_repeated_eigenvalue_per_grid_point():
     rows = fundsys.sweep_feedback(DUPLICATING, [0.0, 0.0], modes=(1, 2, 3),
                                   options=FAST)
     assert [(r.mode, r.converged) for r in rows] == [
-        (1, True), (1, True), (2, False), (2, False), (3, True), (3, True)]
-    for one, two in zip(rows[0:2], rows[2:4]):
+        (1, True), (2, False), (3, True), (1, True), (2, False), (3, True)]
+    for one, two in zip(rows[0::3], rows[1::3]):
         assert abs(complex(one.q, one.omega) - complex(two.q, two.omega)) \
             <= 1e-8 * abs(complex(one.q, one.omega))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dp=small_dissipation,
+       grid=st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.1]),
+                     min_size=1, max_size=6).map(sorted),
+       modes=st.sampled_from([(1, 2), (2, 1), (1, 2, 3)]))
+def test_sweep_feedback_lays_rows_out_by_grid_position(dp, grid, modes):
+    # Row i*m + k is mode modes[k] at grid[i], also where the grid repeats
+    # a value (a sort by (nu, mode) put one mode's eigenvalue in another
+    # mode's place there), and it is the per-row sweep's row bit for bit.
+    rows = fundsys.sweep_feedback(dp, grid, modes=modes, options=FAST)
+    expected = reference_sweep(dp, grid, modes, 20.0, FAST)
+    assert len(rows) == len(grid) * len(modes)
+    for i, nu in enumerate(grid):
+        for k, mode in enumerate(modes):
+            row = rows[i * len(modes) + k]
+            assert (row.nu, row.mode) == (nu, mode)
+    assert [row_bits(r) for r in rows] == [row_bits(r) for r in expected]
 
 
 @pytest.mark.parametrize("dp", [
