@@ -37,13 +37,13 @@ _DIMLESS_KEYS = dict.fromkeys(("eps1", "mu", "nu", "eta", "delta"),
                               (float, None))
 _RUN_KEYS = {
     "modes": (int, 5),
-    "omega_max": (float, 20.0),
+    "omega_max": (float, fundsys.DEFAULT_OMEGA_MAX),
     "step": (float, fundsys.DEFAULT_STEP),
     "subintervals": (int, fundsys.DEFAULT_SUBINTERVALS),
     "nu_min": (float, 0.0),
     "nu_max": (float, 0.1),
     "nu_step": (float, 0.005),
-    "grid_points": (int, 201),
+    "grid_points": (int, fundsys.DEFAULT_RESOLUTION),
     "mode": (int, 1),
 }
 
@@ -202,8 +202,6 @@ def _conservative_roots(config, count):
     rounding, is a shortfall found without walking the branches.  A count
     below that bound but above _MAX_GRID_POINTS is a ConfigError too, also
     raised before any branch is walked."""
-    if count == 0:
-        return []
     roots = []
     if count <= config.omega_max / math.pi + 2.0:
         if count > _MAX_GRID_POINTS:
@@ -218,15 +216,13 @@ def _conservative_roots(config, count):
 
 
 def _search(config: RunConfig, nu_values, modes: range):
-    """(roots, rows): the first modes[-1] undamped frequencies (ConfigError
+    """(roots, rows): the first len(modes) undamped frequencies (ConfigError
     when omega_max holds fewer) and fundsys.sweep_feedback's rows for
     `modes` over `nu_values` at the configured omega_max and discretisation
     (none for no modes).  Every eigenvalue search of every verb runs here.
-    `modes` is a range, so a huge count costs nothing before the shortfall
-    check."""
-    roots = _conservative_roots(config, modes[-1] if modes else 0)
-    if not modes:
-        return roots, []
+    `modes` is a range from 1, so a huge count costs nothing before the
+    shortfall check."""
+    roots = _conservative_roots(config, len(modes))
     return roots, fundsys.sweep_feedback(config.dimensionless, nu_values,
                                          modes, omega_max=config.omega_max,
                                          options=config.solve_options())
@@ -334,8 +330,8 @@ def run_modeshape(config: RunConfig):
     header = "xbar,u1,u2"
     if not row.converged:
         return header, [], False
-    grid, profile, _ = fundsys._mode_profile(row, dp, config.grid_points,
-                                             config.solve_options())
+    grid, profile = fundsys._mode_profile(row, dp, config.grid_points,
+                                          config.solve_options())
     rows = [",".join([_fmt(x), _fmt(u.real), _fmt(u.imag)])
             for x, u in zip(grid, profile)]
     return header, rows, True

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -45,6 +46,8 @@ if TYPE_CHECKING:
 
 DEFAULT_STEP = 1.0 / 2000.0
 DEFAULT_SUBINTERVALS = 8
+DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
+DEFAULT_RESOLUTION = 201      # mode-shape grid points
 OVERFLOW_LIMIT = 1e150
 CONVERGED_TOL = 1e-12         # normalized determinant of a converged search
 BAND_HALFWIDTH = math.pi / 2  # mode-hop guard around the seed omega
@@ -53,7 +56,6 @@ MAX_ITERATIONS = 500          # residual evaluations (Newton steps) per search
 
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
-_RANK_TOL = 1e-8       # normalized-determinant level accepted as "singular"
 _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
 
@@ -87,8 +89,6 @@ class ModeShape:
     grid: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    C3: float
-    C4: float
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ class SolveOptions:
     subintervals: int = DEFAULT_SUBINTERVALS
 
 
-def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]:
-    """(K1, K2) of the normal system; K1 + i*K2 = s^2/(1 + eps1*s).
+def rhs_coefficients(q: float, omega: float, eps1: float) -> complex:
+    """K = s^2/(1 + eps1*s) of the normal system at s = q + i*omega, from
+    its real and imaginary parts K1 and K2 in real arithmetic.
 
     Raises ValueError for a non-finite q or omega and ZeroDivisionError when
     eps1^2 omega^2 + (1 + eps1 q)^2 degenerates.
@@ -123,7 +124,7 @@ def rhs_coefficients(q: float, omega: float, eps1: float) -> tuple[float, float]
         raise ZeroDivisionError("degenerate rhs denominator: 1 + eps1*s ~ 0")
     K1 = (q * q - omega * omega + eps1 * q * (q * q + omega * omega)) / den
     K2 = (2.0 * q + eps1 * (q * q + omega * omega)) * omega / den
-    return K1, K2
+    return complex(K1, K2)
 
 
 def _row_coefficients(dp: DimensionlessParams) -> tuple[float, ...]:
@@ -201,7 +202,7 @@ def _point_exponents(q: float, omega: float, eps1: float, step: float,
     """(K, r, L, T) at s = q + i*omega: K = s^2/(1 + eps1*s), r = sqrt(K)
     and the exponents of the propagator over an interval whose steps
     _layout gave as layout.  Raises as rhs_coefficients and _log1p do."""
-    K = complex(*rhs_coefficients(q, omega, eps1))
+    K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
     nfull, remainder = layout
     l, t = _step_exponents(r, step)
@@ -397,39 +398,35 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
-               resolution: int = 201,
+               resolution: int = DEFAULT_RESOLUTION,
                options: SolveOptions | None = None) -> ModeShape:
     """Displacement profile (u1, u2) of a converged eigenvalue on a grid.
 
-    The profile is C*u(x) on the discretised system that find_eigenvalue
-    solves with these options: u = exp(x*L)*sinh(x*T)/sqrt(K), with (L, T)
-    the exponents of its [0, 1] propagator, sampled at `resolution` evenly
-    spaced x.  C = C3 + i*C4, a null direction of the boundary system, is
-    fixed by rotating the largest sample to real and positive (so the
-    conservative limit is real) and scaling the peak to 1: C = 1/u(x_peak),
-    and the peak sample is exactly 1 + 0i.  The samples are computed in
-    cmath by _mode_profile, which the modeshape verb formats without
-    loading numpy.  Raises ValueError for an unconverged point, a
+    The profile is u(x)/u(x_peak) on the discretised system that
+    find_eigenvalue solves with these options: u = exp(x*L)*sinh(x*T)/sqrt(K),
+    with (L, T) the exponents of its [0, 1] propagator, sampled at
+    `resolution` evenly spaced x.  Dividing by the largest sample makes it
+    exactly 1 + 0i, so the conservative limit is real.  The samples are
+    computed in cmath by _mode_profile, which the modeshape verb formats
+    without loading numpy.  Raises ValueError for an unconverged point, a
     resolution below 2 and options the search rejects, and
     numpy.linalg.LinAlgError when the rank check, delta_subdivided with
-    these options (a search result's own delta_value), is not below 1e-8:
-    the point is not an eigenvalue.
+    these options (a search result's own delta_value), is not below
+    ``CONVERGED_TOL``: the point is not an eigenvalue.
     """
     import numpy as np
 
-    grid, profile, peak = _mode_profile(point, dp, resolution, options)
+    grid, profile = _mode_profile(point, dp, resolution, options)
     profile = np.array(profile)
-    c_final = 1.0 / peak
-    return ModeShape(grid=np.array(grid), u1=profile.real, u2=profile.imag,
-                     C3=c_final.real, C4=c_final.imag)
+    return ModeShape(grid=np.array(grid), u1=profile.real, u2=profile.imag)
 
 
 def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
                   resolution: int, options: SolveOptions | None
-                  ) -> tuple[list[float], list[complex], complex]:
-    """(grid, u1 + i*u2, u(x_peak)) of :func:`mode_shape` as lists and the
-    unnormalised peak sample.  Reads only q, omega and converged of point,
-    so a SweepRow serves as well.  Raises as mode_shape does."""
+                  ) -> tuple[list[float], list[complex]]:
+    """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads only q,
+    omega and converged of point, so a SweepRow serves as well.  Raises as
+    mode_shape does."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not point.converged:
@@ -438,7 +435,7 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     opts = options or SolveOptions()
     n, step = opts.subintervals, opts.step
     dhat = delta_subdivided(point.q, point.omega, dp, n, step)
-    if dhat >= _RANK_TOL:
+    if not dhat < CONVERGED_TOL:
         from numpy.linalg import LinAlgError
         raise LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
@@ -456,7 +453,7 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     peak = profile[top]
     profile = [u / peak for u in profile]
     profile[top] = 1 + 0j
-    return grid, profile, peak
+    return grid, profile
 
 
 def _extrapolate(points: list[tuple[float, complex]], x: float) -> complex:
@@ -473,7 +470,7 @@ def _extrapolate(points: list[tuple[float, complex]], x: float) -> complex:
 
 
 def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
-                   omega_max: float = 20.0,
+                   omega_max: float = DEFAULT_OMEGA_MAX,
                    options: SolveOptions | None = None) -> list[SweepRow]:
     """Track eigenvalues of the requested modes across an ascending nu grid.
 
@@ -496,17 +493,23 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     with converged=False.  Unconverged points are flagged in their rows,
     never dropped.  Rows come back grid point by grid point, each point's
     in the order of ``modes``: row i*len(modes) + k is mode modes[k] at
-    nu_values[i].  Raises ValueError, before any search, for a mode below
-    1, a repeated mode, and a nu grid that is not finite or not ascending.
+    nu_values[i]; an empty grid or mode list gives none.  Raises ValueError,
+    before any search, for a mode that is not an integer or is below 1, a
+    repeated mode, and a nu grid that is not finite or not ascending.
     """
+    message = f"modes must be distinct integers of at least 1: {modes}"
+    try:
+        modes = [operator.index(mode) for mode in modes]
+    except TypeError:
+        raise ValueError(message) from None
     if any(mode < 1 for mode in modes) or len(set(modes)) < len(modes):
-        raise ValueError(f"modes must be distinct and at least 1: {modes}")
+        raise ValueError(message)
     nu_values = [float(v) for v in nu_values]
     if not all(math.isfinite(v) for v in nu_values):
         raise ValueError("nu grid must be finite")
     if sorted(nu_values) != nu_values:
         raise ValueError("nu grid must be ascending")
-    if not nu_values:
+    if not (nu_values and modes):
         return []
     opts = options or SolveOptions()
 

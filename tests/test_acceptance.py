@@ -184,7 +184,7 @@ def test_criterion_09_integrator_against_harmonic_solution():
     # is the largest entry gap of the two matrices' real 4x4 forms.
     omega = np.pi
     c, s = np.cos(omega), np.sin(omega)
-    K = complex(*fundsys.rhs_coefficients(0.0, omega, UNDAMPED.eps1))
+    K = fundsys.rhs_coefficients(0.0, omega, UNDAMPED.eps1)
 
     def error(step):
         a, b = fundsys.integrate_fundamental(0.0, omega, UNDAMPED, step=step)

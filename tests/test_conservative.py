@@ -200,6 +200,7 @@ def test_find_roots_huge_mass_ratio(eta):
 def test_find_roots_max_count_is_a_prefix():
     full = find_roots(REF, omega_max=20.0)
     assert find_roots(REF, omega_max=20.0, max_count=2) == full[:2]
+    assert find_roots(REF, omega_max=20.0, max_count=0) == []
 
 
 def test_find_roots_one_root_per_tan_branch():

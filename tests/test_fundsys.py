@@ -193,7 +193,7 @@ def mp_end_propagator(q, omega, dp, n, step):
     ones the double-precision code takes."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
-        K = mp.mpc(*fundsys.rhs_coefficients(q, omega, dp.eps1))
+        K = mp.mpc(fundsys.rhs_coefficients(q, omega, dp.eps1))
 
         def rk4_step(h):
             z = h * h * K
@@ -243,7 +243,7 @@ def propagator_entries(q, omega, dp, *args, **kwargs):
     """(a, b, b*K): the distinct entries of the propagator [[a, b],
     [b*K, a]] whose pair (a, b) integrate_fundamental returns."""
     a, b = fundsys.integrate_fundamental(q, omega, dp, *args, **kwargs)
-    return a, b, b * complex(*fundsys.rhs_coefficients(q, omega, dp.eps1))
+    return a, b, b * fundsys.rhs_coefficients(q, omega, dp.eps1)
 
 
 def entry_error(entries, exact):
@@ -275,7 +275,7 @@ def realify(M):
 def damped_gamma(q, omega, dp, x):
     """Analytic propagator entries (a, b, b*K) of u'' = lambda^2 u,
     lambda^2 = K."""
-    lam = np.sqrt(complex(*fundsys.rhs_coefficients(q, omega, dp.eps1)))
+    lam = np.sqrt(fundsys.rhs_coefficients(q, omega, dp.eps1))
     s = np.sinh(lam * x)
     return np.cosh(lam * x), s / lam, lam * s
 
@@ -283,7 +283,8 @@ def damped_gamma(q, omega, dp, x):
 def reference_propagator(q, omega, dp, length, step):
     """The 4x4 construction: the RK4 Taylor polynomial of the real system
     matrix raised to the full-step count, then one shortened step."""
-    K1, K2 = fundsys.rhs_coefficients(q, omega, dp.eps1)
+    K = fundsys.rhs_coefficients(q, omega, dp.eps1)
+    K1, K2 = K.real, K.imag
     A = np.array([[0.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0],
                   [K1, -K2, 0.0, 0.0],
@@ -324,19 +325,18 @@ def reference_delta(q, omega, dp, n, step):
 
 def test_rhs_coefficients_undamped():
     assert fundsys.rhs_coefficients(0.3, 1.1, 0.0) == pytest.approx(
-        (0.3**2 - 1.1**2, 2 * 0.3 * 1.1))
-    K1, K2 = fundsys.rhs_coefficients(0.0, 2.0, 0.0)
-    assert (K1, K2) == (-4.0, 0.0)
+        complex(0.3**2 - 1.1**2, 2 * 0.3 * 1.1))
+    K = fundsys.rhs_coefficients(0.0, 2.0, 0.0)
+    assert (K.real, K.imag) == (-4.0, 0.0)
 
 
 def test_rhs_coefficients_zero_frequency_has_no_coupling():
     for q, eps1 in ((0.5, 0.0), (-0.2, 0.03), (1.0, 0.1)):
-        _, K2 = fundsys.rhs_coefficients(q, 0.0, eps1)
-        assert K2 == 0.0
+        assert fundsys.rhs_coefficients(q, 0.0, eps1).imag == 0.0
 
 
 def test_rhs_coefficients_complex_oracle():
-    # K1 + i*K2 must equal s^2/(1 + eps1*s) with s = q + i*omega.
+    # K must equal s^2/(1 + eps1*s) with s = q + i*omega.
     rng = np.random.default_rng(41)
     for _ in range(300):
         q = rng.uniform(-2, 2)
@@ -344,8 +344,8 @@ def test_rhs_coefficients_complex_oracle():
         eps1 = rng.uniform(0, 0.2)
         s = complex(q, omega)
         expected = s * s / (1.0 + eps1 * s)
-        K1, K2 = fundsys.rhs_coefficients(q, omega, eps1)
-        assert complex(K1, K2) == pytest.approx(expected, rel=1e-12)
+        assert fundsys.rhs_coefficients(q, omega, eps1) == pytest.approx(
+            expected, rel=1e-12)
 
 
 def test_rhs_coefficients_degenerate_denominator():
@@ -556,7 +556,7 @@ def test_end_propagator_matches_exact_rk4_power(monkeypatch, step, n):
         dp = random_dp(rng)
         q = rng.uniform(-1.0, 0.5)
         omega = rng.uniform(0.01, min(20.0, 2.5 / step))
-        K = complex(*fundsys.rhs_coefficients(q, omega, dp.eps1))
+        K = fundsys.rhs_coefficients(q, omega, dp.eps1)
         u, du = kernel_end_state(monkeypatch, dp, complex(q, omega), n, step)
         a, b = mp_end_propagator(q, omega, dp, n, step)
         errors = (abs(du - a), abs(u - b), abs((u - b) * K))
@@ -573,7 +573,7 @@ def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
         assert fundsys._residual_fn(REF, n, step)(0j) == (
             1, np.sqrt(2.0), REF.eps1 + REF.mu * REF.delta)
         for s in (1e-150j, 1e-9j, 1e-7 * (1 + 1j), complex(-1e-8, 0.0)):
-            K = complex(*fundsys.rhs_coefficients(s.real, s.imag, REF.eps1))
+            K = fundsys.rhs_coefficients(s.real, s.imag, REF.eps1)
             u, du = kernel_end_state(monkeypatch, REF, s, n, step)
             assert abs(u - (1 + K / 6)) <= 1e-15
             assert abs(du - (1 + K / 2)) <= 1e-15
@@ -659,7 +659,7 @@ def test_delta_subdivided_consistency():
 def test_delta_subdivided_composition_matches_oracle():
     # (a, b) composes as a*I + b*A does: A^2 = K*I.
     n = 4
-    K = complex(*fundsys.rhs_coefficients(0.0, np.pi, UNDAMPED.eps1))
+    K = fundsys.rhs_coefficients(0.0, np.pi, UNDAMPED.eps1)
     a, b = 1, 0
     edges = np.linspace(0.0, 1.0, n + 1)
     for i in range(n):
@@ -1008,6 +1008,20 @@ def test_mode_shape_rejects_non_eigenvalue():
                            options=replace(SHAPE_OPTS, step=1.0 / 500.0))
 
 
+def test_mode_shape_rank_check_is_the_search_tolerance():
+    # Reference mode 1 moved by 1e-5 in omega has a normalized determinant
+    # of ~1e-9, above CONVERGED_TOL: marked converged, it is refused, as the
+    # search would refuse it, although a looser rank tolerance such as 1e-8
+    # would pass it.
+    point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 1)[0])
+    assert point.converged
+    moved = replace(point, omega=point.omega + 1e-5)
+    dhat = fundsys.delta_subdivided(moved.q, moved.omega, REF)
+    assert fundsys.CONVERGED_TOL <= dhat < 1e-8
+    with pytest.raises(np.linalg.LinAlgError):
+        fundsys.mode_shape(moved, REF)
+
+
 # Option sets the CLI accepts for modes below omega = 20: production, and
 # coarse steps with 8, 3 and 1 subintervals.
 SHAPE_OPTION_SETS = [fundsys.SolveOptions(step=step, subintervals=n)
@@ -1067,6 +1081,21 @@ def test_sweep_feedback_empty_grid():
     assert fundsys.sweep_feedback(REF, [], modes=(1,)) == []
 
 
+def test_sweep_feedback_empty_mode_list():
+    # An empty mode list gives no rows, as an empty grid does, once the
+    # grid has been checked; max() of no modes had raised.
+    assert fundsys.sweep_feedback(REF, [0.0], modes=()) == []
+    with pytest.raises(ValueError, match="nu grid must be ascending"):
+        fundsys.sweep_feedback(REF, [0.01, 0.0], modes=())
+
+
+def test_sweep_feedback_takes_numpy_integer_modes():
+    rows = fundsys.sweep_feedback(REF, [0.0], modes=np.array([1, 2]),
+                                  options=FAST)
+    assert rows == fundsys.sweep_feedback(REF, [0.0], modes=(1, 2),
+                                          options=FAST)
+
+
 def test_sweep_feedback_rows_and_warm_start():
     rows = fundsys.sweep_feedback(REF, [0.0, 0.005, 0.01], modes=(1,),
                                   options=FAST)
@@ -1102,11 +1131,14 @@ def test_sweep_feedback_rejects_descending_grid():
         fundsys.sweep_feedback(REF, [0.01, 0.0], modes=(1,), options=FAST)
 
 
-@pytest.mark.parametrize("modes", [(0,), (0, 2), (-1, 1), (1, 1), (2, 1, 2)])
+@pytest.mark.parametrize("modes", [(0,), (0, 2), (-1, 1), (1, 1), (2, 1, 2),
+                                   (1.5,), (1, 2.0), ("1",), (None,)])
 def test_sweep_feedback_rejects_bad_modes(modes):
     # roots[mode - 1] would wrap around for mode 0 and label mode 2's
-    # eigenvalue "mode 0"; a repeated mode would duplicate its rows.
-    with pytest.raises(ValueError, match="modes"):
+    # eigenvalue "mode 0"; a repeated mode would duplicate its rows.  A
+    # mode of 1.5 had passed the check and was then reported as a shortfall
+    # of undamped frequencies below omega_max.
+    with pytest.raises(ValueError, match="modes must be distinct integers"):
         fundsys.sweep_feedback(REF, [0.0], modes=modes, options=FAST)
 
 
