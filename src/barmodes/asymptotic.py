@@ -11,7 +11,7 @@ only the products are ever observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import DimensionlessParams
 
@@ -20,24 +20,21 @@ _DEGENERATE_SLOPE = 1e-15
 _POLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ComplexEigenvalue:
+class ComplexEigenvalue(NamedTuple):
     """Exponent s = q + i*omega of a time-harmonic solution e^{s*tau}."""
 
     q: float      # growth rate (real part)
     omega: float  # frequency (imaginary part)
 
 
-@dataclass(frozen=True)
-class ExcitationReport:
+class ExcitationReport(NamedTuple):
     indicator: float    # numerator/denominator
     numerator: float
     denominator: float
     excited: bool       # indicator <= 0
 
 
-@dataclass(frozen=True)
-class ForcedModeCoefficients:
+class ForcedModeCoefficients(NamedTuple):
     """Coefficients of U(x) = (B1+B2*x)cos(w*x) + (C1+C2*x)sin(w*x)."""
 
     B1: float

@@ -20,7 +20,7 @@ These real roots seed every other solver in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import DimensionlessParams
 
@@ -28,8 +28,7 @@ _ROOT_RTOL = 1e-13     # stop at a step this small relative to the root
 _MAX_REFINE_STEPS = 100  # bisection alone needs ~45 from a branch bracket
 
 
-@dataclass(frozen=True)
-class ConservativeRoot:
+class ConservativeRoot(NamedTuple):
     omega: float
     index: int  # 1-based mode number
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import asymptotic, conservative
 from .params import DimensionlessParams
@@ -60,8 +60,7 @@ _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
 
 
-@dataclass(frozen=True)
-class BoundaryCoefficients:
+class BoundaryCoefficients(NamedTuple):
     """End-mass boundary polynomials D1..D4 evaluated at (q, omega)."""
 
     D1: float
@@ -70,8 +69,7 @@ class BoundaryCoefficients:
     D4: float
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     """A point s = q + i*omega: the seed or the result of a search.
 
     A result carries the normalized determinant at s and whether the search
@@ -84,15 +82,13 @@ class SpectralPoint:
     converged: bool = False
 
 
-@dataclass(frozen=True)
-class ModeShape:
+class ModeShape(NamedTuple):
     grid: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     nu: float
     mode: int
     q: float
@@ -101,8 +97,7 @@ class SweepRow:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(NamedTuple):
     """Discretisation of the fundamental system that the Newton eigenvalue
     search uses: the RK4 step and the number of equal subintervals."""
 
@@ -244,9 +239,12 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     (a, b) of the complex propagator a*I + b*A = [[a, b], [b*K, a]] acting
     on (u, u'); (1, 0), the identity, on an empty interval.  Raises
     OverflowError as :func:`_propagator` does (the caller should
-    subdivide), ValueError on a reversed interval and a step that
-    :func:`_layout` rejects, even on an empty interval.
+    subdivide), ValueError on an interval end that is not finite, a
+    reversed interval and a step that :func:`_layout` rejects, even on an
+    empty interval.
     """
+    if not (math.isfinite(x_start) and math.isfinite(x_end)):
+        raise ValueError("interval ends must be finite")
     if x_end < x_start:
         raise ValueError("x_end must not precede x_start")
     length = x_end - x_start
@@ -375,11 +373,12 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
     omega0 = seed.omega
     s = last = complex(seed.q, omega0)
-    value, settled = math.nan, False
+    f = scale = None   # the residual at last, once evaluated
+    settled = False
     try:
         for _ in range(MAX_ITERATIONS):
             f, scale, df = residual(s, nu)
-            last, value = s, _normalized(f, scale)
+            last = s
             if f == 0:
                 settled = True
                 break
@@ -393,6 +392,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
                 break
     except (OverflowError, ZeroDivisionError):
         pass
+    value = math.nan if f is None else _normalized(f, scale)
     return SpectralPoint(q=last.real, omega=last.imag, delta_value=value,
                          converged=settled and value < CONVERGED_TOL)
 

@@ -545,6 +545,17 @@ def test_integrator_rejects_reversed_interval():
         fundsys.integrate_fundamental(0.0, 1.0, REF, x_start=1.0, x_end=0.0)
 
 
+@pytest.mark.parametrize("x_start, x_end", [(0.0, math.nan), (0.0, math.inf),
+                                            (math.nan, 1.0), (-math.inf, 1.0),
+                                            (math.inf, 1.0)])
+def test_integrator_rejects_non_finite_interval_ends(x_start, x_end):
+    # A NaN or infinite end made the length non-finite, which _layout
+    # reported as a step too small for it.
+    with pytest.raises(ValueError, match="interval ends must be finite"):
+        fundsys.integrate_fundamental(0.0, 1.0, REF, x_start=x_start,
+                                      x_end=x_end)
+
+
 @pytest.mark.parametrize("step", [1.0 / 2000.0, 0.0007, 0.05, 0.2])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_end_propagator_matches_exact_rk4_power(monkeypatch, step, n):
@@ -719,7 +730,7 @@ def test_subnormal_step_is_a_value_error(conservative_mode_one, step):
         fundsys.integrate_fundamental(0.0, 0.35, REF, step=step)
     with pytest.raises(ValueError, match="too small"):
         fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=11,
-                           options=replace(SHAPE_OPTS, step=step))
+                           options=SHAPE_OPTS._replace(step=step))
 
 
 # ------------------------------------------------------------------- eigensolve
@@ -1005,7 +1016,7 @@ def test_mode_shape_rejects_non_eigenvalue():
                                    converged=True)
     with pytest.raises(np.linalg.LinAlgError):
         fundsys.mode_shape(forged, UNDAMPED, resolution=11,
-                           options=replace(SHAPE_OPTS, step=1.0 / 500.0))
+                           options=SHAPE_OPTS._replace(step=1.0 / 500.0))
 
 
 def test_mode_shape_rank_check_is_the_search_tolerance():
@@ -1015,7 +1026,7 @@ def test_mode_shape_rank_check_is_the_search_tolerance():
     # would pass it.
     point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 1)[0])
     assert point.converged
-    moved = replace(point, omega=point.omega + 1e-5)
+    moved = point._replace(omega=point.omega + 1e-5)
     dhat = fundsys.delta_subdivided(moved.q, moved.omega, REF)
     assert fundsys.CONVERGED_TOL <= dhat < 1e-8
     with pytest.raises(np.linalg.LinAlgError):
