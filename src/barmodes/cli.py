@@ -148,9 +148,9 @@ def load_config(path: str) -> RunConfig:
         values = _parse_section(parser, "physical", _PHYSICAL_KEYS)
         try:
             physical = PhysicalParams(**values)
+            dp = to_dimensionless(physical)
         except ValueError as exc:
             raise ConfigError(f"[physical] {exc}") from None
-        dp = to_dimensionless(physical)
     else:
         dp = DimensionlessParams(
             **_parse_section(parser, "dimensionless", _DIMLESS_KEYS))

@@ -11,23 +11,23 @@ e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the eigenvectors
 of A are 1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
 l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the
 exponents of the steps add, and the n equal subintervals multiply their
-sum by n.  The fundamental matrix Gamma(x) (the Cauchy problems whose
-initial states form the identity) is therefore exp(L)*(cosh(T)*I +
-sinh(T)*A/sqrt(K)) in closed form, a handful of complex function calls
-whatever the step count.  The clamped end leaves only the solution with
-initial state (u, u') = (0, 1), which ends at u(1) = exp(L)*sinh(T)/sqrt(K)
-and u'(1) = exp(L)*cosh(T), and the end-mass boundary condition applied to
-it is the single complex row f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the
-characteristic determinant Delta(omega, q) = |f|^2 vanishes exactly at
-eigenvalues.  The residual f of the discretised system is analytic in s
-(the propagator is a polynomial in K and D1..D4 are polynomials in s), so
-eigenvalues are located as its zeros by Newton's method from a seed, with
-the slope of the continuous system; the normalized Delta then certifies
-the answer.
+sum by n.  The only propagator built is that of the bar [0, 1], the
+fundamental matrix Gamma(1) (the Cauchy problems whose initial states at
+x = 0 form the identity): exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) in closed
+form, a handful of complex function calls whatever the step count.  The
+clamped end leaves only the solution with initial state (u, u') = (0, 1),
+which ends at u(1) = exp(L)*sinh(T)/sqrt(K) and u'(1) = exp(L)*cosh(T),
+and the end-mass boundary condition applied to it is the single complex
+row f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic
+determinant Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  The
+residual f of the discretised system is analytic in s (the propagator is
+a polynomial in K and D1..D4 are polynomials in s), so eigenvalues are
+located as its zeros by Newton's method from a seed, with the slope of
+the continuous system; the normalized Delta then certifies the answer.
 
-:func:`integrate_fundamental` returns the propagator a*I + b*A of an
-interval as the complex pair (a, b), and :func:`boundary_coefficients` the
-real form D1..D4 of the residual kernel's P and Q.
+:func:`integrate_fundamental` returns the propagator a*I + b*A of [0, 1]
+as the complex pair (a, b), and :func:`boundary_coefficients` the real
+form D1..D4 of the residual kernel's P and Q.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ def _layout(length: float, step: float) -> tuple[int, float]:
 
 
 def _point_exponents(q: float, omega: float, eps1: float, step: float,
-                     layout: tuple[int, float]) -> tuple[complex, ...]:
+                     n: int, layout: tuple[int, float]) -> tuple[complex, ...]:
     """(K, r, L, T) at s = q + i*omega: K = s^2/(1 + eps1*s), r = sqrt(K)
-    and the exponents of the propagator over an interval whose steps
-    _layout gave as layout.  Raises as rhs_coefficients and _log1p do."""
+    and the exponents of the [0, 1] propagator made of n equal
+    subintervals, whose steps _layout gave as layout.  Raises as
+    rhs_coefficients and _log1p do."""
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
     nfull, remainder = layout
@@ -205,20 +206,19 @@ def _point_exponents(q: float, omega: float, eps1: float, step: float,
     if remainder:
         l, t = _step_exponents(r, remainder)
         L, T = L + l, T + t
-    return K, r, L, T
+    return K, r, n * L, n * T
 
 
-def _propagator(K: complex, r: complex, L: complex, T: complex,
-                length: float) -> tuple[complex, complex]:
-    """(a, b) of the propagator exp(L*I + T*A/r) = a*I + b*A over an
-    interval of the given length; at K = 0 it is I + length*A.  Raises
-    OverflowError when the real or imaginary part of an entry of
-    [[a, b], [b*K, a]] exceeds 1e150 or is not finite, and when a or b is 0,
-    which only an underflow gives (of exp(L), or of a step's h*sqrt(K),
-    which makes every T zero)."""
+def _propagator(K: complex, r: complex, L: complex,
+                T: complex) -> tuple[complex, complex]:
+    """(a, b) of the [0, 1] propagator exp(L*I + T*A/r) = a*I + b*A; at
+    K = 0 it is I + A.  Raises OverflowError when the real or imaginary
+    part of an entry of [[a, b], [b*K, a]] exceeds 1e150 or is not finite,
+    and when a or b is 0, which only an underflow gives (of exp(L), or of
+    a step's h*sqrt(K), which makes every T zero)."""
     g = cmath.exp(L)
     a = g * cmath.cosh(T)
-    b = g * cmath.sinh(T) / r if r else complex(length)
+    b = g * cmath.sinh(T) / r if r else 1 + 0j
     for c in (a, b, b * K):
         if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
             raise OverflowError(
@@ -229,30 +229,18 @@ def _propagator(K: complex, r: complex, L: complex, T: complex,
 
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
-                          x_start: float = 0.0, x_end: float = 1.0,
-                          step: float = DEFAULT_STEP
-                          ) -> tuple[complex, complex]:
-    """Fundamental matrix at x_end for identity initial data at x_start.
+                          step: float = DEFAULT_STEP) -> tuple[complex, complex]:
+    """Fundamental matrix of [0, 1] for identity initial data at x = 0.
 
     Fixed-step classical fourth-order integration in closed form; the last
-    step is shortened to land exactly on x_end.  The result is the pair
+    step is shortened to land exactly on x = 1.  The result is the pair
     (a, b) of the complex propagator a*I + b*A = [[a, b], [b*K, a]] acting
-    on (u, u'); (1, 0), the identity, on an empty interval.  Raises
-    OverflowError as :func:`_propagator` does (the caller should
-    subdivide), ValueError on an interval end that is not finite, a
-    reversed interval and a step that :func:`_layout` rejects, even on an
-    empty interval.
+    on (u, u').  Raises OverflowError as :func:`_propagator` does (the
+    caller should subdivide) and ValueError on a step that :func:`_layout`
+    rejects.
     """
-    if not (math.isfinite(x_start) and math.isfinite(x_end)):
-        raise ValueError("interval ends must be finite")
-    if x_end < x_start:
-        raise ValueError("x_end must not precede x_start")
-    length = x_end - x_start
-    layout = _layout(length, step)
-    if length == 0.0:
-        return 1 + 0j, 0j
-    return _propagator(*_point_exponents(q, omega, dp.eps1, step, layout),
-                       length)
+    return _propagator(*_point_exponents(q, omega, dp.eps1, step, 1,
+                                         _layout(1.0, step)))
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
@@ -284,8 +272,8 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
 
     def residual(s: complex,
                  nu: float = dp.nu) -> tuple[complex, float, complex]:
-        K, r, L, T = _point_exponents(s.real, s.imag, eps1, step, layout)
-        du, u = _propagator(K, r, n * L, n * T, 1.0)
+        du, u = _propagator(*_point_exponents(s.real, s.imag, eps1, step, n,
+                                              layout))
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
@@ -442,9 +430,8 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
             "the point is not an eigenvalue")
 
     # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
-    _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1, step,
+    _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1, step, n,
                                   _layout(1.0 / n, step))
-    L, T = n * L, n * T
     # np.linspace(0, 1, resolution)'s arithmetic, bit for bit.
     h = 1.0 / (resolution - 1)
     grid = [i * h for i in range(resolution - 1)] + [1.0]
@@ -479,9 +466,11 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     one :func:`find_eigenvalue` call on it at the row's nu.  This is the one
     place that turns an undamped frequency into a search: a one-point grid
     [dp.nu] is the single search of each mode at dp.  Mode k starts from
-    the k-th undamped frequency with the closed-form growth-rate estimate
-    at the first grid value, or from the conservative point (q = 0) where
-    that estimate degenerates (ZeroDivisionError) or is not finite.  A grid
+    the closed-form growth-rate estimate at the first grid value, or from
+    q = 0 where that estimate degenerates (ZeroDivisionError) or is not
+    finite, and from omega_k*sqrt(1 - (eps1*omega_k/2)^2), the frequency
+    that material damping alone gives the k-th undamped frequency omega_k,
+    or omega_k itself where eps1*omega_k >= 2.  A grid
     point whose two or three predecessors converged (at distinct nu) is
     seeded by predictor-corrector continuation: the polynomial
     extrapolation in nu through those eigenvalues, linear from two and
@@ -528,8 +517,12 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             q0 = asymptotic.corrected_eigenvalue(w0, first).q
         except ZeroDivisionError:
             q0 = math.nan
-        seeds.append(SpectralPoint(q=q0 if math.isfinite(q0) else 0.0,
-                                   omega=w0))
+        # Material damping alone gives s^2 = -w0^2*(1 + eps1*s), whose root
+        # has omega = w0*sqrt(1 - (eps1*w0/2)^2) while eps1*w0 < 2.
+        e = dp.eps1 * w0
+        seeds.append(SpectralPoint(
+            q=q0 if math.isfinite(q0) else 0.0,
+            omega=w0 * math.sqrt(1.0 - (0.5 * e) ** 2) if e < 2.0 else w0))
     # Per mode, (nu, s) of up to three converged rows at distinct nu.
     histories = [[] for _ in modes]
     rows = []

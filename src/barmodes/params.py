@@ -71,15 +71,21 @@ def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     """Map physical constants to the dimensionless groups.
 
     eps1 = beta*a/l, mu = b*a/(E*S), nu = d*a/(E*S), eta = m/(rho*S*l),
-    delta = E*S/(c*l), with wave speed a = sqrt(E/rho).
+    delta = E*S/(c*l), with wave speed a = sqrt(E/rho).  Raises ValueError
+    when a denominator underflows to 0, which leaves its groups undefined.
     """
     a = p.wave_speed
+    ES, cl, rhoSl = p.E * p.S, p.c * p.l, p.rho * p.S * p.l
+    for name, product in (("E*S", ES), ("c*l", cl), ("rho*S*l", rhoSl)):
+        if product == 0.0:
+            raise ValueError(f"{name} underflows to 0; the dimensionless "
+                             "groups divided by it are not finite")
     return DimensionlessParams(
         eps1=p.beta * a / p.l,
-        mu=p.b * a / (p.E * p.S),
-        nu=p.d * a / (p.E * p.S),
-        eta=p.m / (p.rho * p.S * p.l),
-        delta=p.E * p.S / (p.c * p.l),
+        mu=p.b * a / ES,
+        nu=p.d * a / ES,
+        eta=p.m / rhoSl,
+        delta=ES / cl,
     )
 
 

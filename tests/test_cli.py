@@ -1,3 +1,4 @@
+import cmath
 import collections
 import contextlib
 import io
@@ -339,6 +340,28 @@ subintervals = 2
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("edits, product", [
+    ({"rho": "1e-300", "S": "1e-15", "l": "1e-15"}, "rho*S*l"),
+    ({"E": "1e-170", "S": "1e-170"}, "E*S"),
+    ({"c": "1e-200", "l": "1e-200"}, "c*l"),
+])
+def test_physical_product_underflow_exits_2(tmp_path, capsys, edits,
+                                            product):
+    # Each product is of accepted finite positive constants, yet rounds to
+    # 0; the division by it ended in ZeroDivisionError with a traceback.
+    section = PHYSICAL_SECTION
+    for key, value in edits.items():
+        section = re.sub(rf"^{key} = .*$", f"{key} = {value}", section,
+                         flags=re.M)
+    for verb in ("spectrum", "stability", "sweep", "modeshape"):
+        code, out = run_cli(tmp_path, verb, section, FAST_RUN, strict=True)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: [physical] {product} underflows to 0; the "
+            "dimensionless groups divided by it are not finite\n")
+        assert not out.exists()
+
+
 def test_absent_run_section_gives_every_default(tmp_path):
     config = cli.load_config(write_config(tmp_path, REF_SECTION))
     for key, (kind, default) in cli._RUN_KEYS.items():
@@ -372,6 +395,52 @@ def test_spectrum_reference_frequencies(tmp_path):
     for row in rows:
         assert float(row[5]) == pytest.approx(float(row[1]), abs=1e-3)
         assert float(row[6]) < 1e-12
+
+
+def continuous_eigenvalue(s, eps1=0.005, mu=0.008, nu=0.05, eta=7.0,
+                          delta=0.1):
+    """The zero near s of the continuous end-mass residual P*sinh(r)/r +
+    Q*cosh(r), r^2 = s^2/(1 + eps1*s), by Newton's method with a central
+    difference slope; the defaults are the README set."""
+    def residual(s):
+        P = eta * s * s * (1 + delta * (nu + mu) * s)
+        Q = 1 + s * ((eps1 + mu * delta)
+                     + s * (delta * (eta + eps1 * mu) + s * eps1 * eta * delta))
+        r = cmath.sqrt(s * s / (1 + eps1 * s))
+        return P * cmath.sinh(r) / r + Q * cmath.cosh(r)
+
+    for _ in range(50):
+        h = 1e-7 * abs(s)
+        ds = residual(s) * 2 * h / (residual(s + h) - residual(s - h))
+        s -= ds
+        if abs(ds) <= 1e-15 * abs(s):
+            return s
+    raise AssertionError(f"no continuous eigenvalue near {s}")
+
+
+def test_spectrum_higher_modes_keep_their_rows(tmp_path):
+    # README set, 30 modes.  Seeded at omega_k, mode 27's search left its
+    # band (NA, exit 3), and rows 28-30 held the eigenvalues of modes 29-31.
+    # Material damping alone puts mode k at s_k = -eps1*w_k^2/2 +
+    # i*w_k*sqrt(1 - (eps1*w_k/2)^2); every row lies within 0.01 of it, a
+    # mode spacing (~3) from its neighbours' s_k, and is the continuous
+    # eigenvalue within the RK4 error of step 0.0005.
+    code, out = run_cli(tmp_path, "spectrum", REF_SECTION,
+                        "[run]\nmodes = 30\nomega_max = 100\n", strict=True)
+    assert code == 0
+    _, _, rows = read_output(out)
+    assert [int(row[0]) for row in rows] == list(range(1, 31))
+    for row in rows:
+        s, w = complex(float(row[4]), float(row[5])), float(row[1])
+        x = 0.005 * w / 2
+        assert abs(s - complex(-x * w, w * math.sqrt(1 - x * x))) < 0.01
+        exact = continuous_eigenvalue(s)
+        assert abs(s - exact) <= 1e-7 * abs(exact)
+    assert [(row[4], row[5]) for row in rows[26:]] == [
+        ("-16.1018505827", "78.6023455879"),
+        ("-17.3849304494", "81.5388885199"),
+        ("-18.7173550996", "84.459771102"),
+        ("-20.0991249816", "87.3643069378")]
 
 
 def test_spectrum_conservative_growth_rates_vanish(tmp_path):
@@ -941,20 +1010,26 @@ FUZZ_SEED, FUZZ_RUNS = 1, 500
 FUZZ_EXTREMES = (0.0, 5e-324, 1e-300, 1e-15, 1e150, 1e300)
 
 
-def fuzz_value(rng, low=1e-4):
-    """Log-uniform over low..30, with one of FUZZ_EXTREMES in one draw of
+def fuzz_value(rng, low=1e-4, high=30.0):
+    """Log-uniform over low..high, with one of FUZZ_EXTREMES in one draw of
     four."""
     if rng.random() < 0.25:
         return rng.choice(FUZZ_EXTREMES)
-    return 10.0 ** rng.uniform(math.log10(low), math.log10(30.0))
+    return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
 
 
 def fuzz_config(rng):
-    """Every [dimensionless] key drawn; each [run] key drawn or left at its
-    default, a count as the ceiling of a draw over 1..30 (below 1 every
-    draw would be the count 1)."""
-    lines = ["[dimensionless]"]
-    lines += [f"{key} = {fuzz_value(rng)!r}" for key in cli._DIMLESS_KEYS]
+    """Every key of one parameter section drawn: in about half the configs
+    the nine [physical] constants over 1e-6..1e12, in the rest the five
+    [dimensionless] groups.  Each [run] key drawn or left at its default,
+    a count as the ceiling of a draw over 1..30 (below 1 every draw would
+    be the count 1)."""
+    if rng.random() < 0.5:
+        lines = ["[physical]"] + [f"{key} = {fuzz_value(rng, 1e-6, 1e12)!r}"
+                                  for key in cli._PHYSICAL_KEYS]
+    else:
+        lines = ["[dimensionless]"] + [f"{key} = {fuzz_value(rng)!r}"
+                                       for key in cli._DIMLESS_KEYS]
     lines.append("[run]")
     for key, (kind, _) in cli._RUN_KEYS.items():
         if rng.random() < 0.5:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +36,18 @@ def test_wave_speed_enters_eps1():
     # a = sqrt(1/4) = 0.5, so eps1 = 0.02 * 0.5 / 2 = 0.005 (hand evaluation).
     p = PhysicalParams(rho=4, S=1, E=1, beta=0.02, b=0, d=0, m=1, c=1, l=2)
     assert to_dimensionless(p).eps1 == pytest.approx(0.005, rel=1e-14)
+
+
+@pytest.mark.parametrize("values, product", [
+    (dict(rho=1e-300, S=1e-15, l=1e-15), "rho*S*l"),
+    (dict(E=1e-170, S=1e-170), "E*S"),
+    (dict(c=1e-200, l=1e-200), "c*l"),
+])
+def test_underflowing_denominator_is_a_value_error(values, product):
+    p = PhysicalParams(**{**dict(rho=1, S=1, E=1, beta=1, b=1, d=1, m=1, c=1,
+                                 l=1), **values})
+    with pytest.raises(ValueError, match=rf"^{re.escape(product)} underflows"):
+        to_dimensionless(p)
 
 
 def test_nonpositive_required_field_rejected():
