@@ -167,30 +167,30 @@ def second_method_bracket(omega: float, dp: DimensionlessParams) -> float:
             + 2.0 * (eta**2 * omega**2 * delta**2 * (nu + mu) - eta * nu * delta))
 
 
-def second_method_indicator(omega: float, dp: DimensionlessParams, C2: float,
-                            xbar: float = 1.0) -> float:
+def second_method_indicator(omega: float, dp: DimensionlessParams,
+                            C2: float) -> float:
     """Excitation indicator of the forced-resonance route (excited iff <= 0).
 
     Evaluates
 
-        C2 * ([eta^2 w^2 (1+delta) + (eta delta w^2 - 1)^2 - eta] * w * cot(w*xbar)
+        C2 * ([eta^2 w^2 (1+delta) + (eta delta w^2 - 1)^2 - eta] * w * cot(w)
               - (eta delta w^2 - 1)^2) / (bracket * w^3)
 
-    with the bracket from :func:`second_method_bracket`.  xbar defaults to 1,
-    the end where the boundary condition was imposed.
+    with the bracket from :func:`second_method_bracket`, at the end x = 1
+    where the boundary condition was imposed.
 
-    Raises ZeroDivisionError at a cot pole (|sin(w*xbar)| < 1e-12) or when
-    the bracket degenerates.
+    Raises ZeroDivisionError at a cot pole (|sin(w)| < 1e-12) or when the
+    bracket degenerates.
     """
-    s = math.sin(omega * xbar)
+    s = math.sin(omega)
     if abs(s) < _POLE_TOL:
-        raise ZeroDivisionError("cot pole: omega*xbar is a multiple of pi")
+        raise ZeroDivisionError("cot pole: omega is a multiple of pi")
     bracket = second_method_bracket(omega, dp)
     if abs(bracket) < _DEGENERATE_SLOPE:
         raise ZeroDivisionError("degenerate damping bracket")
     eta, delta = dp.eta, dp.delta
     r = eta * delta * omega**2 - 1.0
-    cot = math.cos(omega * xbar) / s
+    cot = math.cos(omega) / s
     numer = (eta**2 * omega**2 * (1.0 + delta) + r * r - eta) * omega * cot - r * r
     return C2 * numer / (bracket * omega**3)
 

@@ -9,9 +9,10 @@ whose coefficients do not depend on x, with A^2 = K*I.  One classical RK4
 step of length h is therefore exactly (1 + e)*I + b*A with z = h^2*K,
 e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the eigenvectors
 of A are 1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
-l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the
-exponents of the steps add, and the n equal subintervals multiply their
-sum by n.  The only propagator built is that of the bar [0, 1], the
+l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the N
+equal steps that cover [0, 1] (n subintervals, each of the fewest steps
+no longer than the requested one) multiply one step's exponents by N.
+The only propagator built is that of the bar [0, 1], the
 fundamental matrix Gamma(1) (the Cauchy problems whose initial states at
 x = 0 form the identity): exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) in closed
 form, a handful of complex function calls whatever the step count.  The
@@ -175,38 +176,30 @@ def _step_exponents(r: complex, h: float) -> Exponents:
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _layout(length: float, step: float) -> tuple[int, float]:
-    """Steps over an interval: nfull full steps, then one shortened step of
-    the remainder (0.0 if none) landing exactly on its end.  Raises
-    ValueError for a step that is not positive, or so small (subnormal)
-    that length/step, the step count, is not finite."""
+def _step_count(n: int, step: float) -> int:
+    """Equal RK4 steps over [0, 1]: n times the fewest no longer than step
+    in a 1/n-subinterval, with a relative 1e-12 for the rounding of
+    (1/n)/step.  Raises ValueError for n < 1, a step that is not positive,
+    and a step so small (subnormal) that the count is not finite."""
+    if n < 1:
+        raise ValueError("subinterval count must be at least 1")
     if not step > 0:
         raise ValueError("step must be positive")
-    steps = length / step
-    if not math.isfinite(steps):
+    steps = 1.0 / n / step
+    if not math.isfinite(n * steps):
         raise ValueError(f"step {step!r} is too small: length/step overflows")
-    nfull = int(math.floor(steps + 1e-9))
-    remainder = length - nfull * step
-    # Below 1e-14 a remainder is the rounding of the full steps, unless
-    # there are none: an interval shorter than that is one short step.
-    return nfull, remainder if remainder > 1e-14 or not nfull else 0.0
+    return n * max(1, math.ceil(steps * (1.0 - 1e-12)))
 
 
-def _point_exponents(q: float, omega: float, eps1: float, step: float,
-                     n: int, layout: tuple[int, float]) -> tuple[complex, ...]:
+def _point_exponents(q: float, omega: float, eps1: float,
+                     count: int) -> tuple[complex, ...]:
     """(K, r, L, T) at s = q + i*omega: K = s^2/(1 + eps1*s), r = sqrt(K)
-    and the exponents of the [0, 1] propagator made of n equal
-    subintervals, whose steps _layout gave as layout.  Raises as
-    rhs_coefficients and _log1p do."""
+    and the exponents of the [0, 1] propagator made of count equal steps.
+    Raises as rhs_coefficients and _log1p do."""
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
-    nfull, remainder = layout
-    l, t = _step_exponents(r, step)
-    L, T = nfull * l, nfull * t
-    if remainder:
-        l, t = _step_exponents(r, remainder)
-        L, T = L + l, T + t
-    return K, r, n * L, n * T
+    l, t = _step_exponents(r, 1.0 / count)
+    return K, r, count * l, count * t
 
 
 def _propagator(K: complex, r: complex, L: complex,
@@ -222,7 +215,8 @@ def _propagator(K: complex, r: complex, L: complex,
     for c in (a, b, b * K):
         if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
             raise OverflowError(
-                "fundamental matrix entry exceeded 1e150; subdivide the interval")
+                "fundamental matrix entry exceeded 1e150: it leaves the float "
+                "range at this point and step")
     if not (a and b):
         raise OverflowError("fundamental matrix entry underflowed to 0")
     return a, b
@@ -232,15 +226,15 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
                           step: float = DEFAULT_STEP) -> tuple[complex, complex]:
     """Fundamental matrix of [0, 1] for identity initial data at x = 0.
 
-    Fixed-step classical fourth-order integration in closed form; the last
-    step is shortened to land exactly on x = 1.  The result is the pair
-    (a, b) of the complex propagator a*I + b*A = [[a, b], [b*K, a]] acting
-    on (u, u').  Raises OverflowError as :func:`_propagator` does (the
-    caller should subdivide) and ValueError on a step that :func:`_layout`
-    rejects.
+    Classical fourth-order integration in closed form, with the fewest
+    equal steps no longer than step.  The result is the pair (a, b) of the
+    complex propagator a*I + b*A = [[a, b], [b*K, a]] acting on (u, u').
+    Raises OverflowError as :func:`_propagator` does, when an entry leaves
+    the float range at this point and step, and ValueError on a step that
+    :func:`_step_count` rejects.
     """
-    return _propagator(*_point_exponents(q, omega, dp.eps1, step, 1,
-                                         _layout(1.0, step)))
+    return _propagator(*_point_exponents(q, omega, dp.eps1,
+                                         _step_count(1, step)))
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
@@ -248,32 +242,28 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     system, with nu defaulting to dp.nu.
 
     Built once per search, or once per :func:`sweep_feedback` call, it
-    validates n and step, lays out the steps of a 1/n-subinterval and takes
-    from :func:`_row_coefficients` the coefficients of P(s) = D1 - i*D2 =
-    eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 = 1 + a1*s +
-    a2*s^2 + a3*s^3.  Only the s^3
-    coefficient p3 = eta*delta*(nu + mu) of P depends on nu, and it is
-    formed at each evaluation, so one kernel serves every nu: its value at
-    nu is bit for bit the value of the kernel built for replace(dp, nu=nu).
+    takes the step count from :func:`_step_count`, which validates n and
+    step, and from :func:`_row_coefficients` the coefficients of P(s) =
+    D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 =
+    1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3 coefficient
+    p3 = eta*delta*(nu + mu) of P depends on nu, and it is formed at each
+    evaluation, so one kernel serves every nu: its value at nu is bit for
+    bit the value of the kernel built for replace(dp, nu=nu).
     f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0, u' = 1
-    at x = 0), whose end state is the column (b, a) of the n-th power of
-    the subinterval propagator; that power, formed from n times the
-    subinterval's exponents, is the one propagator built and checked for
-    overflow.  scale = ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta =
-    |f|^2.  f' is the slope of :func:`find_eigenvalue`, with K'/(2K) =
+    at x = 0), whose end state is the column (b, a) of the [0, 1]
+    propagator, the one propagator built and checked for overflow.
+    scale = ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta = |f|^2.  f' is
+    the slope of :func:`find_eigenvalue`, with K'/(2K) =
     (2 + eps1*s)/(2s*(1 + eps1*s)).
     """
-    if n < 1:
-        raise ValueError("subinterval count must be at least 1")
-    layout = _layout(1.0 / n, step)
+    count = _step_count(n, step)
     eps1, mu = dp.eps1, dp.mu
     eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
     eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
 
     def residual(s: complex,
                  nu: float = dp.nu) -> tuple[complex, float, complex]:
-        du, u = _propagator(*_point_exponents(s.real, s.imag, eps1, step, n,
-                                              layout))
+        du, u = _propagator(*_point_exponents(s.real, s.imag, eps1, count))
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
@@ -307,9 +297,11 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     multiplication of the per-subinterval matrices.  The coefficients do not
     depend on x, so all n are the same matrix and the product is its n-th
     power; only that product is built and overflow-checked (OverflowError).
-    n = 1 is a single-interval integration of [0, 1].  Raises ValueError
-    for n < 1, a step that is not positive and a step so small that the
-    step count of a subinterval, (1/n)/step, is not finite.
+    Each subinterval takes the fewest equal steps no longer than step, so
+    [0, 1] is covered by n times that many equal steps, and n = 1 is a
+    single-interval integration of [0, 1].  Raises ValueError for n < 1,
+    a step that is not positive and a step so small that the step count,
+    about 1/step, is not finite.
     """
     f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
     return _normalized(f, scale)
@@ -343,7 +335,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     and delta_value is below ``CONVERGED_TOL``.  Raises ValueError, before
     any evaluation, for a non-finite seed and for options with fewer than one
     subinterval, a step that is not positive, or a step so small that the
-    step count of a subinterval, (1/subintervals)/step, is not finite;
+    step count, about 1/step, is not finite;
     otherwise never raises: a failed search comes back with
     converged=False.
 
@@ -430,8 +422,8 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
             "the point is not an eigenvalue")
 
     # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
-    _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1, step, n,
-                                  _layout(1.0 / n, step))
+    _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1,
+                                  _step_count(n, step))
     # np.linspace(0, 1, resolution)'s arithmetic, bit for bit.
     h = 1.0 / (resolution - 1)
     grid = [i * h for i in range(resolution - 1)] + [1.0]
@@ -479,12 +471,14 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     own verdict.  At each grid point, a converged row whose eigenvalue lies
     within 1e-8 (relative) of a converged row of a mode listed earlier in
     ``modes`` is a second search landing on one eigenvalue and comes back
-    with converged=False.  Unconverged points are flagged in their rows,
-    never dropped.  Rows come back grid point by grid point, each point's
-    in the order of ``modes``: row i*len(modes) + k is mode modes[k] at
-    nu_values[i]; an empty grid or mode list gives none.  Raises ValueError,
-    before any search, for a mode that is not an integer or is below 1, a
-    repeated mode, and a nu grid that is not finite or not ascending.
+    with converged=False, as does one within 1e-8 of its own conjugate,
+    a real (aperiodic) root and not an oscillatory mode.  Unconverged
+    points are flagged in their rows, never dropped.  Rows come back grid
+    point by grid point, each point's in the order of ``modes``: row
+    i*len(modes) + k is mode modes[k] at nu_values[i]; an empty grid or
+    mode list gives none.  Raises ValueError, before any search, for a mode
+    that is not an integer or is below 1, a repeated mode, and a nu grid
+    that is not finite or not ascending.
     """
     message = f"modes must be distinct integers of at least 1: {modes}"
     try:
@@ -537,7 +531,9 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             point = find_eigenvalue(dp, seeds[k], opts, _kernel=(kernel, nu))
             seeds[k] = point
             s = complex(point.q, point.omega)
-            converged = point.converged
+            # |s - conj(s)| = 2*omega: a root repeating its conjugate is real.
+            converged = (point.converged
+                         and 2.0 * point.omega > _DUPLICATE_RTOL * abs(s))
             for other in accepted:
                 if converged and abs(other - s) <= _DUPLICATE_RTOL * abs(s):
                     converged = False

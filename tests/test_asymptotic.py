@@ -153,7 +153,7 @@ def test_second_method_indicator_scales_with_c2():
 
 def test_second_method_pole_detected():
     with pytest.raises(ZeroDivisionError):
-        asymptotic.second_method_indicator(np.pi, REF, C2=1.0, xbar=1.0)
+        asymptotic.second_method_indicator(np.pi, REF, C2=1.0)
 
 
 def test_bracket_equals_excitation_numerator():

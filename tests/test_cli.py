@@ -947,6 +947,24 @@ def test_modeshape_counts_a_duplicated_eigenvalue_as_unconverged(tmp_path,
     assert len(read_output(out)[2]) == 201
 
 
+def test_spectrum_counts_a_real_root_as_unconverged(tmp_path, capsys):
+    # delta = 1e150 puts mode 1 on the real axis (imaginary part -3.4e-119
+    # in 34 digits); spectrum wrote it as omega = 9.26094167813e-74, a
+    # frequency it is not, and exited 0.
+    section = dimensionless_section(
+        "0.03441697414601714", "2.635073834928535", "0.002131903065946611",
+        "0.00011352442162894685", "1e+150")
+    code, out = run_cli(tmp_path, "spectrum", section,
+                        "[run]\nmodes = 2\nstep = 0.000531216731547416\n"
+                        "subintervals = 1\n", strict=True)
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    _, header, rows = read_output(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert cells[0]["q_numeric"] == cells[0]["omega_numeric"] == "NA"
+    assert "NA" not in (cells[1]["q_numeric"], cells[1]["omega_numeric"])
+
+
 def test_underflowing_step_is_unconverged_not_a_traceback(tmp_path):
     # eta = 1e150 puts mode 1 at omega ~ 1e-75, where a step of 1e-300 has
     # h*sqrt(K) below the float range: spectrum reported a zero of the

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,7 @@ def reference_sweep(dp, nu_values, modes, omega_max, opts):
     seeds from a Lagrange extrapolation through up to three converged rows
     at distinct nu, else from the previous row.  Mode by mode, then laid
     out grid position by grid position, modes in the order given; no
-    duplicate guard."""
+    duplicate or real-root guard."""
     roots = conservative.find_roots(dp, omega_max, max_count=max(modes))
     branches = []
     for mode in modes:
@@ -194,12 +195,17 @@ def row_bits(row):
             row.delta_value.hex(), row.converged)
 
 
+def equal_steps(length, step):
+    """The fewest equal steps no longer than step over an interval of this
+    length, with a relative 1e-12 for the rounding of length/step."""
+    return max(1, math.ceil(length / step * (1.0 - 1e-12)))
+
+
 def mp_rk4_power(K, n, step):
     """(a, b) of the propagator a*I + b*A of [0, 1] for an mpmath K, in the
     working precision: the RK4 step (1 + z/2 + z^2/24)*I + h*(1 + z/6)*A,
-    z = h^2*K, raised to the full-step count of a 1/n-subinterval, one
-    shortened step to its end, and the n-th power of that.  Step count and
-    remainder are the ones the double-precision code takes."""
+    z = h^2*K, raised to the power N = n*equal_steps(1/n, step), with h the
+    double-precision 1/N that the code takes."""
     mp = pytest.importorskip("mpmath")
 
     def rk4_step(h):
@@ -217,13 +223,8 @@ def mp_rk4_power(K, n, step):
                 result = mul(result, x)
         return result
 
-    length = 1.0 / n
-    nfull = int(np.floor(length / step + 1e-9))
-    remainder = length - nfull * step
-    sub = power(rk4_step(mp.mpf(step)), nfull)
-    if remainder > 1e-14:
-        sub = mul(rk4_step(mp.mpf(remainder)), sub)
-    return power(sub, n)
+    count = n * equal_steps(1.0 / n, step)
+    return power(rk4_step(mp.mpf(1.0 / count)), count)
 
 
 def mp_end_propagator(q, omega, dp, n, step):
@@ -343,7 +344,8 @@ def damped_gamma(q, omega, dp, x):
 
 def reference_propagator(q, omega, dp, length, step):
     """The 4x4 construction: the RK4 Taylor polynomial of the real system
-    matrix raised to the full-step count, then one shortened step."""
+    matrix for the fewest equal steps over length no longer than step,
+    raised to their count."""
     K = fundsys.rhs_coefficients(q, omega, dp.eps1)
     K1, K2 = K.real, K.imag
     A = np.array([[0.0, 0.0, 1.0, 0.0],
@@ -358,12 +360,8 @@ def reference_propagator(q, omega, dp, length, step):
             M = M + term
         return M
 
-    nfull = int(np.floor(length / step + 1e-9))
-    remainder = length - nfull * step
-    G = np.linalg.matrix_power(rk4_step(step), nfull)
-    if remainder > 1e-14:
-        G = rk4_step(remainder) @ G
-    return G
+    count = equal_steps(length, step)
+    return np.linalg.matrix_power(rk4_step(length / count), count)
 
 
 def reference_delta(q, omega, dp, n, step):
@@ -512,7 +510,8 @@ def test_integrator_matches_matrix_reference():
         dp = random_dp(rng)
         q = rng.uniform(-1, 1)
         omega = rng.uniform(0.01, 10)
-        # 0.0007 and 0.003 do not divide 1: a shortened step ends [0, 1].
+        # 0.0007 and 0.003 do not divide 1: [0, 1] takes equal steps
+        # just shorter than them.
         for step in (1.0 / 500.0, 1.0 / 300.0, 0.0007, 0.003):
             a, b, bK = propagator_entries(q, omega, dp, step)
             G = realify([[a, b], [bK, a]])
@@ -527,7 +526,7 @@ def test_delta_subdivided_matches_matrix_reference(n):
         dp = random_dp(rng)
         q = rng.uniform(-1, 1)
         omega = rng.uniform(0.01, 10)
-        # 1/700 does not divide 1/8, so n = 8 takes a remainder step.
+        # 1/700 does not divide 1/8, so n = 8 takes equal steps of 1/704.
         step = rng.choice([1.0 / 2000.0, 1.0 / 700.0])
         value = fundsys.delta_subdivided(q, omega, dp, n=n, step=step)
         assert abs(value - reference_delta(q, omega, dp, n, step)) <= 1e-12
@@ -542,12 +541,16 @@ def test_integrator_fourth_order_error_signature():
     assert e2 <= e1 / 8.0
 
 
-def test_integrator_short_final_step_lands_on_endpoint():
-    # Neither step divides 1; the remainder step must close the gap.
+def test_integrator_non_dividing_step_lands_on_endpoint():
+    # Neither step divides 1: [0, 1] takes the fewest equal steps no longer
+    # than it, count steps of 1/count that land exactly on x = 1.
     omega = 2.0
     for step in (0.0007, 0.003):
-        assert fundsys._layout(1.0, step)[1] > 1e-14
+        count = fundsys._step_count(1, step)
+        assert (count - 1) * step < 1.0 < count * step
         entries = propagator_entries(0.0, omega, UNDAMPED, step=step)
+        assert entries == propagator_entries(0.0, omega, UNDAMPED,
+                                             step=1.0 / count)
         assert entry_error(entries, undamped_gamma(omega, 1.0)) < 1e-9
 
 
@@ -587,7 +590,7 @@ def test_subinterval_shorter_than_rounding_slop_is_one_step():
     # 1/subintervals = 1e-15 used to be dropped as rounding of no full
     # steps: the propagator was the identity and the search converged on
     # a zero of Q(s), at omega = 1.195 for mode 1.
-    assert fundsys._layout(1e-15, fundsys.DEFAULT_STEP) == (0, 1e-15)
+    assert fundsys._step_count(10**15, fundsys.DEFAULT_STEP) == 10**15
     seed = asymptotic_seeds(REF, 1)[0]
     point = fundsys.find_eigenvalue(
         REF, seed, fundsys.SolveOptions(subintervals=10**15))
@@ -597,12 +600,59 @@ def test_subinterval_shorter_than_rounding_slop_is_one_step():
                - complex(production.q, production.omega)) < 1e-9
 
 
+def test_step_count_is_the_fewest_equal_steps_no_longer_than_step():
+    # Seeded draws step = 10^U(-7, 1): the count is a multiple of n, its
+    # steps 1/count are no longer than step (in exact arithmetic), and n
+    # fewer steps would be too long.  A step 1/(n*m) that divides every
+    # subinterval gives exactly n*m; an absolute slop of 1e-9 on the
+    # quotient got nearly 1% of those wrong.
+    rng = np.random.default_rng(23)
+    for n in (1, 3, 8, 12, 10**6):
+        for step in 10.0 ** rng.uniform(-7.0, 1.0, 500):
+            count = fundsys._step_count(n, step)
+            assert count % n == 0 and count >= n
+            assert Fraction(1, count) <= Fraction(step)
+            if count > n:
+                assert Fraction(1, count - n) > Fraction(step)
+        for m in 10.0 ** rng.uniform(0.0, 11.0, 500):
+            m = int(m)
+            assert fundsys._step_count(n, 1.0 / (n * m)) == n * m
+
+
+def test_step_longer_than_a_subinterval_is_one_step():
+    # A step of 1e160 made the unused full-step exponent NaN (0*inf): the
+    # propagator raised OverflowError, and the search came back
+    # unconverged with a NaN determinant.
+    one = fundsys.integrate_fundamental(0.0, 1.0, REF, step=1.0)
+    for step in (3.0, 1e10, 1e160, 1e300):
+        assert fundsys.integrate_fundamental(0.0, 1.0, REF, step=step) == one
+    seed = asymptotic_seeds(REF, 1)[0]
+    point = fundsys.find_eigenvalue(
+        REF, seed, fundsys.SolveOptions(step=1e160, subintervals=8))
+    assert point.converged
+    assert point == fundsys.find_eigenvalue(
+        REF, seed, fundsys.SolveOptions(step=0.125, subintervals=8))
+
+
+def test_power_of_two_split_is_exact_at_a_dividing_step():
+    # At step 1/2000 the splits 1, 2, 4 and 8 all take the same 2000 equal
+    # steps, so the kernel's output is the same bit for bit.
+    rng = np.random.default_rng(31)
+    step = 1.0 / 2000.0
+    for dp in [REF] + [random_dp(rng) for _ in range(4)]:
+        kernels = [fundsys._residual_fn(dp, n, step) for n in (1, 2, 4, 8)]
+        for _ in range(20):
+            s = complex(rng.uniform(-1.0, 0.5), rng.uniform(0.01, 20.0))
+            first = kernels[0](s)
+            assert all(kernel(s) == first for kernel in kernels[1:])
+
+
 @pytest.mark.parametrize("step", [1.0 / 2000.0, 0.0007, 0.05, 0.2])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_end_propagator_matches_exact_rk4_power(monkeypatch, step, n):
     # The closed form exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) against the
     # RK4 step polynomial raised to the same power in 50 digits; 0.0007
-    # divides no subinterval, so it takes a remainder step.
+    # divides no subinterval, so its equal steps are shorter than it.
     rng = np.random.default_rng(int(step * 1e4) + n)
     for _ in range(6):
         dp = random_dp(rng)
@@ -751,7 +801,7 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
         built.clear()
         kernel(s)
         assert built == [fundsys._point_exponents(
-            s.real, s.imag, REF.eps1, step, n, fundsys._layout(1.0 / n, step))]
+            s.real, s.imag, REF.eps1, fundsys._step_count(n, step))]
     # A search evaluates the same kernel: one propagator per evaluation.
     built.clear()
     calls.clear()
@@ -769,7 +819,8 @@ def test_delta_subdivided_rejects_bad_count():
 @pytest.mark.parametrize("step", [1e-320, 5e-324])
 def test_subnormal_step_is_a_value_error(conservative_mode_one, step):
     # length/step overflows to inf, whose step count int(floor(inf)) raised
-    # OverflowError, the "subdivide" signal, instead of rejecting the step.
+    # OverflowError, which says a propagator entry left the float range,
+    # instead of rejecting the step.
     with pytest.raises(ValueError, match="too small"):
         fundsys.delta_subdivided(0.0, 0.35, REF, 1, step)
     with pytest.raises(ValueError, match="too small"):
@@ -1325,6 +1376,22 @@ def test_sweep_feedback_flags_a_repeated_eigenvalue_per_grid_point():
     for one, two in zip(rows[0::3], rows[1::3]):
         assert abs(complex(one.q, one.omega) - complex(two.q, two.omega)) \
             <= 1e-8 * abs(complex(one.q, one.omega))
+
+
+def test_sweep_feedback_flags_a_real_root():
+    # Mode 1's search settles on -7.1741 + 2.4e-19i, within 1e-8 of its own
+    # conjugate: a real (aperiodic) root, which came back as a converged
+    # oscillatory mode.
+    dp = DimensionlessParams(
+        eps1=4.990891476241281, mu=10.320329820550578,
+        nu=0.0005833326333315348, eta=0.2512803016179906,
+        delta=6.021977396328784)
+    row = fundsys.sweep_feedback(dp, [dp.nu], modes=(1,))[0]
+    assert abs(complex(row.q, row.omega) + 7.1741) < 1e-4
+    assert 0.0 < 2.0 * row.omega <= 1e-8 * abs(row.q)
+    assert fundsys.find_eigenvalue(
+        dp, fundsys.SpectralPoint(q=row.q, omega=row.omega)).converged
+    assert not row.converged
 
 
 @settings(max_examples=30, deadline=None)
