@@ -11,9 +11,10 @@ only the products are ever observable.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .params import DimensionlessParams
+if TYPE_CHECKING:
+    from .params import DimensionlessParams
 
 _DEGENERATE_DENOM = 1e-12
 _DEGENERATE_SLOPE = 1e-15

@@ -20,9 +20,23 @@ import sys
 import types
 import warnings
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from . import asymptotic, conservative, fundsys
-from .params import DimensionlessParams, PhysicalParams, to_dimensionless, validate
+from . import asymptotic, conservative
+from .params import (
+    DEFAULT_OMEGA_MAX,
+    DEFAULT_RESOLUTION,
+    DEFAULT_STEP,
+    DEFAULT_SUBINTERVALS,
+    STABILITY_EDGE,
+    DimensionlessParams,
+    PhysicalParams,
+    to_dimensionless,
+    validate,
+)
+
+if TYPE_CHECKING:
+    from . import fundsys
 
 
 class ConfigError(Exception):
@@ -37,13 +51,13 @@ _DIMLESS_KEYS = dict.fromkeys(("eps1", "mu", "nu", "eta", "delta"),
                               (float, None))
 _RUN_KEYS = {
     "modes": (int, 5),
-    "omega_max": (float, fundsys.DEFAULT_OMEGA_MAX),
-    "step": (float, fundsys.DEFAULT_STEP),
-    "subintervals": (int, fundsys.DEFAULT_SUBINTERVALS),
+    "omega_max": (float, DEFAULT_OMEGA_MAX),
+    "step": (float, DEFAULT_STEP),
+    "subintervals": (int, DEFAULT_SUBINTERVALS),
     "nu_min": (float, 0.0),
     "nu_max": (float, 0.1),
     "nu_step": (float, 0.005),
-    "grid_points": (int, fundsys.DEFAULT_RESOLUTION),
+    "grid_points": (int, DEFAULT_RESOLUTION),
     "mode": (int, 1),
 }
 
@@ -56,6 +70,7 @@ class RunConfig(types.SimpleNamespace):
     attribute per _RUN_KEYS key."""
 
     def solve_options(self) -> fundsys.SolveOptions:
+        from . import fundsys
         return fundsys.SolveOptions(step=self.step,
                                     subintervals=self.subintervals)
 
@@ -102,7 +117,7 @@ def _run_checks(c: RunConfig):
     yield c.step > 0, "step must be positive"
     yield (math.isfinite(1.0 / c.step),
            "step is too small: 1/step overflows floating-point arithmetic")
-    yield (c.step * c.omega_max <= fundsys.STABILITY_EDGE,
+    yield (c.step * c.omega_max <= STABILITY_EDGE,
            "step * omega_max must not exceed the RK4 stability edge "
            "2*sqrt(2) = 2.83")
     yield c.subintervals >= 1, "subintervals must be >= 1"
@@ -222,6 +237,9 @@ def _search(config: RunConfig, nu_values, modes: range):
     (none for no modes).  Every eigenvalue search of every verb runs here.
     `modes` is a range from 1, so a huge count costs nothing before the
     shortfall check."""
+    # fundsys is imported only where a verb searches, so that stability,
+    # the closed forms alone, never compiles it.
+    from . import fundsys
     roots = _conservative_roots(config, len(modes))
     return roots, fundsys.sweep_feedback(config.dimensionless, nu_values,
                                          modes, omega_max=config.omega_max,
@@ -330,6 +348,7 @@ def run_modeshape(config: RunConfig):
     header = "xbar,u1,u2"
     if not row.converged:
         return header, [], False
+    from . import fundsys
     grid, profile = fundsys._mode_profile(row, dp, config.grid_points,
                                           config.solve_options())
     rows = [",".join([_fmt(x), _fmt(u.real), _fmt(u.imag)])

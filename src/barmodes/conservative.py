@@ -20,9 +20,10 @@ These real roots seed every other solver in the package.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .params import DimensionlessParams
+if TYPE_CHECKING:
+    from .params import DimensionlessParams
 
 _ROOT_RTOL = 1e-13     # stop at a step this small relative to the root
 _MAX_REFINE_STEPS = 100  # bisection alone needs ~45 from a branch bracket

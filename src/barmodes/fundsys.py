@@ -40,19 +40,23 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import asymptotic, conservative
-from .params import DimensionlessParams
+# The search defaults are defined in params, so that the CLI reads them
+# without compiling this module, and are fundsys's names as well.
+from .params import (
+    DEFAULT_OMEGA_MAX,
+    DEFAULT_RESOLUTION,
+    DEFAULT_STEP,
+    DEFAULT_SUBINTERVALS,
+    STABILITY_EDGE,
+    DimensionlessParams,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_STEP = 1.0 / 2000.0
-DEFAULT_SUBINTERVALS = 8
-DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
-DEFAULT_RESOLUTION = 201      # mode-shape grid points
 OVERFLOW_LIMIT = 1e150
 CONVERGED_TOL = 1e-12         # normalized determinant of a converged search
 BAND_HALFWIDTH = math.pi / 2  # mode-hop guard around the seed omega
-STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
 MAX_ITERATIONS = 500          # residual evaluations (Newton steps) per search
 
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
@@ -176,13 +180,25 @@ def _step_exponents(r: complex, h: float) -> Exponents:
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
+def _count(value, least: int, what: str) -> int:
+    """value as an int, through operator.index.  Raises ValueError when it
+    is not an integer or is below least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer: {value!r}") from None
+    if count < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return count
+
+
 def _step_count(n: int, step: float) -> int:
     """Equal RK4 steps over [0, 1]: n times the fewest no longer than step
     in a 1/n-subinterval, with a relative 1e-12 for the rounding of
-    (1/n)/step.  Raises ValueError for n < 1, a step that is not positive,
-    and a step so small (subnormal) that the count is not finite."""
-    if n < 1:
-        raise ValueError("subinterval count must be at least 1")
+    (1/n)/step.  Raises ValueError for an n that is not an integer of at
+    least 1, a step that is not positive, and a step so small (subnormal)
+    that the count is not finite."""
+    n = _count(n, 1, "subinterval count")
     if not step > 0:
         raise ValueError("step must be positive")
     steps = 1.0 / n / step
@@ -299,9 +315,9 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     power; only that product is built and overflow-checked (OverflowError).
     Each subinterval takes the fewest equal steps no longer than step, so
     [0, 1] is covered by n times that many equal steps, and n = 1 is a
-    single-interval integration of [0, 1].  Raises ValueError for n < 1,
-    a step that is not positive and a step so small that the step count,
-    about 1/step, is not finite.
+    single-interval integration of [0, 1].  Raises ValueError for an n
+    that is not an integer of at least 1, a step that is not positive and
+    a step so small that the step count, about 1/step, is not finite.
     """
     f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
     return _normalized(f, scale)
@@ -333,9 +349,9 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     normalized determinant of that evaluation as delta_value (NaN when even
     the seed cannot be evaluated); converged means the iteration settled
     and delta_value is below ``CONVERGED_TOL``.  Raises ValueError, before
-    any evaluation, for a non-finite seed and for options with fewer than one
-    subinterval, a step that is not positive, or a step so small that the
-    step count, about 1/step, is not finite;
+    any evaluation, for a non-finite seed and for options whose subinterval
+    count is not an integer of at least 1, a step that is not positive, or
+    a step so small that the step count, about 1/step, is not finite;
     otherwise never raises: a failed search comes back with
     converged=False.
 
@@ -389,10 +405,11 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     exactly 1 + 0i, so the conservative limit is real.  The samples are
     computed in cmath by _mode_profile, which the modeshape verb formats
     without loading numpy.  Raises ValueError for an unconverged point, a
-    resolution below 2 and options the search rejects, and
-    numpy.linalg.LinAlgError when the rank check, delta_subdivided with
-    these options (a search result's own delta_value), is not below
-    ``CONVERGED_TOL``: the point is not an eigenvalue.
+    resolution that is not an integer of at least 2 and options the search
+    rejects, and numpy.linalg.LinAlgError when the rank check,
+    delta_subdivided with these options (a search result's own
+    delta_value), is not below ``CONVERGED_TOL``: the point is not an
+    eigenvalue.
     """
     import numpy as np
 
@@ -407,8 +424,7 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads only q,
     omega and converged of point, so a SweepRow serves as well.  Raises as
     mode_shape does."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = _count(resolution, 2, "resolution")
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
 

@@ -17,6 +17,14 @@ from dataclasses import dataclass
 # perturbation-based solvers lose their accuracy guarantees.
 SMALLNESS_LIMIT = 0.1
 
+# Defaults and limits of the fundsys search.  They live here, and fundsys
+# imports them, so that the CLI reads them without compiling the solver.
+DEFAULT_STEP = 1.0 / 2000.0
+DEFAULT_SUBINTERVALS = 8
+DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
+DEFAULT_RESOLUTION = 201      # mode-shape grid points
+STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
+
 _STRICTLY_POSITIVE = ("rho", "S", "E", "c", "m", "l")
 _NON_NEGATIVE = ("beta", "b", "d")
 
@@ -71,15 +79,22 @@ def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     """Map physical constants to the dimensionless groups.
 
     eps1 = beta*a/l, mu = b*a/(E*S), nu = d*a/(E*S), eta = m/(rho*S*l),
-    delta = E*S/(c*l), with wave speed a = sqrt(E/rho).  Raises ValueError
-    when a denominator underflows to 0, which leaves its groups undefined.
+    delta = E*S/(c*l), with wave speed a = sqrt(E/rho).  Raises ValueError,
+    naming the quantity, when one of the three products (the denominators)
+    underflows to 0 and otherwise when a product or the wave speed
+    overflows to inf: either leaves the groups formed from it undefined.
     """
     a = p.wave_speed
     ES, cl, rhoSl = p.E * p.S, p.c * p.l, p.rho * p.S * p.l
-    for name, product in (("E*S", ES), ("c*l", cl), ("rho*S*l", rhoSl)):
+    products = (("E*S", ES), ("c*l", cl), ("rho*S*l", rhoSl))
+    for name, product in products:
         if product == 0.0:
             raise ValueError(f"{name} underflows to 0; the dimensionless "
                              "groups divided by it are not finite")
+    for name, value in products + (("the wave speed sqrt(E/rho)", a),):
+        if value == math.inf:
+            raise ValueError(f"{name} is not finite: it overflows "
+                             "floating-point arithmetic")
     return DimensionlessParams(
         eps1=p.beta * a / p.l,
         mu=p.b * a / ES,

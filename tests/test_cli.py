@@ -362,6 +362,30 @@ def test_physical_product_underflow_exits_2(tmp_path, capsys, edits,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("edits, quantity", [
+    ({"rho": "1e-300", "S": "1", "E": "1e300", "beta": "0", "b": "0",
+      "c": "1", "d": "0", "m": "1", "l": "1"}, "the wave speed sqrt(E/rho)"),
+    ({"rho": "1e200", "S": "1e200", "E": "1", "beta": "1e-3", "b": "1",
+      "c": "1", "d": "1", "m": "1", "l": "1"}, "rho*S*l"),
+])
+def test_physical_overflow_names_the_quantity(tmp_path, capsys, edits,
+                                              quantity):
+    # Both exited 2 with a violation the parameters do not make: "eps1 >= 0
+    # violated; mu >= 0 violated; nu >= 0 violated" with beta = b = d = 0,
+    # and "eta > 0 violated".
+    section = PHYSICAL_SECTION
+    for key, value in edits.items():
+        section = re.sub(rf"^{key} = .*$", f"{key} = {value}", section,
+                         flags=re.M)
+    for verb in ("spectrum", "stability", "sweep", "modeshape"):
+        code, out = run_cli(tmp_path, verb, section, FAST_RUN)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: [physical] {quantity} is not finite: it "
+            "overflows floating-point arithmetic\n")
+        assert not out.exists()
+
+
 def test_absent_run_section_gives_every_default(tmp_path):
     config = cli.load_config(write_config(tmp_path, REF_SECTION))
     for key, (kind, default) in cli._RUN_KEYS.items():

@@ -980,7 +980,9 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
     fundsys.SolveOptions(subintervals=-3),
     fundsys.SolveOptions(step=-np.inf),
     fundsys.SolveOptions(step=1e-320, subintervals=1),
-    fundsys.SolveOptions(step=5e-324)])
+    fundsys.SolveOptions(step=5e-324),
+    fundsys.SolveOptions(subintervals=2.5),
+    fundsys.SolveOptions(subintervals=8.0)])
 def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
                                                                 options):
     calls = count_rhs_calls(monkeypatch)
@@ -1159,6 +1161,22 @@ def test_mode_shape_rejects_unconverged_point():
                                   converged=False)
     with pytest.raises(ValueError):
         fundsys.mode_shape(bogus, UNDAMPED, resolution=11)
+
+
+@pytest.mark.parametrize("count", [2.5, 8.0, "8", None])
+def test_counts_must_be_integers(conservative_mode_one, count):
+    # A float subinterval count ran a float step count (2000.0 for 2.5),
+    # and a float resolution raised TypeError from range().
+    with pytest.raises(ValueError, match="subinterval count must be an "
+                                         "integer"):
+        fundsys.delta_subdivided(-0.01, 0.35, REF, n=count)
+    with pytest.raises(ValueError, match="subinterval count must be an "
+                                         "integer"):
+        fundsys.sweep_feedback(REF, [0.05], (1,), options=fundsys.SolveOptions(
+            subintervals=count))
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=count,
+                           options=SHAPE_OPTS)
 
 
 def test_mode_shape_rejects_non_eigenvalue():

@@ -50,6 +50,22 @@ def test_underflowing_denominator_is_a_value_error(values, product):
         to_dimensionless(p)
 
 
+@pytest.mark.parametrize("values, quantity", [
+    (dict(rho=1e200, S=1e200), "rho*S*l"),
+    (dict(E=1e200, S=1e200), "E*S"),
+    (dict(c=1e200, l=1e200), "c*l"),
+    (dict(rho=1e-300, E=1e300), "the wave speed sqrt(E/rho)"),
+])
+def test_overflowing_quantity_is_named(values, quantity):
+    # These gave groups of 0, inf or NaN, reported as violated bounds of
+    # the groups, not as the overflow that made them.
+    p = PhysicalParams(**{**dict(rho=1, S=1, E=1, beta=1, b=1, d=1, m=1, c=1,
+                                 l=1), **values})
+    with pytest.raises(ValueError, match=rf"^{re.escape(quantity)} is not "
+                                         "finite: it overflows"):
+        to_dimensionless(p)
+
+
 def test_nonpositive_required_field_rejected():
     with pytest.raises(ValueError):
         PhysicalParams(rho=0, S=1, E=1, beta=0, b=0, d=0, m=1, c=1, l=1)
