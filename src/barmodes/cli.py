@@ -1,8 +1,9 @@
 """Command-line front end: spectrum tables, stability maps, feedback sweeps
 and mode shapes as reproducible CSV files.
 
-Verbs: spectrum | stability | sweep | modeshape, each with
---config PATH (INI-style), --out PATH (default stdout) and --strict.
+One verb (spectrum | stability | sweep | modeshape; `barmodes -h` says
+what each writes) and the options --config PATH (INI-style), --out PATH
+(default stdout) and --strict, in any order.
 Exit codes: 0 ok, 2 config error or unwritable output path, 3 solver
 non-convergence under --strict.
 
@@ -356,16 +357,8 @@ def run_modeshape(config: RunConfig):
     return header, rows, True
 
 
-# verb -> (analysis, help text)
-_VERBS = {
-    "spectrum": (run_spectrum,
-                 "first modes via conservative, asymptotic and direct search"),
-    "stability": (run_stability,
-                  "boundary frequency, critical feedback and excitation map"),
-    "sweep": (run_sweep, "eigenvalue branches across the feedback grid"),
-    "modeshape": (run_modeshape,
-                  "normalized displacement profile of one mode"),
-}
+_VERBS = {"spectrum": run_spectrum, "stability": run_stability,
+          "sweep": run_sweep, "modeshape": run_modeshape}
 
 
 def _write_output(path, lines):
@@ -380,18 +373,23 @@ def _write_output(path, lines):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="barmodes",
-        description="Eigenvalue analyses of a damped bar with an end mass "
-                    "under velocity feedback; results as CSV.")
-    sub = parser.add_subparsers(dest="analysis", required=True)
-    for name, (_, text) in _VERBS.items():
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", required=True, metavar="PATH",
-                         help="INI config file")
-        cmd.add_argument("--out", default="-", metavar="PATH",
-                         help="output CSV path (default: stdout)")
-        cmd.add_argument("--strict", action="store_true",
-                         help="exit 3 if any eigenvalue search fails to converge")
+        prog="barmodes", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="""\
+Eigenvalue analyses of a damped bar with an end mass under velocity
+feedback; results as CSV.
+
+analyses:
+  spectrum   first modes via conservative, asymptotic and direct search
+  stability  boundary frequency, critical feedback and excitation map
+  sweep      eigenvalue branches across the feedback grid
+  modeshape  normalized displacement profile of one mode""")
+    parser.add_argument("analysis", choices=_VERBS, help="analysis to run")
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="INI config file")
+    parser.add_argument("--out", default="-", metavar="PATH",
+                        help="output CSV path (default: stdout)")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit 3 if any eigenvalue search fails to converge")
     return parser
 
 
@@ -399,7 +397,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        header, rows, all_converged = _VERBS[args.analysis][0](config)
+        header, rows, all_converged = _VERBS[args.analysis](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from barmodes import asymptotic
+from barmodes import asymptotic, conservative
 from barmodes.params import DimensionlessParams
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
@@ -74,6 +76,35 @@ def test_numerator_is_affine_in_nu(w, nu_a, nu_b):
     n_mid = asymptotic.excitation_indicator(w, dp_with(0.5 * (nu_a + nu_b))).numerator
     scale = max(abs(n_a), abs(n_b), 1e-30)
     assert abs(n_mid - 0.5 * (n_a + n_b)) <= 1e-12 * scale
+
+
+def test_excitation_condition_is_the_sign_of_the_growth_rate():
+    # indicator = -2*q/w^2 in exact arithmetic, so stability's excited_k
+    # flags and spectrum's q_asymptotic agree in sign.  The bound is that
+    # of the rounding in the numerator's terms, over the denominator.
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(600):
+        eps1, mu, nu = (10.0 ** rng.uniform(-4, 0) for _ in range(3))
+        eta, delta = 10.0 ** rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-2, 0.5)
+        dp = DimensionlessParams(eps1, mu, nu, eta, delta)
+        for root in conservative.find_roots(dp, 30.0, max_count=5):
+            w, ed = root.omega, eta * delta
+            try:
+                report = asymptotic.excitation_indicator(w, dp)
+                q = asymptotic.corrected_eigenvalue(w, dp).q
+            except ZeroDivisionError:
+                continue
+            w2 = w * w
+            terms = (eps1 * ed**2 * w2 * w2, 2 * ed**2 * mu * w2,
+                     eps1 * eta**2 * (1.0 - delta) * w2, 2 * ed * eps1 * w2,
+                     eps1 * (1.0 + eta), 2 * ed**2 * w2 * nu, 2 * ed * nu)
+            bound = 1e-13 * sum(map(abs, terms)) / abs(report.denominator)
+            assert abs(report.indicator + 2.0 * q / w2) <= bound, (dp, w)
+            if abs(report.indicator) > bound:
+                assert report.excited == (q >= 0.0), (dp, w)
+            checked += 1
+    assert checked >= 2000
 
 
 # ------------------------------------------------------------- critical feedback

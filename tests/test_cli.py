@@ -1025,6 +1025,42 @@ def test_module_entry_point(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("verb", sorted(cli._VERBS))
+def test_options_before_or_after_the_verb_write_the_same_csv(tmp_path, verb):
+    cfg = write_config(tmp_path, REF_SECTION + FAST_RUN
+                       + "modes = 2\nnu_step = 0.05\ngrid_points = 11\n")
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert cli.main(["--config", cfg, "--out", str(before), "--strict",
+                     verb]) == 0
+    assert cli.main([verb, "--config", cfg, "--out", str(after),
+                     "--strict"]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--config", "{cfg}"],
+                                  ["spectra", "--config", "{cfg}"],
+                                  ["spectrum"]],
+                         ids=["no-verb", "unknown-verb", "no-config"])
+def test_usage_error_exits_2_and_writes_no_output(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, REF_SECTION)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(cfg=cfg) for arg in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error:" in err
+    assert not out.exists()
+
+
+def test_help_describes_every_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for verb in cli._VERBS:
+        assert re.search(rf"^ +{verb} +\w", text, re.MULTILINE), verb
+
+
 def test_verbs_without_arrays_load_no_numpy(tmp_path):
     # No verb returns an array: modeshape samples its profile in cmath.
     cfg = write_config(tmp_path, REF_SECTION + README_RUN)
