@@ -20,8 +20,7 @@ import math
 import sys
 import types
 import warnings
-from dataclasses import replace
-from typing import TYPE_CHECKING
+from dataclasses import fields, replace
 
 from . import asymptotic, conservative
 from .params import (
@@ -32,12 +31,10 @@ from .params import (
     STABILITY_EDGE,
     DimensionlessParams,
     PhysicalParams,
+    SolveOptions,
     to_dimensionless,
     validate,
 )
-
-if TYPE_CHECKING:
-    from . import fundsys
 
 
 class ConfigError(Exception):
@@ -46,10 +43,8 @@ class ConfigError(Exception):
 
 # Section keys in echo order: name -> (parser, default); a key without a
 # default is required.
-_PHYSICAL_KEYS = dict.fromkeys(
-    ("rho", "S", "E", "beta", "b", "c", "d", "m", "l"), (float, None))
-_DIMLESS_KEYS = dict.fromkeys(("eps1", "mu", "nu", "eta", "delta"),
-                              (float, None))
+_PHYSICAL_KEYS = {f.name: (float, None) for f in fields(PhysicalParams)}
+_DIMLESS_KEYS = {f.name: (float, None) for f in fields(DimensionlessParams)}
 _RUN_KEYS = {
     "modes": (int, 5),
     "omega_max": (float, DEFAULT_OMEGA_MAX),
@@ -70,10 +65,8 @@ class RunConfig(types.SimpleNamespace):
     (None for a [dimensionless] config; kept only for the echo) and one
     attribute per _RUN_KEYS key."""
 
-    def solve_options(self) -> fundsys.SolveOptions:
-        from . import fundsys
-        return fundsys.SolveOptions(step=self.step,
-                                    subintervals=self.subintervals)
+    def solve_options(self) -> SolveOptions:
+        return SolveOptions(step=self.step, subintervals=self.subintervals)
 
     def nu_grid(self) -> list[float]:
         count = int(math.floor(self._nu_steps())) + 1

@@ -20,6 +20,7 @@ These real roots seed every other solver in the package.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -32,6 +33,18 @@ _MAX_REFINE_STEPS = 100  # bisection alone needs ~45 from a branch bracket
 class ConservativeRoot(NamedTuple):
     omega: float
     index: int  # 1-based mode number
+
+
+def _count(value, least: int, what: str) -> int:
+    """value as an int, through operator.index.  Raises ValueError when it
+    is not an integer or is below least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer: {value!r}") from None
+    if count < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return count
 
 
 def characteristic(omega: float, dp: DimensionlessParams) -> float:
@@ -95,7 +108,8 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
     None).
 
     Raises ValueError unless eta > 0, delta >= 0 and omega_max > 0, all
-    finite: outside that premise the branch argument does not hold.
+    finite: outside that premise the branch argument does not hold; and
+    for a max_count that is neither None nor an integer of at least 0.
     """
     eta, delta = dp.eta, dp.delta
     if not (math.isfinite(eta) and eta > 0):
@@ -105,7 +119,8 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
     if not (math.isfinite(omega_max) and omega_max > 0):
         raise ValueError("omega_max must be positive and finite")
 
-    count = math.inf if max_count is None else max_count
+    count = (math.inf if max_count is None
+             else _count(max_count, 0, "max_count"))
     roots = []
     lo, chi_lo = 0.0, -1.0   # chi(0) = -1
     k = 1

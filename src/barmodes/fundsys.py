@@ -40,8 +40,8 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import asymptotic, conservative
-# The search defaults are defined in params, so that the CLI reads them
-# without compiling this module, and are fundsys's names as well.
+# params defines the search defaults and SolveOptions, so that the CLI
+# reads them without compiling this module; they are fundsys's names too.
 from .params import (
     DEFAULT_OMEGA_MAX,
     DEFAULT_RESOLUTION,
@@ -49,6 +49,7 @@ from .params import (
     DEFAULT_SUBINTERVALS,
     STABILITY_EDGE,
     DimensionlessParams,
+    SolveOptions,
 )
 
 if TYPE_CHECKING:
@@ -100,14 +101,6 @@ class SweepRow(NamedTuple):
     omega: float
     delta_value: float
     converged: bool
-
-
-class SolveOptions(NamedTuple):
-    """Discretisation of the fundamental system that the Newton eigenvalue
-    search uses: the RK4 step and the number of equal subintervals."""
-
-    step: float = DEFAULT_STEP
-    subintervals: int = DEFAULT_SUBINTERVALS
 
 
 def rhs_coefficients(q: float, omega: float, eps1: float) -> complex:
@@ -180,25 +173,13 @@ def _step_exponents(r: complex, h: float) -> Exponents:
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _count(value, least: int, what: str) -> int:
-    """value as an int, through operator.index.  Raises ValueError when it
-    is not an integer or is below least."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer: {value!r}") from None
-    if count < least:
-        raise ValueError(f"{what} must be at least {least}")
-    return count
-
-
 def _step_count(n: int, step: float) -> int:
     """Equal RK4 steps over [0, 1]: n times the fewest no longer than step
     in a 1/n-subinterval, with a relative 1e-12 for the rounding of
     (1/n)/step.  Raises ValueError for an n that is not an integer of at
     least 1, a step that is not positive, and a step so small (subnormal)
     that the count is not finite."""
-    n = _count(n, 1, "subinterval count")
+    n = conservative._count(n, 1, "subinterval count")
     if not step > 0:
         raise ValueError("step must be positive")
     steps = 1.0 / n / step
@@ -421,10 +402,10 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
 def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
                   resolution: int, options: SolveOptions | None
                   ) -> tuple[list[float], list[complex]]:
-    """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads only q,
-    omega and converged of point, so a SweepRow serves as well.  Raises as
-    mode_shape does."""
-    resolution = _count(resolution, 2, "resolution")
+    """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads q, omega and
+    converged of point only, so a SweepRow at nu = dp.nu serves as well (at
+    another nu, the rank check fails).  Raises as mode_shape does."""
+    resolution = conservative._count(resolution, 2, "resolution")
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
 

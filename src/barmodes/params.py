@@ -3,8 +3,8 @@
 The model is a longitudinally vibrating elastic bar, clamped at one end,
 carrying at the other end a mass that sits on a centering spring, a damper
 and a velocity-feedback actuator.  All solvers in this package work on the
-five dimensionless groups; this module holds both representations and the
-conversion between them.
+five dimensionless groups; this module holds both representations, the
+conversion between them, and the fundsys search's defaults and SolveOptions.
 """
 
 from __future__ import annotations
@@ -12,18 +12,28 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Above this value eps1/mu/nu are no longer "small" dissipation and the
 # perturbation-based solvers lose their accuracy guarantees.
 SMALLNESS_LIMIT = 0.1
 
-# Defaults and limits of the fundsys search.  They live here, and fundsys
-# imports them, so that the CLI reads them without compiling the solver.
+# Defaults, limits and options of the fundsys search.  They live here, and
+# fundsys imports them, so that the CLI uses them without the solver.
 DEFAULT_STEP = 1.0 / 2000.0
 DEFAULT_SUBINTERVALS = 8
 DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
 DEFAULT_RESOLUTION = 201      # mode-shape grid points
 STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
+
+
+class SolveOptions(NamedTuple):
+    """Discretisation of the fundamental system that the Newton eigenvalue
+    search uses: the RK4 step and the number of equal subintervals."""
+
+    step: float = DEFAULT_STEP
+    subintervals: int = DEFAULT_SUBINTERVALS
+
 
 _STRICTLY_POSITIVE = ("rho", "S", "E", "c", "m", "l")
 _NON_NEGATIVE = ("beta", "b", "d")

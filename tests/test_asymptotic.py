@@ -149,6 +149,9 @@ def test_boundary_frequency_reaches_zero_when_constant_term_vanishes():
 
 def test_no_boundary_without_feedback():
     assert asymptotic.boundary_frequency(0.0, REF) is None
+    # Without dissipation either, the numerator vanishes for every w.
+    undamped = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
+    assert asymptotic.boundary_frequency(0.0, undamped) is None
 
 
 def test_boundary_frequency_inverts_critical_feedback():
@@ -185,6 +188,13 @@ def test_second_method_indicator_scales_with_c2():
 def test_second_method_pole_detected():
     with pytest.raises(ZeroDivisionError):
         asymptotic.second_method_indicator(np.pi, REF, C2=1.0)
+
+
+def test_second_method_degenerate_bracket_raises():
+    # With eps1 = mu = nu = 0 the damping bracket vanishes identically.
+    undamped = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
+    with pytest.raises(ZeroDivisionError, match="degenerate damping bracket"):
+        asymptotic.second_method_indicator(OMEGA_1, undamped, C2=1.0)
 
 
 def test_bracket_equals_excitation_numerator():

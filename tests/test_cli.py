@@ -170,6 +170,24 @@ def test_invalid_parameter_value_exits_2(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, expected", [
+    (REF_SECTION.replace("eps1 = 0.005", "eps1"),
+     r"malformed config file: Source contains parsing errors: .*'eps1\\n'"),
+    (REF_SECTION + "[dimensionless]\n", r"malformed config file: While "
+     r"reading from .*: section 'dimensionless' already exists"),
+    (REF_SECTION + "[foo]\n", re.escape("unknown section [foo]")),
+    (REF_SECTION.replace("eps1 = 0.005", "eps1 = -0.005"),
+     re.escape("invalid parameters: eps1 >= 0 violated"))],
+    ids=["no-delimiter", "repeated-section", "unknown-section",
+         "negative-eps1"])
+def test_config_file_error_message(tmp_path, capsys, text, expected):
+    code, out = run_cli(tmp_path, "stability", text)
+    assert code == 2
+    assert re.fullmatch(f"config error: {expected}\n",
+                        capsys.readouterr().err, flags=re.S)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["spectrum", "stability"])
 @pytest.mark.parametrize("name", ["eps1", "mu", "nu", "eta", "delta"])
 def test_infinite_parameter_exits_2(tmp_path, capsys, verb, name):

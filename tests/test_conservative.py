@@ -224,6 +224,14 @@ def test_find_roots_rejects_parameters_outside_the_branch_premise(eta, delta):
         find_roots(DimensionlessParams(0, 0, 0, eta=eta, delta=delta), 20.0)
 
 
+@pytest.mark.parametrize("max_count", [2.5, np.nan, "3", -1])
+def test_find_roots_rejects_a_max_count_that_is_not_a_count(max_count):
+    # Like every count in the package, through operator.index; None is no
+    # cap and 0 an empty list (test_find_roots_max_count_is_a_prefix).
+    with pytest.raises(ValueError, match="max_count"):
+        find_roots(REF, 20.0, max_count=max_count)
+
+
 @pytest.mark.parametrize("omega_max", [0.0, -1.0, np.nan, np.inf])
 def test_find_roots_rejects_bad_omega_max(omega_max):
     with pytest.raises(ValueError, match="omega_max"):

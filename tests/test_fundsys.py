@@ -992,6 +992,16 @@ def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("q, omega", [(np.nan, 0.35), (-0.01, np.inf)])
+def test_find_eigenvalue_rejects_a_non_finite_seed_before_evaluating(
+        monkeypatch, q, omega):
+    calls = count_rhs_calls(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=f"^non-finite seed q={q}, omega={omega}$"):
+        fundsys.find_eigenvalue(REF, fundsys.SpectralPoint(q=q, omega=omega))
+    assert calls == []
+
+
 def test_find_eigenvalue_reports_its_last_evaluation():
     opts = fundsys.SolveOptions()
     for seed in asymptotic_seeds(REF, 5):

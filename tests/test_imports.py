@@ -83,6 +83,17 @@ def test_stability_verb_loads_neither_fundsys_nor_cmath(tmp_path):
         "cmath"]
 
 
+def test_solve_options_of_a_config_load_no_fundsys(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(README_CONFIG)
+    code = ("from barmodes import cli\n"
+            f"options = cli.load_config({str(config)!r}).solve_options()\n"
+            "assert options == (0.0005, 8), options\n")
+    assert loaded_after(code) == ["barmodes", "barmodes.asymptotic",
+                                  "barmodes.cli", "barmodes.conservative",
+                                  "barmodes.params"]
+
+
 @pytest.mark.parametrize("code", [
     "import barmodes\nbarmodes.fundsys",
     "import barmodes\nfor name in dir(barmodes): getattr(barmodes, name)",
@@ -97,9 +108,10 @@ def test_package_namespace():
     assert barmodes.__all__ == SUBMODULES
     for name in SUBMODULES:
         assert getattr(barmodes, name).__name__ == f"barmodes.{name}"
-    # fundsys binds the search defaults that params defines.
+    # fundsys binds the search defaults and options record that params
+    # defines.
     for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS", "DEFAULT_OMEGA_MAX",
-                 "DEFAULT_RESOLUTION", "STABILITY_EDGE"):
+                 "DEFAULT_RESOLUTION", "STABILITY_EDGE", "SolveOptions"):
         assert getattr(barmodes.fundsys, name) is getattr(barmodes.params,
                                                           name)
     with pytest.raises(AttributeError, match="has no attribute 'solver'"):
