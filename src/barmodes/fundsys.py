@@ -141,12 +141,6 @@ def boundary_coefficients(q: float, omega: float,
     return BoundaryCoefficients(D1=P.real, D2=-P.imag, D3=Q.real, D4=-Q.imag)
 
 
-# A propagator exp(L*I + T*A/r) = a*I + b*A of the complex system, r^2 = K,
-# stored by its exponents (L, T); propagators commute, so composing them
-# adds their exponents and the n-th power multiplies them by n.
-Exponents = tuple[complex, complex]
-
-
 def _log1p(z: complex) -> complex:
     # log(1 + z) without rounding 1 + z, whose small part carries a whole
     # RK4 step; cmath has no log1p.  A zero 1 + z is a singular step.
@@ -156,21 +150,6 @@ def _log1p(z: complex) -> complex:
         raise ZeroDivisionError("singular RK4 step: its propagator has a zero "
                                 "eigenvalue")
     return complex(0.5 * math.log1p(m), math.atan2(y, 1.0 + x))
-
-
-def _step_exponents(r: complex, h: float) -> Exponents:
-    # One classical Runge-Kutta step for y' = A y is exactly multiplication
-    # by the degree-4 Taylor polynomial of exp(hA); A^2 = K*I folds it into
-    # (1 + e)*I + b*A with z = h^2*K, e = z/2 + z^2/24 and b = h*(1 + z/6).
-    # Its eigenvalues on the eigenvectors of A are 1 + e +- b*r, so it is
-    # exp(l*I + t*A/r) with l +- t = log1p(e +- b*r).  Any branch of the
-    # logarithm or of r gives the same propagator, because the exponents
-    # are only ever used times an integer step count.
-    w = h * r
-    z = w * w
-    e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
-    plus, minus = _log1p(e + bw), _log1p(e - bw)
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
 def _step_count(n: int, step: float) -> int:
@@ -188,24 +167,33 @@ def _step_count(n: int, step: float) -> int:
     return n * max(1, math.ceil(steps * (1.0 - 1e-12)))
 
 
-def _point_exponents(q: float, omega: float, eps1: float,
-                     count: int) -> tuple[complex, ...]:
-    """(K, r, L, T) at s = q + i*omega: K = s^2/(1 + eps1*s), r = sqrt(K)
-    and the exponents of the [0, 1] propagator made of count equal steps.
-    Raises as rhs_coefficients and _log1p do."""
+def _propagator_at(q: float, omega: float, eps1: float,
+                   count: int) -> tuple[complex, ...]:
+    """(r, L, T, a, b) of the [0, 1] propagator made of count equal RK4
+    steps at s = q + i*omega: r = sqrt(K), K = s^2/(1 + eps1*s), and
+    exp(L*I + T*A/r) = a*I + b*A; at K = 0 it is I + A.
+
+    One classical Runge-Kutta step of length h = 1/count for y' = A y is
+    exactly multiplication by the degree-4 Taylor polynomial of exp(hA);
+    A^2 = K*I folds it into (1 + e)*I + b*A with z = h^2*K,
+    e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the
+    eigenvectors of A are 1 + e +- b*r, so it is exp(l*I + t*A/r) with
+    l +- t = log1p(e +- b*r).  Such exponentials commute, so the count
+    steps make (L, T) = count*(l, t).  Any branch of the logarithm or of r gives the same propagator,
+    because the exponents are only ever used times an integer step count.
+
+    Raises as rhs_coefficients and _log1p do, and OverflowError when the
+    real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
+    or is not finite, and when a or b is 0, which only an underflow gives
+    (of exp(L), or of a step's h*sqrt(K), which makes every T zero).
+    """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
-    l, t = _step_exponents(r, 1.0 / count)
-    return K, r, count * l, count * t
-
-
-def _propagator(K: complex, r: complex, L: complex,
-                T: complex) -> tuple[complex, complex]:
-    """(a, b) of the [0, 1] propagator exp(L*I + T*A/r) = a*I + b*A; at
-    K = 0 it is I + A.  Raises OverflowError when the real or imaginary
-    part of an entry of [[a, b], [b*K, a]] exceeds 1e150 or is not finite,
-    and when a or b is 0, which only an underflow gives (of exp(L), or of
-    a step's h*sqrt(K), which makes every T zero)."""
+    w = 1.0 / count * r
+    z = w * w
+    e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
+    plus, minus = _log1p(e + bw), _log1p(e - bw)
+    L, T = count * (0.5 * (plus + minus)), count * (0.5 * (plus - minus))
     g = cmath.exp(L)
     a = g * cmath.cosh(T)
     b = g * cmath.sinh(T) / r if r else 1 + 0j
@@ -216,7 +204,7 @@ def _propagator(K: complex, r: complex, L: complex,
                 "range at this point and step")
     if not (a and b):
         raise OverflowError("fundamental matrix entry underflowed to 0")
-    return a, b
+    return r, L, T, a, b
 
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
@@ -226,12 +214,11 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     Classical fourth-order integration in closed form, with the fewest
     equal steps no longer than step.  The result is the pair (a, b) of the
     complex propagator a*I + b*A = [[a, b], [b*K, a]] acting on (u, u').
-    Raises OverflowError as :func:`_propagator` does, when an entry leaves
-    the float range at this point and step, and ValueError on a step that
-    :func:`_step_count` rejects.
+    Raises OverflowError as :func:`_propagator_at` does, when an entry
+    leaves the float range at this point and step, and ValueError on a step
+    that :func:`_step_count` rejects.
     """
-    return _propagator(*_point_exponents(q, omega, dp.eps1,
-                                         _step_count(1, step)))
+    return _propagator_at(q, omega, dp.eps1, _step_count(1, step))[3:]
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
@@ -260,7 +247,7 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
 
     def residual(s: complex,
                  nu: float = dp.nu) -> tuple[complex, float, complex]:
-        du, u = _propagator(*_point_exponents(s.real, s.imag, eps1, count))
+        _, _, _, du, u = _propagator_at(s.real, s.imag, eps1, count)
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
@@ -419,8 +406,8 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
             "the point is not an eigenvalue")
 
     # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
-    _, r, L, T = _point_exponents(point.q, point.omega, dp.eps1,
-                                  _step_count(n, step))
+    r, L, T, _, _ = _propagator_at(point.q, point.omega, dp.eps1,
+                                   _step_count(n, step))
     # np.linspace(0, 1, resolution)'s arithmetic, bit for bit.
     h = 1.0 / (resolution - 1)
     grid = [i * h for i in range(resolution - 1)] + [1.0]

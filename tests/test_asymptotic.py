@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from barmodes import asymptotic, conservative
+from barmodes import asymptotic, conservative, fundsys
 from barmodes.params import DimensionlessParams
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
@@ -267,3 +268,36 @@ def test_forced_mode_profile_starts_at_zero():
     for omega in (0.4, 1.0, 2.9):
         _, _, u, _ = asymptotic.forced_mode(omega, A=1.0, dp=REF, C1=0.3, C2=0.8)
         assert u[0] == 0.0
+
+
+# ------------------------------------------------ the two routes' order law
+
+def test_closed_form_and_search_agree_to_second_order():
+    # The closed forms are first order in the dissipation, so their gap to
+    # the searched eigenvalue shrinks like t^2 as (eps1, mu, nu) scale by t.
+    # Each search is the last row of a one-point sweep of modes 1..k, the
+    # way the CLI searches mode k.  A first-order error in either route,
+    # such as the residual's a1 or the closed-form q scaled by 1.01, fails.
+    rng = random.Random(11)
+    scales = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    orders, ratios = [], []
+    for _ in range(60):
+        eps1, mu, nu = (10.0 ** rng.uniform(-1.0, 0.0) for _ in range(3))
+        eta = 10.0 ** rng.uniform(-1.0, 1.0)
+        delta = 10.0 ** rng.uniform(-1.5, 0.3)
+        for k in (1, 2, 3, 5):
+            gaps = []
+            for t in scales:
+                dp = DimensionlessParams(t * eps1, t * mu, t * nu, eta, delta)
+                row = fundsys.sweep_feedback(dp, [dp.nu], range(1, k + 1))[-1]
+                assert row.converged, (dp, k)
+                w = conservative.find_roots(dp, 20.0, max_count=k)[-1].omega
+                ev = asymptotic.corrected_eigenvalue(w, dp)
+                gaps.append(abs(complex(row.q, row.omega)
+                                - complex(ev.q, ev.omega)))
+            ratios.append(gaps[-1] / scales[-1] ** 2)
+            orders.append(math.log2(gaps[-2] / gaps[-1]))
+            assert 1.9 <= orders[-1] <= 2.1, (eps1, mu, nu, eta, delta, k, gaps)
+    print(f"{len(orders)} cases; worst order "
+          f"{max(orders, key=lambda p: abs(p - 2.0)):.3f}, "
+          f"largest gap/t^2 at the smallest t {max(ratios):.1f}")

@@ -89,16 +89,16 @@ def kernel_end_state(monkeypatch, dp, s, n, step):
     """(u(1), u'(1)) of solution 3 as the residual kernel computes them: the
     column (b, a) of the one propagator it builds."""
     built = []
-    original = fundsys._propagator
+    original = fundsys._propagator_at
 
     def recording(*args):
         built.append(original(*args))
         return built[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(fundsys, "_propagator", recording)
+        m.setattr(fundsys, "_propagator_at", recording)
         fundsys._residual_fn(dp, n, step)(s)
-    a, b = built[-1]
+    *_, a, b = built[-1]
     return b, a
 
 
@@ -109,7 +109,8 @@ def kernel_polynomials(monkeypatch, dp, s):
     values = []
     for a, b in ((0j, 1 + 0j), (1 + 0j, 0j)):
         with monkeypatch.context() as m:
-            m.setattr(fundsys, "_propagator", lambda *args: (a, b))
+            m.setattr(fundsys, "_propagator_at",
+                      lambda *args: (None, None, None, a, b))
             values.append(kernel(s)[0])
     return values
 
@@ -787,21 +788,21 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
     # The end state comes straight from the composed propagator over [0, 1];
     # the subinterval's is never built, whatever the subinterval count.
     built = []
-    original = fundsys._propagator
+    original = fundsys._propagator_at
 
     def recording(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(fundsys, "_propagator", recording)
+    monkeypatch.setattr(fundsys, "_propagator_at", recording)
     calls = count_rhs_calls(monkeypatch)
     step = fundsys.DEFAULT_STEP
     kernel = fundsys._residual_fn(REF, n, step)
     for s in (complex(-0.01, 0.35), complex(0.0, 5.0), complex(0.3, 17.0)):
         built.clear()
         kernel(s)
-        assert built == [fundsys._point_exponents(
-            s.real, s.imag, REF.eps1, fundsys._step_count(n, step))]
+        assert built == [(s.real, s.imag, REF.eps1,
+                          fundsys._step_count(n, step))]
     # A search evaluates the same kernel: one propagator per evaluation.
     built.clear()
     calls.clear()
@@ -809,6 +810,19 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
     assert fundsys.find_eigenvalue(
         REF, seed, fundsys.SolveOptions(subintervals=n)).converged
     assert len(built) == len(calls) > 0
+
+
+def test_integrate_fundamental_is_the_kernels_propagator(monkeypatch):
+    # integrate_fundamental and the n = 1 residual kernel build the same
+    # [0, 1] propagator, so its (a, b) is the kernel's end state (u', u)
+    # bit for bit: one code path, not two that agree.
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        dp = random_dp(rng)
+        step = float(rng.choice([1.0 / 2000.0, 0.0007, 0.01, 0.05]))
+        q, omega = rng.uniform(-1.0, 0.5), rng.uniform(0.01, 20.0)
+        u, du = kernel_end_state(monkeypatch, dp, complex(q, omega), 1, step)
+        assert fundsys.integrate_fundamental(q, omega, dp, step) == (du, u)
 
 
 def test_delta_subdivided_rejects_bad_count():
