@@ -20,7 +20,10 @@ SMALLNESS_LIMIT = 0.1
 
 # Defaults, limits and options of the fundsys search.  They live here, and
 # fundsys imports them, so that the CLI uses them without the solver.
-DEFAULT_STEP = 1.0 / 2000.0
+# The propagator is built in closed form, so the step count costs nothing;
+# at this step the RK4 error, about 7.4e-3*(h*omega)^4 relative, lies
+# below rounding for omega up to about 340.
+DEFAULT_STEP = 1e-6
 DEFAULT_SUBINTERVALS = 8
 DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
 DEFAULT_RESOLUTION = 201      # mode-shape grid points
@@ -29,7 +32,10 @@ STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
 
 class SolveOptions(NamedTuple):
     """Discretisation of the fundamental system that the Newton eigenvalue
-    search uses: the RK4 step and the number of equal subintervals."""
+    search uses: the RK4 step and the number of equal subintervals.  The
+    defaults give N = 10^6 equal steps over [0, 1], whose eigenvalues are
+    the continuous ones to rounding; a coarser step (the CLI's [run] step)
+    reproduces a coarser discretisation."""
 
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS

@@ -25,7 +25,7 @@ OMEGA_1 = 0.3534042288
 OMEGA_2 = 2.904816694
 NU_CRIT = 0.0529760481
 
-PRODUCTION = fundsys.SolveOptions()  # step 1/2000, 8 subintervals
+PRODUCTION = fundsys.SolveOptions()  # step 1e-6, 8 subintervals
 
 
 def report(number, label, ok, detail=""):

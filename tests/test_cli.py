@@ -466,7 +466,8 @@ def test_spectrum_higher_modes_keep_their_rows(tmp_path):
     # Material damping alone puts mode k at s_k = -eps1*w_k^2/2 +
     # i*w_k*sqrt(1 - (eps1*w_k/2)^2); every row lies within 0.01 of it, a
     # mode spacing (~3) from its neighbours' s_k, and is the continuous
-    # eigenvalue within the RK4 error of step 0.0005.
+    # eigenvalue to the digits printed: the default step's RK4 error lies
+    # below rounding, and a %.12g cell rounds its part by at most 5e-12.
     code, out = run_cli(tmp_path, "spectrum", REF_SECTION,
                         "[run]\nmodes = 30\nomega_max = 100\n", strict=True)
     assert code == 0
@@ -477,12 +478,12 @@ def test_spectrum_higher_modes_keep_their_rows(tmp_path):
         x = 0.005 * w / 2
         assert abs(s - complex(-x * w, w * math.sqrt(1 - x * x))) < 0.01
         exact = continuous_eigenvalue(s)
-        assert abs(s - exact) <= 1e-7 * abs(exact)
+        assert abs(s - exact) <= 6e-12 * abs(exact)
     assert [(row[4], row[5]) for row in rows[26:]] == [
-        ("-16.1018505827", "78.6023455879"),
-        ("-17.3849304494", "81.5388885199"),
-        ("-18.7173550996", "84.459771102"),
-        ("-20.0991249816", "87.3643069378")]
+        ("-16.1018498886", "78.602343966"),
+        ("-17.3849295757", "81.5388865655"),
+        ("-18.7173540091", "84.4597687641"),
+        ("-20.0991236313", "87.3643041602")]
 
 
 def test_spectrum_conservative_growth_rates_vanish(tmp_path):

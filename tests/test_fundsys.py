@@ -1079,6 +1079,22 @@ def test_converged_eigenvalues_match_a_34_digit_oracle():
           f"largest {max(continuous):.3g}")
 
 
+def test_default_options_give_the_continuous_eigenvalue():
+    # The default step puts the RK4 error below rounding: modes 1-7 of the
+    # reference set lie within 1e-14 of the continuous eigenvalue, the
+    # 34-digit zero of P*sinh(r)/r + Q*cosh(r).  At step 1/2000 modes 2-7
+    # lay 3.3e-14 to 5.1e-11 from it.
+    mp = pytest.importorskip("mpmath")
+    rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))
+    assert [row.mode for row in rows if row.converged] == list(range(1, 8))
+    with mp.workdps(34):
+        for row in rows:
+            s = complex(row.q, row.omega)
+            exact = mp_newton(mp_residual(REF), s)
+            assert exact is not None, (row.mode, s)
+            assert abs(s - exact) <= 1e-14 * abs(exact), (row.mode, s, exact)
+
+
 def test_residual_kernel_slope_at_an_eigenvalue():
     # The kernel's slope f', which Newton's method divides by, is df/ds of
     # the discretised residual at a search's answer, up to the RK4 error of
@@ -1226,7 +1242,7 @@ def test_mode_shape_rank_check_is_the_search_tolerance():
         fundsys.mode_shape(moved, REF)
 
 
-# Option sets the CLI accepts for modes below omega = 20: production, and
+# Option sets the CLI accepts for modes below omega = 20: step 1/2000, and
 # coarse steps with 8, 3 and 1 subintervals.
 SHAPE_OPTION_SETS = [fundsys.SolveOptions(step=step, subintervals=n)
                      for step, n in [(1.0 / 2000.0, 8), (0.003, 8), (0.05, 8),
@@ -1421,18 +1437,20 @@ def test_sweep_feedback_flags_a_repeated_eigenvalue_per_grid_point():
 
 
 def test_sweep_feedback_flags_a_real_root():
-    # Mode 1's search settles on -7.1741 + 2.4e-19i, within 1e-8 of its own
-    # conjugate: a real (aperiodic) root, which came back as a converged
-    # oscillatory mode.
+    # At step 1/2000, mode 1's search settles on -7.1741 + 2.4e-19i, within
+    # 1e-8 of its own conjugate: a real (aperiodic) root, which came back as
+    # a converged oscillatory mode.  (At the default step the search itself
+    # stops unsettled, at omega = 5.6e-13.)
     dp = DimensionlessParams(
         eps1=4.990891476241281, mu=10.320329820550578,
         nu=0.0005833326333315348, eta=0.2512803016179906,
         delta=6.021977396328784)
-    row = fundsys.sweep_feedback(dp, [dp.nu], modes=(1,))[0]
+    opts = fundsys.SolveOptions(step=1.0 / 2000.0)
+    row = fundsys.sweep_feedback(dp, [dp.nu], modes=(1,), options=opts)[0]
     assert abs(complex(row.q, row.omega) + 7.1741) < 1e-4
     assert 0.0 < 2.0 * row.omega <= 1e-8 * abs(row.q)
     assert fundsys.find_eigenvalue(
-        dp, fundsys.SpectralPoint(q=row.q, omega=row.omega)).converged
+        dp, fundsys.SpectralPoint(q=row.q, omega=row.omega), opts).converged
     assert not row.converged
 
 
