@@ -12,7 +12,11 @@ of A are 1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
 l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the N
 equal steps that cover [0, 1] (n subintervals, each of the fewest steps
 no longer than the requested one) multiply one step's exponents by N.
-The only propagator built is that of the bar [0, 1], the
+With w = h*sqrt(K), N*t = sqrt(K)*(1 - w^4/120 + ...) and N*l is
+O(N*w^6), so for |w| below (120*2^-53)^(1/4) ~ 3.4e-4 (at the default
+step of 1e-6, every mode below omega ~ 340) the N steps are exp(A) to
+rounding, and the exponents are taken as (0, sqrt(K)) without the two
+logarithms.  The only propagator built is that of the bar [0, 1], the
 fundamental matrix Gamma(1) (the Cauchy problems whose initial states at
 x = 0 form the identity): exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) in closed
 form, a handful of complex function calls whatever the step count.  The
@@ -22,9 +26,10 @@ and the end-mass boundary condition applied to it is the single complex
 row f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic
 determinant Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  The
 residual f of the discretised system is analytic in s (the propagator is
-a polynomial in K and D1..D4 are polynomials in s), so eigenvalues are
-located as its zeros by Newton's method from a seed, with the slope of
-the continuous system; the normalized Delta then certifies the answer.
+a polynomial in K, or exp(A) to rounding, and D1..D4 are polynomials in
+s), so eigenvalues are located as its zeros by Newton's method from a
+seed, with the slope of the continuous system; the normalized Delta then
+certifies the answer.
 
 :func:`integrate_fundamental` returns the propagator a*I + b*A of [0, 1]
 as the complex pair (a, b), and :func:`boundary_coefficients` the real
@@ -64,6 +69,11 @@ _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
+# N RK4 steps of w = h*sqrt(K) have the exponent T = N*t with
+# t = w - w^5/120 + O(w^7) and L = N*w^6/144 + O(w^8): T is r = sqrt(K)
+# to a relative w^4/120, which is below 2^-53 for |w| below this, and
+# exp(L) is 1 to rounding.  There the propagator is exp(A) itself.
+_EXACT_STEP = (120.0 * 2.0 ** -53) ** 0.25   # ~3.4e-4
 
 
 class BoundaryCoefficients(NamedTuple):
@@ -179,21 +189,26 @@ def _propagator_at(q: float, omega: float, eps1: float,
     e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the
     eigenvectors of A are 1 + e +- b*r, so it is exp(l*I + t*A/r) with
     l +- t = log1p(e +- b*r).  Such exponentials commute, so the count
-    steps make (L, T) = count*(l, t).  Any branch of the logarithm or of r gives the same propagator,
-    because the exponents are only ever used times an integer step count.
+    steps make (L, T) = count*(l, t).  Any branch of the logarithm or of r
+    gives the same propagator, because the exponents are only ever used
+    times an integer step count.  When |h*r| < _EXACT_STEP, count*(l, t)
+    is (0, r) to rounding, and (L, T) = (0, r) is taken without _log1p:
+    the propagator is exp(A), a = cosh(r) and b = sinh(r)/r.
 
     Raises as rhs_coefficients and _log1p do, and OverflowError when the
     real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
-    or is not finite, and when a or b is 0, which only an underflow gives
-    (of exp(L), or of a step's h*sqrt(K), which makes every T zero).
+    or is not finite, and when a or b is 0, which only an underflow gives.
     """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
     w = 1.0 / count * r
-    z = w * w
-    e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
-    plus, minus = _log1p(e + bw), _log1p(e - bw)
-    L, T = count * (0.5 * (plus + minus)), count * (0.5 * (plus - minus))
+    if abs(w) < _EXACT_STEP:
+        L, T = 0j, r
+    else:
+        z = w * w
+        e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
+        plus, minus = _log1p(e + bw), _log1p(e - bw)
+        L, T = count * (0.5 * (plus + minus)), count * (0.5 * (plus - minus))
     g = cmath.exp(L)
     a = g * cmath.cosh(T)
     b = g * cmath.sinh(T) / r if r else 1 + 0j
@@ -212,8 +227,10 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     """Fundamental matrix of [0, 1] for identity initial data at x = 0.
 
     Classical fourth-order integration in closed form, with the fewest
-    equal steps no longer than step.  The result is the pair (a, b) of the
-    complex propagator a*I + b*A = [[a, b], [b*K, a]] acting on (u, u').
+    equal steps no longer than step; where a step times sqrt(K) is below
+    _EXACT_STEP (~3.4e-4), they equal exp(A) to rounding and exp(A) is
+    returned.  The result is the pair (a, b) of the complex propagator
+    a*I + b*A = [[a, b], [b*K, a]] acting on (u, u').
     Raises OverflowError as :func:`_propagator_at` does, when an entry
     leaves the float range at this point and step, and ValueError on a step
     that :func:`_step_count` rejects.
@@ -222,8 +239,10 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
-    """(s, nu) -> (f, scale, f') of the end-mass residual of the discretised
-    system, with nu defaulting to dp.nu.
+    """(s, nu, built) -> (f, scale, f') of the end-mass residual of the
+    discretised system, with nu defaulting to dp.nu and built, the tuple
+    of :func:`_propagator_at` at s with this kernel's step count, to a
+    fresh build (:func:`delta_subdivided` passes one it is given).
 
     Built once per search, or once per :func:`sweep_feedback` call, it
     takes the step count from :func:`_step_count`, which validates n and
@@ -245,9 +264,9 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
     eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
 
-    def residual(s: complex,
-                 nu: float = dp.nu) -> tuple[complex, float, complex]:
-        _, _, _, du, u = _propagator_at(s.real, s.imag, eps1, count)
+    def residual(s: complex, nu: float = dp.nu,
+                 built: tuple | None = None) -> tuple[complex, float, complex]:
+        _, _, _, du, u = built or _propagator_at(s.real, s.imag, eps1, count)
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
@@ -272,7 +291,7 @@ def _normalized(f: complex, scale: float) -> float:
 
 def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
                      n: int = DEFAULT_SUBINTERVALS,
-                     step: float = DEFAULT_STEP) -> float:
+                     step: float = DEFAULT_STEP, _built=None) -> float:
     """Normalized characteristic determinant with [0, 1] split into n equal
     subintervals; non-negative, zero exactly at eigenvalues.
 
@@ -286,8 +305,12 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     single-interval integration of [0, 1].  Raises ValueError for an n
     that is not an integer of at least 1, a step that is not positive and
     a step so small that the step count, about 1/step, is not finite.
+
+    ``_built`` is private to :func:`_mode_profile`: the tuple that
+    :func:`_propagator_at` gives at (q, omega) with this n and step, taken
+    in place of a second build of it.
     """
-    f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega))
+    f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega), dp.nu, _built)
     return _normalized(f, scale)
 
 
@@ -398,7 +421,9 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
 
     opts = options or SolveOptions()
     n, step = opts.subintervals, opts.step
-    dhat = delta_subdivided(point.q, point.omega, dp, n, step)
+    # One propagator serves the rank check and the profile.
+    built = _propagator_at(point.q, point.omega, dp.eps1, _step_count(n, step))
+    dhat = delta_subdivided(point.q, point.omega, dp, n, step, built)
     if not dhat < CONVERGED_TOL:
         from numpy.linalg import LinAlgError
         raise LinAlgError(
@@ -406,8 +431,7 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
             "the point is not an eigenvalue")
 
     # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
-    r, L, T, _, _ = _propagator_at(point.q, point.omega, dp.eps1,
-                                   _step_count(n, step))
+    r, L, T, _, _ = built
     # np.linspace(0, 1, resolution)'s arithmetic, bit for bit.
     h = 1.0 / (resolution - 1)
     grid = [i * h for i in range(resolution - 1)] + [1.0]

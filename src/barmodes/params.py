@@ -22,7 +22,8 @@ SMALLNESS_LIMIT = 0.1
 # fundsys imports them, so that the CLI uses them without the solver.
 # The propagator is built in closed form, so the step count costs nothing;
 # at this step the RK4 error, about 7.4e-3*(h*omega)^4 relative, lies
-# below rounding for omega up to about 340.
+# below rounding for omega up to about 340: there h*|sqrt(K)| is below
+# fundsys._EXACT_STEP, and the propagator is exp(A) without RK4's exponents.
 DEFAULT_STEP = 1e-6
 DEFAULT_SUBINTERVALS = 8
 DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched

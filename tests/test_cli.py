@@ -1008,24 +1008,56 @@ def test_spectrum_counts_a_real_root_as_unconverged(tmp_path, capsys):
     assert "NA" not in (cells[1]["q_numeric"], cells[1]["omega_numeric"])
 
 
-def test_underflowing_step_is_unconverged_not_a_traceback(tmp_path):
+def mp_continuous_eigenvalue(groups, s0):
+    """continuous_eigenvalue in 34 digits, for the dimensionless groups
+    (eps1, mu, nu, eta, delta) and with the slope from mpmath.diff."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(34):
+        eps1, mu, nu, eta, delta = (mp.mpf(g) for g in groups)
+
+        def residual(s):
+            r = mp.sqrt(s * s / (1 + eps1 * s))
+            P = eta * s * s * (1 + delta * (nu + mu) * s)
+            Q = 1 + s * ((eps1 + mu * delta) + s * (
+                delta * (eta + eps1 * mu) + s * eps1 * eta * delta))
+            return P * mp.sinh(r) / r + Q * mp.cosh(r)
+
+        s = mp.mpc(s0)
+        for _ in range(40):
+            ds = residual(s) / mp.diff(residual, s, h=abs(s) * mp.mpf(10) ** -20)
+            s -= ds
+            if abs(ds) <= mp.mpf(10) ** -28 * abs(s):
+                return complex(s)
+    raise AssertionError(f"no continuous eigenvalue near {s0}")
+
+
+def test_underflowing_step_finds_the_continuous_eigenvalue(tmp_path):
     # eta = 1e150 puts mode 1 at omega ~ 1e-75, where a step of 1e-300 has
-    # h*sqrt(K) below the float range: spectrum reported a zero of the
-    # boundary polynomial Q as a converged eigenvalue, and modeshape ended
-    # in ZeroDivisionError normalising an all-zero profile.
-    section = dimensionless_section("0.001", "0.001", "0.001", "1e150", "0.1")
-    code, out = run_cli(tmp_path, "modeshape", section,
-                        "[run]\nstep = 1e-300\n", strict=True)
-    assert code == 3
-    assert read_output(out)[2] == []
+    # h*sqrt(K) below the float range.  That zeroed RK4's exponents: spectrum
+    # reported a zero of the boundary polynomial Q as converged, then, once
+    # the zero propagator was refused, mode 1 as NA, and modeshape wrote no
+    # rows.  Such a step is exp(A) to rounding, so mode 1 converges.
+    groups = ("0.001", "0.001", "0.001", "1e150", "0.1")
+    section = dimensionless_section(*groups)
     code, out = run_cli(tmp_path, "spectrum", section,
                         "[run]\nmodes = 2\nstep = 1e-300\n", strict=True)
-    assert code == 3
+    assert code == 0
     _, header, rows = read_output(out)
     cells = [dict(zip(header, row)) for row in rows]
-    assert cells[0]["q_numeric"] == cells[0]["omega_numeric"] == "NA"
+    s = complex(float(cells[0]["q_numeric"]), float(cells[0]["omega_numeric"]))
+    exact = mp_continuous_eigenvalue(groups, s)
+    assert abs(s - exact) <= 1e-12 * abs(exact), (s, exact)
     assert float(cells[1]["omega_numeric"]) == pytest.approx(2.8627714,
                                                              abs=1e-6)
+    code, out = run_cli(tmp_path, "modeshape", section,
+                        "[run]\nstep = 1e-300\n", strict=True)
+    assert code == 0
+    _, _, rows = read_output(out)
+    values = [[float(cell) for cell in row] for row in rows]
+    assert len(values) == 201
+    assert all(math.isfinite(v) for row in values for v in row)
+    assert max(abs(complex(u1, u2)) for _, u1, u2 in values) == 1.0
+    assert [1.0, 0.0] in [row[1:] for row in values]
 
 
 # ------------------------------------------------------------- console entry

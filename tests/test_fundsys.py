@@ -574,17 +574,25 @@ def test_integrator_overflow_raises():
 
 
 def test_integrator_underflow_raises():
-    # At omega ~ 1e-75 one step of 1e-300 has h*sqrt(K) below the float
-    # range: every step exponent, and so u(1), is 0, and the residual
-    # f = Q(s) had spurious zeros that searches reported as converged.
+    # 3000 RK4 steps of h*omega = 2, each shrinking |u| by |R(2i)| = 0.745,
+    # leave the float range: a zero u(1) makes the residual f = Q(s), whose
+    # zeros searches reported as converged.
     with pytest.raises(OverflowError, match="underflow"):
-        fundsys.integrate_fundamental(0.0, 1e-75, REF, step=1e-300)
+        fundsys.integrate_fundamental(0.0, 6000.0, UNDAMPED, step=2.0 / 6000.0)
+    # At omega ~ 1e-75 one step of 1e-300 has h*sqrt(K) below the float
+    # range, which zeroed RK4's exponents; that step is exp(A) to rounding,
+    # and the search finds the continuous eigenvalue.
+    mp = pytest.importorskip("mpmath")
     dp = replace(REF, eta=1e150)
     w1 = conservative.find_roots(dp, 20.0, max_count=1)[0].omega
     point = fundsys.find_eigenvalue(
         dp, fundsys.SpectralPoint(q=0.0, omega=w1),
         fundsys.SolveOptions(step=1e-300, subintervals=8))
-    assert not point.converged
+    assert point.converged
+    s = complex(point.q, point.omega)
+    with mp.workdps(34):
+        exact = mp_newton(mp_residual(dp), s)
+        assert abs(s - exact) <= 1e-12 * abs(exact), (s, exact)
 
 
 def test_subinterval_shorter_than_rounding_slop_is_one_step():
@@ -810,6 +818,80 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
     assert fundsys.find_eigenvalue(
         REF, seed, fundsys.SolveOptions(subintervals=n)).converged
     assert len(built) == len(calls) > 0
+
+
+def mp_exponent_propagator(K, count):
+    """(a, b) of count RK4 steps for an mpmath K from their exponent form, in
+    the working precision: w = h*r with r = sqrt(K) and h the
+    double-precision 1/count, l +- t = log(1 + e +- w*(1 + z/6)) with
+    z = w^2 and e = z/2 + z^2/24, (L, T) = count*(l, t), a = exp(L)*cosh(T)
+    and b = exp(L)*sinh(T)/r."""
+    mp = pytest.importorskip("mpmath")
+    r = mp.sqrt(K)
+    w = mp.mpf(1.0 / count) * r
+    z = w * w
+    e, bw = z / 2 + z * z / 24, w * (1 + z / 6)
+    plus, minus = mp.log(1 + e + bw), mp.log(1 + e - bw)
+    L, T = count * (plus + minus) / 2, count * (plus - minus) / 2
+    return mp.exp(L) * mp.cosh(T), mp.exp(L) * mp.sinh(T) / r
+
+
+def test_closed_form_propagator_is_rk4_to_rounding():
+    # Below _EXACT_STEP the propagator is exp(A): (L, T) = (0, r) with no
+    # logarithm.  Just below it, with the fewest steps that get there, that
+    # is RK4's exponent form in 50 digits within 4*2^-52*cosh(Re r)*(1 + |r|)
+    # (2.1 of those units at worst when drawn): a relative rounding of T
+    # moves cosh(T) by up to |r|*cosh(Re r) of it.  b is compared with that
+    # scale over max(1, |r|).  Drawn: K in all four quadrants, near the rhs
+    # pole (1 + eps1*s ~ 0, |K| up to 8e4) and near K = 0 (one step).
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(28)
+    ulp, quadrants = 2.0 ** -52, set()
+    for kind in ("quadrant", "pole", "zero") * 100:
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        if kind == "quadrant":
+            s, eps1 = 10.0 ** rng.uniform(-2.0, 1.3) * turn, 0.005
+        elif kind == "pole":
+            s, eps1 = -2.0 + 10.0 ** rng.uniform(-4.0, -2.0) * turn, 0.5
+        else:
+            s, eps1 = 10.0 ** rng.uniform(-12.0, -4.0) * turn, 0.005
+        q, omega = float(s.real), float(s.imag)
+        K = fundsys.rhs_coefficients(q, omega, eps1)
+        quadrants.add((K.real > 0, K.imag > 0))
+        count = max(1, math.ceil(abs(K) ** 0.5 / fundsys._EXACT_STEP))
+        r, L, T, a, b = fundsys._propagator_at(q, omega, eps1, count)
+        assert (L, T) == (0j, r)
+        with mp.workdps(50):
+            exact_a, exact_b = mp_exponent_propagator(mp.mpc(K), count)
+            scale = 4 * ulp * math.cosh(r.real) * (1.0 + abs(r))
+            assert abs(a - exact_a) <= scale, (q, omega, eps1, count)
+            assert abs(b - exact_b) * max(1.0, abs(r)) <= scale, (
+                q, omega, eps1, count)
+    assert len(quadrants) == 4
+
+
+def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
+    # At the default step every reference mode below omega = 20 has
+    # |h*sqrt(K)| below _EXACT_STEP, so no evaluation takes RK4's exponents;
+    # at step 0.0005 mode 2 (|h*sqrt(K)| ~ 1.7e-3) takes two logarithms per
+    # evaluation.
+    logs = []
+    original = fundsys._log1p
+
+    def counting(z):
+        logs.append(z)
+        return original(z)
+
+    monkeypatch.setattr(fundsys, "_log1p", counting)
+    calls = count_rhs_calls(monkeypatch)
+    rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))
+    assert all(row.converged for row in rows) and calls
+    assert logs == []
+    calls.clear()
+    point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 2)[1],
+                                    fundsys.SolveOptions(step=0.0005))
+    assert point.converged
+    assert len(logs) == 2 * len(calls) > 0
 
 
 def test_integrate_fundamental_is_the_kernels_propagator(monkeypatch):
