@@ -16,10 +16,11 @@ With w = h*sqrt(K), N*t = sqrt(K)*(1 - w^4/120 + ...) and N*l is
 O(N*w^6), so for |w| below (120*2^-53)^(1/4) ~ 3.4e-4 (at the default
 step of 1e-6, every mode below omega ~ 340) the N steps are exp(A) to
 rounding, and the exponents are taken as (0, sqrt(K)) without the two
-logarithms.  The only propagator built is that of the bar [0, 1], the
-fundamental matrix Gamma(1) (the Cauchy problems whose initial states at
-x = 0 form the identity): exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) in closed
-form, a handful of complex function calls whatever the step count.  The
+logarithms or the factor exp(L) = 1.  The only propagator built is that
+of the bar [0, 1], the fundamental matrix Gamma(1) (the Cauchy problems
+whose initial states at x = 0 form the identity):
+exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) in closed form, a handful of
+complex function calls whatever the step count.  The
 clamped end leaves only the solution with initial state (u, u') = (0, 1),
 which ends at u(1) = exp(L)*sinh(T)/sqrt(K) and u'(1) = exp(L)*cosh(T),
 and the end-mass boundary condition applied to it is the single complex
@@ -39,6 +40,7 @@ form D1..D4 of the residual kernel's P and Q.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import replace
@@ -69,6 +71,7 @@ _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
+_DEFAULT_OPTIONS = SolveOptions()   # options=None, built once
 # N RK4 steps of w = h*sqrt(K) have the exponent T = N*t with
 # t = w - w^5/120 + O(w^7) and L = N*w^6/144 + O(w^8): T is r = sqrt(K)
 # to a relative w^4/120, which is below 2^-53 for |w| below this, and
@@ -114,20 +117,19 @@ class SweepRow(NamedTuple):
 
 
 def rhs_coefficients(q: float, omega: float, eps1: float) -> complex:
-    """K = s^2/(1 + eps1*s) of the normal system at s = q + i*omega, from
-    its real and imaginary parts K1 and K2 in real arithmetic.
+    """K = s^2/(1 + eps1*s) of the normal system at s = q + i*omega, in
+    complex arithmetic.
 
     Raises ValueError for a non-finite q or omega and ZeroDivisionError when
-    eps1^2 omega^2 + (1 + eps1 q)^2 degenerates.
+    |1 + eps1*s|^2 = eps1^2 omega^2 + (1 + eps1 q)^2 degenerates.
     """
-    if not (math.isfinite(q) and math.isfinite(omega)):
+    s = complex(q, omega)
+    if not cmath.isfinite(s):
         raise ValueError(f"non-finite spectral point q={q}, omega={omega}")
-    den = eps1 * eps1 * omega * omega + (1.0 + eps1 * q) ** 2
-    if den <= _DENOM_FLOOR:
+    x = 1.0 + eps1 * q
+    if eps1 * eps1 * omega * omega + x * x <= _DENOM_FLOOR:
         raise ZeroDivisionError("degenerate rhs denominator: 1 + eps1*s ~ 0")
-    K1 = (q * q - omega * omega + eps1 * q * (q * q + omega * omega)) / den
-    K2 = (2.0 * q + eps1 * (q * q + omega * omega)) * omega / den
-    return complex(K1, K2)
+    return s * s / (1.0 + eps1 * s)
 
 
 def _row_coefficients(dp: DimensionlessParams) -> tuple[float, ...]:
@@ -193,32 +195,44 @@ def _propagator_at(q: float, omega: float, eps1: float,
     gives the same propagator, because the exponents are only ever used
     times an integer step count.  When |h*r| < _EXACT_STEP, count*(l, t)
     is (0, r) to rounding, and (L, T) = (0, r) is taken without _log1p:
-    the propagator is exp(A), a = cosh(r) and b = sinh(r)/r.
+    the propagator is exp(A), a = cosh(r) and b = sinh(r)/r, with no
+    exp(L) factor.
 
     Raises as rhs_coefficients and _log1p do, and OverflowError when the
     real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
     or is not finite, and when a or b is 0, which only an underflow gives.
+    A modulus bounds both parts, so entries whose moduli sum to at most
+    1e150 pass without the part-by-part test.
     """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
     w = 1.0 / count * r
     if abs(w) < _EXACT_STEP:
         L, T = 0j, r
-    else:
+        a = cmath.cosh(r)
+        b = cmath.sinh(r) / r if r else 1 + 0j
+    else:   # here r != 0
         z = w * w
         e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
         plus, minus = _log1p(e + bw), _log1p(e - bw)
         L, T = count * (0.5 * (plus + minus)), count * (0.5 * (plus - minus))
-    g = cmath.exp(L)
-    a = g * cmath.cosh(T)
-    b = g * cmath.sinh(T) / r if r else 1 + 0j
-    for c in (a, b, b * K):
-        if not (abs(c.real) <= OVERFLOW_LIMIT and abs(c.imag) <= OVERFLOW_LIMIT):
-            raise OverflowError(
-                "fundamental matrix entry exceeded 1e150: it leaves the float "
-                "range at this point and step")
-    if not (a and b):
-        raise OverflowError("fundamental matrix entry underflowed to 0")
+        g = cmath.exp(L)
+        a = g * cmath.cosh(T)
+        b = g * cmath.sinh(T) / r
+    bK = b * K
+    try:
+        in_range = abs(a) + abs(b) + abs(bK) <= OVERFLOW_LIMIT and a and b
+    except OverflowError:   # finite parts, a modulus past the float range
+        in_range = False
+    if not in_range:
+        for c in (a, b, bK):
+            if not (abs(c.real) <= OVERFLOW_LIMIT
+                    and abs(c.imag) <= OVERFLOW_LIMIT):
+                raise OverflowError(
+                    "fundamental matrix entry exceeded 1e150: it leaves the "
+                    "float range at this point and step")
+        if not (a and b):
+            raise OverflowError("fundamental matrix entry underflowed to 0")
     return r, L, T, a, b
 
 
@@ -239,10 +253,10 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
 
 
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
-    """(s, nu, built) -> (f, scale, f') of the end-mass residual of the
-    discretised system, with nu defaulting to dp.nu and built, the tuple
-    of :func:`_propagator_at` at s with this kernel's step count, to a
-    fresh build (:func:`delta_subdivided` passes one it is given).
+    """(s, nu, built) -> (f, f', (P, Q, u, u')) of the end-mass residual of
+    the discretised system, with nu defaulting to dp.nu and built, the
+    tuple of :func:`_propagator_at` at s with this kernel's step count, to
+    a fresh build (:func:`delta_subdivided` passes one it is given).
 
     Built once per search, or once per :func:`sweep_feedback` call, it
     takes the step count from :func:`_step_count`, which validates n and
@@ -253,11 +267,11 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     evaluation, so one kernel serves every nu: its value at nu is bit for
     bit the value of the kernel built for replace(dp, nu=nu).
     f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0, u' = 1
-    at x = 0), whose end state is the column (b, a) of the [0, 1]
-    propagator, the one propagator built and checked for overflow.
-    scale = ||(P, Q)|| * ||(u, u')|| bounds |f|, and Delta = |f|^2.  f' is
-    the slope of :func:`find_eigenvalue`, with K'/(2K) =
-    (2 + eps1*s)/(2s*(1 + eps1*s)).
+    at x = 0), whose end state (u, u') = (u(1), u'(1)) is the column (b, a)
+    of the [0, 1] propagator, the one propagator built and checked for
+    overflow.  f' is the slope of :func:`find_eigenvalue`, with K'/(2K) =
+    (2 + eps1*s)/(2s*(1 + eps1*s)).  (P, Q, u, u') are the four factors
+    of the bound of |f| that :func:`_normalized` forms, once per search.
     """
     count = _step_count(n, step)
     eps1, mu = dp.eps1, dp.mu
@@ -265,7 +279,7 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
 
     def residual(s: complex, nu: float = dp.nu,
-                 built: tuple | None = None) -> tuple[complex, float, complex]:
+                 built: tuple | None = None) -> tuple[complex, ...]:
         _, _, _, du, u = built or _propagator_at(s.real, s.imag, eps1, count)
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
@@ -274,17 +288,19 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
         den = 1.0 + eps1 * s
         g = s * (2.0 + eps1 * s) / (2.0 * den)  # s^2 * K'/(2K)
         df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
-        return (P * u + Q * du,
-                math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du)), df)
+        return P * u + Q * du, df, (P, Q, u, du)
 
     return residual
 
 
-def _normalized(f: complex, scale: float) -> float:
-    """Delta-hat from a residual and its bound: Delta divided by the square
-    of the Cauchy-Schwarz bound of |f|, a scale-free value in [0, 1] with
-    the same zeros as Delta, O(1) away from the spectrum and at roundoff
-    level on it.  The floor keeps it total."""
+def _normalized(f: complex, bound: tuple[complex, ...]) -> float:
+    """Delta-hat from a residual f = P*u + Q*du and bound = (P, Q, u, du):
+    Delta divided by the square of the Cauchy-Schwarz bound
+    ||(P, Q)|| * ||(u, du)|| of |f|, a scale-free value in [0, 1] with the
+    same zeros as Delta, O(1) away from the spectrum and at roundoff level
+    on it.  The floor keeps it total."""
+    P, Q, u, du = bound
+    scale = math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du))
     r = f / max(scale, _NORM_FLOOR)
     return r.real * r.real + r.imag * r.imag
 
@@ -310,8 +326,8 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     :func:`_propagator_at` gives at (q, omega) with this n and step, taken
     in place of a second build of it.
     """
-    f, scale, _ = _residual_fn(dp, n, step)(complex(q, omega), dp.nu, _built)
-    return _normalized(f, scale)
+    f, _, bound = _residual_fn(dp, n, step)(complex(q, omega), dp.nu, _built)
+    return _normalized(f, bound)
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
@@ -330,7 +346,10 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     K' = s*(2 + eps1*s)/(1 + eps1*s)^2, which is exact for the continuous
     system (u = sinh(l)/l, u' = cosh(l), l^2 = K) and within the RK4 error
     for the discretised one.  The search stops when a step is below
-    1e-15*|s|, when f vanishes, or after ``MAX_ITERATIONS`` evaluations.
+    1e-15*|s| (as where f vanishes), when a step is no smaller than the one
+    before it while the normalized determinant at its evaluation is
+    already below ``CONVERGED_TOL`` (the residual's rounding noise then
+    sets the step), or after ``MAX_ITERATIONS`` evaluations.
     An iterate that is not finite, has omega <= 0 or leaves the seed's band
     (half-width ``BAND_HALFWIDTH``, which prevents mode hopping) ends the
     search, as do an overflow, a degenerate rhs denominator, a singular RK4
@@ -350,38 +369,40 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     of a kernel that :func:`_residual_fn` built from dp and these options,
     and the feedback gain to evaluate it at in place of dp.nu.
     """
-    opts = options or SolveOptions()
-    if not (math.isfinite(seed.q) and math.isfinite(seed.omega)):
+    s = last = complex(seed.q, seed.omega)
+    if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
     if _kernel is None:
+        opts = options or _DEFAULT_OPTIONS
         residual, nu = _residual_fn(dp, opts.subintervals, opts.step), dp.nu
     else:
         residual, nu = _kernel
 
-    omega0 = seed.omega
-    s = last = complex(seed.q, omega0)
-    f = scale = None   # the residual at last, once evaluated
+    omega0 = s.imag
+    f = None   # the residual at last, once evaluated
+    size = math.inf   # the size of the step before
     settled = False
     try:
         for _ in range(MAX_ITERATIONS):
-            f, scale, df = residual(s, nu)
+            f, df, bound = residual(s, nu)
             last = s
-            if f == 0:
-                settled = True
-                break
-            ds = f / df
+            ds = f / df   # 0 where f vanishes: a step of 0 settles
             s = s - ds
-            if abs(ds) <= _NEWTON_RTOL * abs(s):
+            step = abs(ds)
+            if step <= _NEWTON_RTOL * abs(s) or (
+                    step >= size
+                    and _normalized(f, bound) < CONVERGED_TOL):
                 settled = True
                 break
             if not (cmath.isfinite(s) and s.imag > 0.0
                     and abs(s.imag - omega0) < BAND_HALFWIDTH):
                 break
+            size = step
     except (OverflowError, ZeroDivisionError):
         pass
-    value = math.nan if f is None else _normalized(f, scale)
-    return SpectralPoint(q=last.real, omega=last.imag, delta_value=value,
-                         converged=settled and value < CONVERGED_TOL)
+    value = math.nan if f is None else _normalized(f, bound)
+    return SpectralPoint(last.real, last.imag, value,
+                         settled and value < CONVERGED_TOL)
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
@@ -392,8 +413,11 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     The profile is u(x)/u(x_peak) on the discretised system that
     find_eigenvalue solves with these options: u = exp(x*L)*sinh(x*T)/sqrt(K),
     with (L, T) the exponents of its [0, 1] propagator, sampled at
-    `resolution` evenly spaced x.  Dividing by the largest sample makes it
-    exactly 1 + 0i, so the conservative limit is real.  The samples are
+    `resolution` evenly spaced x (L = 0 where the propagator is exp(A)).
+    Dividing by the largest sample makes it exactly 1 + 0i, so the
+    conservative limit is real.  The grid, np.linspace(0, 1, resolution)
+    bit for bit, is one read-only array shared by every ModeShape of that
+    resolution; u1 and u2 are the shape's own.  The samples are
     computed in cmath by _mode_profile, which the modeshape verb formats
     without loading numpy.  Raises ValueError for an unconverged point, a
     resolution that is not an integer of at least 2 and options the search
@@ -406,7 +430,25 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
 
     grid, profile = _mode_profile(point, dp, resolution, options)
     profile = np.array(profile)
-    return ModeShape(grid=np.array(grid), u1=profile.real, u2=profile.imag)
+    return ModeShape(grid=_shared_grid(len(grid)), u1=profile.real,
+                     u2=profile.imag)
+
+
+def _unit_grid(resolution: int) -> list[float]:
+    """The points of np.linspace(0, 1, resolution), bit for bit."""
+    h = 1.0 / (resolution - 1)
+    return [i * h for i in range(resolution - 1)] + [1.0]
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_grid(resolution: int) -> np.ndarray:
+    """:func:`_unit_grid` as one read-only array, built once per resolution
+    and shared by every ModeShape of that resolution."""
+    import numpy as np
+
+    grid = np.array(_unit_grid(resolution))
+    grid.flags.writeable = False
+    return grid
 
 
 def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
@@ -419,7 +461,7 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
-    opts = options or SolveOptions()
+    opts = options or _DEFAULT_OPTIONS
     n, step = opts.subintervals, opts.step
     # One propagator serves the rank check and the profile.
     built = _propagator_at(point.q, point.omega, dp.eps1, _step_count(n, step))
@@ -430,13 +472,16 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
-    # u of solution 3 at x: b of the x-th power of the [0, 1] propagator.
+    # u of solution 3 at x: b of the x-th power of the [0, 1] propagator,
+    # with no exp(x*L) factor where the propagator is exp(A) (L = 0).
     r, L, T, _, _ = built
-    # np.linspace(0, 1, resolution)'s arithmetic, bit for bit.
-    h = 1.0 / (resolution - 1)
-    grid = [i * h for i in range(resolution - 1)] + [1.0]
-    profile = [cmath.exp(x * L) * cmath.sinh(x * T) / r for x in grid]
-    top = max(range(resolution), key=lambda i: abs(profile[i]))
+    grid = _unit_grid(resolution)
+    if L:
+        profile = [cmath.exp(x * L) * cmath.sinh(x * T) / r for x in grid]
+    else:
+        profile = [cmath.sinh(x * T) / r for x in grid]
+    sizes = list(map(abs, profile))
+    top = sizes.index(max(sizes))
     peak = profile[top]
     profile = [u / peak for u in profile]
     profile[top] = 1 + 0j
@@ -502,7 +547,7 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
         raise ValueError("nu grid must be ascending")
     if not (nu_values and modes):
         return []
-    opts = options or SolveOptions()
+    opts = options or _DEFAULT_OPTIONS
 
     roots = conservative.find_roots(dp, omega_max, max_count=max(modes))
     if len(roots) < max(modes):

@@ -1031,6 +1031,53 @@ def mp_continuous_eigenvalue(groups, s0):
     raise AssertionError(f"no continuous eigenvalue near {s0}")
 
 
+# Fuzz seed 3 draw 349: a sweep of 5175 nu values whose strongly damped
+# rows near nu = 0.85 (q ~ -2 to -4) sit where the residual's rounding
+# noise keeps every Newton step above 1e-15*|s|.
+FLOOR_GROUPS = ("0.00011054752459377342", "0.12545765950142987",
+                "0.00020251896477770337", "0.7877235136985669",
+                "10.69256295729562")
+FLOOR_RUN = "[run]\nnu_max = 25.873536432870427\ngrid_points = 2\n"
+
+
+def test_sweep_searches_settle_at_the_rounding_floor(tmp_path, monkeypatch):
+    # A search whose steps stop shrinking once its normalized determinant is
+    # below CONVERGED_TOL has reached the rounding floor: it settles there.
+    # Before, 13 searches of this sweep ran all 500 evaluations and came
+    # back unconverged at a determinant of ~1e-33.  Every converged search
+    # near nu = 0.85 is the continuous eigenvalue to 1e-13.
+    evaluations, searches = [], []
+    rhs, search = fundsys.rhs_coefficients, fundsys.find_eigenvalue
+
+    def counting(*args):
+        evaluations[-1] += 1
+        return rhs(*args)
+
+    def recording(*args, **kwargs):
+        evaluations.append(0)
+        point = search(*args, **kwargs)
+        searches.append((kwargs["_kernel"][1], point))
+        return point
+
+    monkeypatch.setattr(fundsys, "rhs_coefficients", counting)
+    monkeypatch.setattr(fundsys, "find_eigenvalue", recording)
+    code, out = run_cli(tmp_path, "sweep", dimensionless_section(*FLOOR_GROUPS),
+                        FLOOR_RUN)
+    assert code == 0
+    assert len(read_output(out)[2]) == 5175
+    assert len(evaluations) == 5 * 5175
+    assert max(evaluations) < fundsys.MAX_ITERATIONS
+    checked = 0
+    for nu, point in searches:
+        if point.converged and 0.83 <= nu <= 0.92:
+            groups = FLOOR_GROUPS[:2] + (repr(nu),) + FLOOR_GROUPS[3:]
+            s = complex(point.q, point.omega)
+            exact = mp_continuous_eigenvalue(groups, s)
+            assert abs(s - exact) <= 1e-13 * abs(exact), (nu, s, exact)
+            checked += 1
+    assert checked >= 80
+
+
 def test_underflowing_step_finds_the_continuous_eigenvalue(tmp_path):
     # eta = 1e150 puts mode 1 at omega ~ 1e-75, where a step of 1e-300 has
     # h*sqrt(K) below the float range.  That zeroed RK4's exponents: spectrum

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -83,6 +84,13 @@ def nelder_mead_eigenvalue(dp, seed, opts):
 def end_residual(dp, s, opts):
     """The boundary residual f(s) of the discretised system."""
     return fundsys._residual_fn(dp, opts.subintervals, opts.step)(s)[0]
+
+
+def residual_bound(bound):
+    """The Cauchy-Schwarz bound ||(P, Q)|| * ||(u, u')|| of |f| from the
+    kernel's four factors (P, Q, u, u')."""
+    P, Q, u, du = bound
+    return math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du))
 
 
 def kernel_end_state(monkeypatch, dp, s, n, step):
@@ -408,6 +416,44 @@ def test_rhs_coefficients_complex_oracle():
             expected, rel=1e-12)
 
 
+def test_rhs_coefficients_is_k_to_a_few_ulp():
+    # K = s^2/(1 + eps1*s) in complex arithmetic against 34 digits: over the
+    # outside-box ranges, near the pole 1 + eps1*s = 0 and out to |s| = 1e150
+    # (a fifth of those undamped), K is within 4 ulp of |K| times
+    # (1 + |eps1*s|)/|1 + eps1*s|, the condition of forming 1 + eps1*s
+    # (1.44 of those units at worst when drawn).  ZeroDivisionError comes
+    # exactly where eps1^2*omega^2 + (1 + eps1*q)^2 is at most 1e-30, about
+    # half of the draws near the pole.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    ulp, raised = 2.0 ** -52, 0
+    for kind in ("outside", "pole", "large") * 100:
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        eps1 = 10.0 ** rng.uniform(-4.0, 0.5)
+        if kind == "outside":
+            s = 10.0 ** rng.uniform(-3.0, 1.5) * turn
+        elif kind == "pole":
+            s = (-1.0 + 10.0 ** rng.uniform(-16.5, -13.5) * turn) / eps1
+        else:
+            s = 10.0 ** rng.uniform(100.0, 150.0) * turn
+            eps1 = eps1 if rng.random() < 0.8 else 0.0
+        q, omega = float(s.real), float(s.imag)
+        x = 1.0 + eps1 * q
+        if eps1 * eps1 * omega * omega + x * x <= 1e-30:
+            with pytest.raises(ZeroDivisionError):
+                fundsys.rhs_coefficients(q, omega, eps1)
+            raised += 1
+            continue
+        K = fundsys.rhs_coefficients(q, omega, eps1)
+        with mp.workdps(34):
+            s, eps1 = mp.mpc(q, omega), mp.mpf(eps1)
+            exact = s * s / (1 + eps1 * s)
+            condition = (1 + abs(eps1 * s)) / abs(1 + eps1 * s)
+            assert abs(mp.mpc(K) - exact) <= 4 * ulp * abs(exact) * condition, (
+                kind, q, omega, eps1)
+    assert 30 <= raised <= 70
+
+
 def test_rhs_coefficients_degenerate_denominator():
     # 1 + eps1*q = 0 and omega = 0 annihilates the denominator.
     with pytest.raises(ZeroDivisionError):
@@ -676,13 +722,16 @@ def test_end_propagator_matches_exact_rk4_power(monkeypatch, step, n):
 
 def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
     # K = 0 at s = 0, where A is nilpotent and the propagator of [0, 1] is
-    # I + A: u(1) = u'(1) = 1, so f = Q(0) = 1 and f' = Q'(0).
+    # I + A: u(1) = u'(1) = 1, so f = Q(0) = 1, f' = Q'(0), and the bound's
+    # factors (P, Q, u, u') are (0, 1, 1, 1), a bound of sqrt(2).
     # Near it the exact end state is (sinh(l)/l, cosh(l)) = (1 + K/6,
     # 1 + K/2) to O(K^2).
     for n, step in ((1, 1.0 / 2000.0), (8, 0.0007)):
         assert kernel_end_state(monkeypatch, REF, 0j, n, step) == (1, 1)
-        assert fundsys._residual_fn(REF, n, step)(0j) == (
-            1, np.sqrt(2.0), REF.eps1 + REF.mu * REF.delta)
+        f, df, bound = fundsys._residual_fn(REF, n, step)(0j)
+        assert (f, df, bound) == (1, REF.eps1 + REF.mu * REF.delta,
+                                  (0, 1, 1, 1))
+        assert residual_bound(bound) == np.sqrt(2.0)
         for s in (1e-150j, 1e-9j, 1e-7 * (1 + 1j), complex(-1e-8, 0.0)):
             K = fundsys.rhs_coefficients(s.real, s.imag, REF.eps1)
             u, du = kernel_end_state(monkeypatch, REF, s, n, step)
@@ -709,11 +758,11 @@ def test_residual_kernel_takes_nu_as_an_argument(monkeypatch, n, step):
             f0 = kernel(s, 0.0)[0]
             assert kernel(s) == kernel(s, dp.nu)
             for nu in (0.0, 0.013, 0.05, 0.1):
-                f, scale, df = kernel(s, nu)
-                assert (f, scale, df) == fundsys._residual_fn(
+                f, df, bound = kernel(s, nu)
+                assert (f, df, bound) == fundsys._residual_fn(
                     replace(dp, nu=nu), n, step)(s)
                 gap = f - f0 - nu * dp.eta * dp.delta * s ** 3 * u
-                assert abs(gap) <= 1e-13 * scale
+                assert abs(gap) <= 1e-13 * residual_bound(bound)
 
 
 # ------------------------------------------------------------------ determinant
@@ -892,6 +941,29 @@ def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
                                     fundsys.SolveOptions(step=0.0005))
     assert point.converged
     assert len(logs) == 2 * len(calls) > 0
+
+
+def test_default_step_evaluations_take_no_log1p_or_exp(monkeypatch):
+    # Where the propagator is exp(A), a = cosh(r) and b = sinh(r)/r: at the
+    # default step a residual evaluation, a search and the mode profile of
+    # its answer call neither RK4's logarithms nor exp(L) at L = 0.  At step
+    # 0.0005 an evaluation of mode 2 takes RK4's exponents and one exp(L).
+    calls, exp = [], cmath.exp
+    monkeypatch.setattr(fundsys, "_log1p", lambda z: calls.append("_log1p"))
+    monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
+    kernel = fundsys._residual_fn(REF, fundsys.DEFAULT_SUBINTERVALS,
+                                  fundsys.DEFAULT_STEP)
+    seeds = asymptotic_seeds(REF, 7)
+    for seed in seeds:
+        kernel(complex(seed.q, seed.omega))
+    rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))
+    assert all(row.converged for row in rows)
+    fundsys.mode_shape(rows[6], REF)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
+    fundsys._residual_fn(REF, 8, 0.0005)(complex(seeds[1].q, seeds[1].omega))
+    assert calls == ["exp"]
 
 
 def test_integrate_fundamental_is_the_kernels_propagator(monkeypatch):
@@ -1189,7 +1261,7 @@ def test_residual_kernel_slope_at_an_eigenvalue():
         s, h = complex(point.q, point.omega), 1e-5
         central = (end_residual(REF, s + h, opts)
                    - end_residual(REF, s - h, opts)) / (2 * h)
-        assert abs(kernel(s)[2] - central) <= 1e-7 * abs(central)
+        assert abs(kernel(s)[1] - central) <= 1e-7 * abs(central)
 
 
 def test_sweep_feedback_continuation(monkeypatch):
@@ -1375,6 +1447,23 @@ def test_mode_shape_resolution_only_sets_the_sampling():
         end.append(complex(shape.u1[-1], shape.u2[-1]))
     assert np.allclose(middle, middle[0], rtol=0.0, atol=1e-15)
     assert np.allclose(end, end[0], rtol=0.0, atol=1e-15)
+
+
+def test_mode_shape_grid_is_one_read_only_array_per_resolution(
+        conservative_mode_one):
+    # Every shape of one resolution holds the same grid array,
+    # np.linspace(0, 1, resolution) bit for bit, and writing to it raises;
+    # u1 and u2 stay each shape's own.
+    for resolution in (2, 3, 64, 201, 1000, np.int64(201)):
+        first, second = (fundsys.mode_shape(conservative_mode_one, UNDAMPED,
+                                            resolution, options=SHAPE_OPTS)
+                         for _ in range(2))
+        assert second.grid is first.grid
+        assert first.grid.tobytes() == np.linspace(0.0, 1.0,
+                                                   resolution).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            first.grid[0] = 0.5
+        assert second.u1 is not first.u1 and first.u1.flags.writeable
 
 
 # ------------------------------------------------------------------- nu sweep
