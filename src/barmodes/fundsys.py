@@ -70,6 +70,8 @@ MAX_ITERATIONS = 500          # residual evaluations (Newton steps) per search
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
+_FREE_RTOL = 1e-8      # a step this small from a converged exp(A) evaluation
+                       # is taken without evaluating its end
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
 _DEFAULT_OPTIONS = SolveOptions()   # options=None, built once
 # N RK4 steps of w = h*sqrt(K) have the exponent T = N*t with
@@ -77,6 +79,8 @@ _DEFAULT_OPTIONS = SolveOptions()   # options=None, built once
 # to a relative w^4/120, which is below 2^-53 for |w| below this, and
 # exp(L) is 1 to rounding.  There the propagator is exp(A) itself.
 _EXACT_STEP = (120.0 * 2.0 ** -53) ** 0.25   # ~3.4e-4
+_OVERFLOW_MESSAGE = ("fundamental matrix entry exceeded 1e150: it leaves the "
+                     "float range at this point and step")
 
 
 class BoundaryCoefficients(NamedTuple):
@@ -202,23 +206,28 @@ def _propagator_at(q: float, omega: float, eps1: float,
     real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
     or is not finite, and when a or b is 0, which only an underflow gives.
     A modulus bounds both parts, so entries whose moduli sum to at most
-    1e150 pass without the part-by-part test.
+    1e150 pass without the part-by-part test.  An exponential that leaves
+    the float range inside cmath raises the same 1e150 message.
     """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
     w = 1.0 / count * r
-    if abs(w) < _EXACT_STEP:
-        L, T = 0j, r
-        a = cmath.cosh(r)
-        b = cmath.sinh(r) / r if r else 1 + 0j
-    else:   # here r != 0
-        z = w * w
-        e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
-        plus, minus = _log1p(e + bw), _log1p(e - bw)
-        L, T = count * (0.5 * (plus + minus)), count * (0.5 * (plus - minus))
-        g = cmath.exp(L)
-        a = g * cmath.cosh(T)
-        b = g * cmath.sinh(T) / r
+    try:
+        if abs(w) < _EXACT_STEP:
+            L, T = 0j, r
+            a = cmath.cosh(r)
+            b = cmath.sinh(r) / r if r else 1 + 0j
+        else:   # here r != 0
+            z = w * w
+            e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
+            plus, minus = _log1p(e + bw), _log1p(e - bw)
+            L = count * (0.5 * (plus + minus))
+            T = count * (0.5 * (plus - minus))
+            g = cmath.exp(L)
+            a = g * cmath.cosh(T)
+            b = g * cmath.sinh(T) / r
+    except OverflowError:   # cmath's bare 'math range error'
+        raise OverflowError(_OVERFLOW_MESSAGE) from None
     bK = b * K
     try:
         in_range = abs(a) + abs(b) + abs(bK) <= OVERFLOW_LIMIT and a and b
@@ -228,9 +237,7 @@ def _propagator_at(q: float, omega: float, eps1: float,
         for c in (a, b, bK):
             if not (abs(c.real) <= OVERFLOW_LIMIT
                     and abs(c.imag) <= OVERFLOW_LIMIT):
-                raise OverflowError(
-                    "fundamental matrix entry exceeded 1e150: it leaves the "
-                    "float range at this point and step")
+                raise OverflowError(_OVERFLOW_MESSAGE)
         if not (a and b):
             raise OverflowError("fundamental matrix entry underflowed to 0")
     return r, L, T, a, b
@@ -255,10 +262,12 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
 def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     """(s, nu, built) -> (f, f', (P, Q, u, u')) of the end-mass residual of
     the discretised system, with nu defaulting to dp.nu and built, the
-    tuple of :func:`_propagator_at` at s with this kernel's step count, to
-    a fresh build (:func:`delta_subdivided` passes one it is given).
+    tuple of :func:`_propagator_at` at s with this kernel's step count
+    (its attribute ``count``), to a fresh build (:func:`find_eigenvalue`
+    passes the one it builds, :func:`delta_subdivided` one it is given).
 
-    Built once per search, or once per :func:`sweep_feedback` call, it
+    Built once per :func:`sweep_feedback` call, and once per entry of
+    :func:`_search_kernel` for direct :func:`find_eigenvalue` calls, it
     takes the step count from :func:`_step_count`, which validates n and
     step, and from :func:`_row_coefficients` the coefficients of P(s) =
     D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 =
@@ -273,7 +282,11 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
     (2 + eps1*s)/(2s*(1 + eps1*s)).  (P, Q, u, u') are the four factors
     of the bound of |f| that :func:`_normalized` forms, once per search.
     """
-    count = _step_count(n, step)
+    return _kernel_of(dp, _step_count(n, step))
+
+
+def _kernel_of(dp: DimensionlessParams, count: int):
+    """The kernel of :func:`_residual_fn` for a validated step count."""
     eps1, mu = dp.eps1, dp.mu
     eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
     eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
@@ -290,7 +303,20 @@ def _residual_fn(dp: DimensionlessParams, n: int, step: float):
         df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
         return P * u + Q * du, df, (P, Q, u, du)
 
+    residual.count = count
     return residual
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _search_kernel(count: int, eps1: float, mu: float, eta: float,
+                   delta: float):
+    """The kernel of a validated step count and of the groups other than
+    nu, which a search passes at each evaluation: one kernel serves every
+    direct :func:`find_eigenvalue` call on these groups and options, as
+    in a bisection in nu.  Keys are typed: an int, a float and an
+    np.float64 group that compare equal compute differently in the kernel,
+    so each gets its own."""
+    return _kernel_of(DimensionlessParams(eps1, mu, 0.0, eta, delta), count)
 
 
 def _normalized(f: complex, bound: tuple[complex, ...]) -> float:
@@ -349,16 +375,30 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     1e-15*|s| (as where f vanishes), when a step is no smaller than the one
     before it while the normalized determinant at its evaluation is
     already below ``CONVERGED_TOL`` (the residual's rounding noise then
-    sets the step), or after ``MAX_ITERATIONS`` evaluations.
+    sets the step), or after ``MAX_ITERATIONS`` evaluations.  It also stops
+    at s - ds, without evaluating it, when a step ds, smaller than the one
+    before it and at most 1e-8*|s|, comes from an evaluation whose
+    normalized determinant is already below ``CONVERGED_TOL`` and whose
+    propagator is exp(A), and s - ds passes the band test below: there f'
+    is the slope of the discretised residual, Newton's method converges
+    quadratically, and the step's end lies about gamma*|ds|^2 from the
+    zero (Kantorovich; Smale's alpha theory).  The search builds each
+    evaluation's propagator itself, and reads its branch from that build
+    once per search, the first time the other conditions hold; on the RK4
+    branch, where f' is the continuous slope and the convergence only
+    linear, the search goes on evaluating.
     An iterate that is not finite, has omega <= 0 or leaves the seed's band
     (half-width ``BAND_HALFWIDTH``, which prevents mode hopping) ends the
     search, as do an overflow, a degenerate rhs denominator, a singular RK4
     step and a zero slope.
 
-    The result is the last iterate whose residual was evaluated, with the
-    normalized determinant of that evaluation as delta_value (NaN when even
-    the seed cannot be evaluated); converged means the iteration settled
-    and delta_value is below ``CONVERGED_TOL``.  Raises ValueError, before
+    The result is the last iterate whose residual was evaluated, or the
+    end of the unevaluated last step, with the normalized determinant of
+    the last evaluation as delta_value: after an unevaluated step, that is
+    the value one Newton step before the reported point, below
+    ``CONVERGED_TOL`` by construction (NaN when even the seed cannot be
+    evaluated).  converged means the iteration settled and delta_value is
+    below ``CONVERGED_TOL``.  Raises ValueError, before
     any evaluation, for a non-finite seed and for options whose subinterval
     count is not an integer of at least 1, a step that is not positive, or
     a step so small that the step count, about 1/step, is not finite;
@@ -367,40 +407,63 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
     ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
     of a kernel that :func:`_residual_fn` built from dp and these options,
-    and the feedback gain to evaluate it at in place of dp.nu.
+    and the feedback gain to evaluate it at in place of dp.nu.  Without
+    it, the kernel comes from :func:`_search_kernel`, after the options
+    are validated; a zero group, whose sign the kernel's values carry but
+    a key does not, gets a kernel of its own.
     """
     s = last = complex(seed.q, seed.omega)
     if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
     if _kernel is None:
         opts = options or _DEFAULT_OPTIONS
-        residual, nu = _residual_fn(dp, opts.subintervals, opts.step), dp.nu
+        count = _step_count(opts.subintervals, opts.step)
+        key = (count, dp.eps1, dp.mu, dp.eta, dp.delta)
+        residual = (_kernel_of(dp, count) if 0.0 in key
+                    else _search_kernel(*key))
+        nu = dp.nu
     else:
         residual, nu = _kernel
+        count = residual.count
+    eps1 = dp.eps1
 
     omega0 = s.imag
-    f = None   # the residual at last, once evaluated
+    value = math.nan   # Delta-hat at last: None until formed, NaN unevaluated
     size = math.inf   # the size of the step before
+    free = True   # until an evaluation that met the other gates was RK4
     settled = False
     try:
         for _ in range(MAX_ITERATIONS):
-            f, df, bound = residual(s, nu)
-            last = s
+            built = _propagator_at(s.real, s.imag, eps1, count)
+            f, df, bound = residual(s, nu, built)
+            last, value = s, None
             ds = f / df   # 0 where f vanishes: a step of 0 settles
             s = s - ds
             step = abs(ds)
-            if step <= _NEWTON_RTOL * abs(s) or (
-                    step >= size
-                    and _normalized(f, bound) < CONVERGED_TOL):
+            if step <= _NEWTON_RTOL * abs(s):
                 settled = True
                 break
+            if step >= size:
+                value = _normalized(f, bound)
+                if value < CONVERGED_TOL:
+                    settled = True
+                    break
             if not (cmath.isfinite(s) and s.imag > 0.0
                     and abs(s.imag - omega0) < BAND_HALFWIDTH):
                 break
+            if free and step < size and step <= _FREE_RTOL * abs(s):
+                value = _normalized(f, bound)
+                if value < CONVERGED_TOL:
+                    # _propagator_at's branch test, on the r it built
+                    free = abs(1.0 / count * built[0]) < _EXACT_STEP
+                    if free:
+                        last, settled = s, True
+                        break
             size = step
     except (OverflowError, ZeroDivisionError):
         pass
-    value = math.nan if f is None else _normalized(f, bound)
+    if value is None:
+        value = _normalized(f, bound)
     return SpectralPoint(last.real, last.imag, value,
                          settled and value < CONVERGED_TOL)
 
@@ -422,9 +485,11 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     without loading numpy.  Raises ValueError for an unconverged point, a
     resolution that is not an integer of at least 2 and options the search
     rejects, and numpy.linalg.LinAlgError when the rank check,
-    delta_subdivided with these options (a search result's own
-    delta_value), is not below ``CONVERGED_TOL``: the point is not an
-    eigenvalue.
+    delta_subdivided with these options at the point, is not below
+    ``CONVERGED_TOL``: the point is not an eigenvalue.  For a search
+    result that is its delta_value when the search evaluated its answer;
+    after an unevaluated last Newton step it is the determinant one step
+    further on, where the search's value was already below the tolerance.
     """
     import numpy as np
 

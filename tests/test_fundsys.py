@@ -619,6 +619,18 @@ def test_integrator_overflow_raises():
         fundsys.integrate_fundamental(400.0, 1.0, UNDAMPED, step=1.0 / 500.0)
 
 
+@pytest.mark.parametrize("step", [fundsys.DEFAULT_STEP, 1e-7])
+def test_cmath_overflow_raises_the_modules_message(step):
+    # At s = 5000 + i, |sqrt(K)| ~ 980: cosh overflows inside cmath, on the
+    # RK4 branch at the default step and on exp(A) at step 1e-7.  It raised
+    # cmath's bare 'math range error'.
+    message = "^fundamental matrix entry exceeded 1e150"
+    with pytest.raises(OverflowError, match=message):
+        fundsys.integrate_fundamental(5000.0, 1.0, REF, step)
+    with pytest.raises(OverflowError, match=message):
+        fundsys.delta_subdivided(5000.0, 1.0, REF, 1, step)
+
+
 def test_integrator_underflow_raises():
     # 3000 RK4 steps of h*omega = 2, each shrinking |u| by |R(2i)| = 0.745,
     # leave the float range: a zero u(1) makes the residual f = Q(s), whose
@@ -919,6 +931,54 @@ def test_closed_form_propagator_is_rk4_to_rounding():
     assert len(quadrants) == 4
 
 
+def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
+    # A search ends on a Newton step it does not evaluate only from an
+    # evaluation whose propagator is exp(A) (T = r), where f' is the
+    # discretised residual's own slope.  At step 0.0005 reference mode 1
+    # (|h*sqrt(K)| ~ 1.8e-4) is exp(A) and modes 2-7 take RK4's exponents:
+    # their searches evaluate every point they report, although their
+    # last steps are as small as mode 1's.
+    builds = []
+    original = fundsys._propagator_at
+
+    def recording(q, omega, *args):
+        builds.append((complex(q, omega), original(q, omega, *args)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(fundsys, "_propagator_at", recording)
+    free = []
+    for opts in (fundsys.SolveOptions(), fundsys.SolveOptions(step=0.0005)):
+        for mode, seed in enumerate(asymptotic_seeds(REF, 7), 1):
+            builds.clear()
+            point = fundsys.find_eigenvalue(REF, seed, opts)
+            assert point.converged
+            last, (r, _, T, _, _) = builds[-1]
+            if complex(point.q, point.omega) != last:
+                assert T is r, (opts, mode)
+                free.append((opts.step, mode))
+    assert len(free) >= 7
+    assert [mode for step, mode in free if step == 0.0005] == [1]
+
+
+# Outside small dissipation, mode 1 is aperiodic: a real root near
+# s = -0.0622733.
+APERIODIC = DimensionlessParams(
+    eps1=0.0022989367474588176, mu=9.687177258985631, nu=0.02,
+    eta=7.490796060555215, delta=1.7389555402781556)
+
+
+@pytest.mark.parametrize("omega", [1e-36, 1e-20, 1e-12])
+def test_unevaluated_last_step_keeps_to_the_band(omega):
+    # From a seed just above the real root, the Newton step lands below
+    # the real axis, which ends the search unconverged at the seed.  An
+    # unevaluated last step taken without the band test reported that
+    # point, omega ~ -2.6e-26 and below, as converged.
+    seed = fundsys.SpectralPoint(q=-0.0622733160591, omega=omega)
+    point = fundsys.find_eigenvalue(APERIODIC, seed)
+    assert not point.converged
+    assert (point.q, point.omega) == (seed.q, seed.omega)
+
+
 def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
     # At the default step every reference mode below omega = 20 has
     # |h*sqrt(K)| below _EXACT_STEP, so no evaluation takes RK4's exponents;
@@ -1136,10 +1196,20 @@ def test_find_eigenvalue_cold_search_cost(monkeypatch):
             calls.clear()
             point = fundsys.find_eigenvalue(dp, seed)
             assert point.converged
-            assert len(calls) <= 6
+            assert len(calls) <= 4
             counts.append(len(calls))
-    assert np.mean(counts) <= 3.8
+    assert np.mean(counts) <= 2.9
     assert boundary_calls == []
+
+
+def test_reference_sweep_cost(monkeypatch):
+    # The 21-point x 2-mode reference sweep at the default step: most rows
+    # end on one evaluation, whose Newton step is taken without evaluating
+    # its end.  Confirming each last step took 89 evaluations.
+    calls = count_rhs_calls(monkeypatch)
+    rows = fundsys.sweep_feedback(REF, [0.005 * i for i in range(21)], (1, 2))
+    assert len(rows) == 42 and all(row.converged for row in rows)
+    assert len(calls) <= 49
 
 
 @pytest.mark.parametrize("options", [
@@ -1160,6 +1230,42 @@ def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
     assert calls == []
 
 
+def test_direct_searches_share_one_kernel(monkeypatch):
+    # A bisection in nu calls find_eigenvalue without a kernel; the calls
+    # share one, built for the groups other than nu and the step count,
+    # and answer bit for bit as a search on a freshly built kernel does.
+    # The options are validated first: subintervals=8.0 raises after 8 has
+    # a kernel.  A zero group, whose sign the kernel's values carry but
+    # 0.0 == -0.0 hides from a key, gets a kernel of its own every time.
+    builds = []
+    build = fundsys._kernel_of
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fundsys, "_kernel_of", counting)
+    fundsys._search_kernel.cache_clear()
+    opts = fundsys.SolveOptions()
+    seed = asymptotic_seeds(REF, 1)[0]
+    for nu in (0.0, 0.025, 0.0125, 0.01875, 0.05):
+        dp = replace(REF, nu=nu)
+        point = fundsys.find_eigenvalue(dp, seed, opts)
+        fresh = fundsys.find_eigenvalue(dp, seed, opts, _kernel=(
+            build(dp, fundsys._step_count(opts.subintervals, opts.step)), nu))
+        assert repr(point) == repr(fresh)
+        seed = point
+    assert len(builds) == 1
+    with pytest.raises(ValueError):
+        fundsys.find_eigenvalue(REF, seed, opts._replace(subintervals=8.0))
+    for mu in (0.0, -0.0, 0.0):
+        builds.clear()
+        assert fundsys.find_eigenvalue(replace(REF, mu=mu), seed).converged
+        assert [args[0].mu for args in builds] == [mu]
+        assert math.copysign(1.0, builds[0][0].mu) == math.copysign(1.0, mu)
+    assert fundsys._search_kernel.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("q, omega", [(np.nan, 0.35), (-0.01, np.inf)])
 def test_find_eigenvalue_rejects_a_non_finite_seed_before_evaluating(
         monkeypatch, q, omega):
@@ -1170,13 +1276,43 @@ def test_find_eigenvalue_rejects_a_non_finite_seed_before_evaluating(
     assert calls == []
 
 
-def test_find_eigenvalue_reports_its_last_evaluation():
-    opts = fundsys.SolveOptions()
-    for seed in asymptotic_seeds(REF, 5):
-        point = fundsys.find_eigenvalue(REF, seed, opts)
-        assert point.converged
-        assert point.delta_value == fundsys.delta_subdivided(
-            point.q, point.omega, REF, opts.subintervals, opts.step)
+def last_evaluated(calls):
+    """The point of the last residual evaluation count_rhs_calls recorded."""
+    q, omega, _ = calls[-1]
+    return complex(q, omega)
+
+
+def test_find_eigenvalue_reports_its_last_evaluation(monkeypatch):
+    # At step 0.01 every evaluation takes RK4's exponents: the search
+    # reports its last evaluated point, with that point's normalized
+    # determinant.  At the default step every evaluation is exp(A), and a
+    # search that does not settle on a negligible step ends on a Newton
+    # step it does not evaluate: the answer is one step past the last
+    # evaluation, delta_value is the determinant there, and the
+    # determinant at the answer is below CONVERGED_TOL too.
+    calls = count_rhs_calls(monkeypatch)
+    ends = []
+    for opts in (fundsys.SolveOptions(step=0.01), fundsys.SolveOptions()):
+        n, step = opts.subintervals, opts.step
+        kernel = fundsys._residual_fn(REF, n, step)
+        for seed in asymptotic_seeds(REF, 5):
+            calls.clear()
+            point = fundsys.find_eigenvalue(REF, seed, opts)
+            last = last_evaluated(calls)
+            assert point.converged
+            s = complex(point.q, point.omega)
+            dhat = fundsys.delta_subdivided(point.q, point.omega, REF, n, step)
+            ends.append((step, s == last))
+            if s == last:
+                assert point.delta_value == dhat
+                continue
+            f, df, _ = kernel(last)
+            assert s == last - f / df
+            assert point.delta_value == fundsys.delta_subdivided(
+                last.real, last.imag, REF, n, step)
+            assert dhat < fundsys.CONVERGED_TOL
+    assert ends[:5] == [(0.01, True)] * 5
+    assert sum(not evaluated for _, evaluated in ends[5:]) >= 4
 
 
 ORACLE_EXTREMES = (0.0, 5e-324, 1e-300, 1e-15, 1e150, 1e300)
@@ -1414,17 +1550,27 @@ def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
         return seen[-1]
 
     monkeypatch.setattr(fundsys, "delta_subdivided", spy)
+    calls = count_rhs_calls(monkeypatch)
     rng = np.random.default_rng(43)
     shapes = 0
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
         roots = conservative.find_roots(dp, 20.0)
         for seed in asymptotic_seeds(dp, len(roots)):
+            calls.clear()
             point = fundsys.find_eigenvalue(dp, seed, opts)
             if not point.converged:
                 continue
+            last = last_evaluated(calls)
             seen.clear()
             shape = fundsys.mode_shape(point, dp, options=opts)
-            assert seen == [point.delta_value]
+            if complex(point.q, point.omega) == last:
+                assert seen == [point.delta_value]
+            else:
+                # An unevaluated last step, from an exp(A) evaluation (mode
+                # 1 at step 1/2000): delta_value is the determinant there.
+                assert len(seen) == 1 and seen[0] < fundsys.CONVERGED_TOL
+                assert point.delta_value == delta_subdivided(
+                    last.real, last.imag, dp, opts.subintervals, opts.step)
             assert len(shape.grid) == 201
             # Dividing the peak sample by itself can leave roundoff in its
             # u2, where the normalisation defines u2 = 0.
