@@ -1,7 +1,7 @@
 """Closed-form small-dissipation results: first-order complex eigenvalues,
 the self-excitation condition with its critical-feedback and
-boundary-frequency solvers, and the forced-resonance construction of the
-second perturbation route.
+boundary-frequency solvers, and the damping bracket of the second
+perturbation route.
 
 All operations take the unscaled dissipation parameters (eps1, mu, nu); the
 formal bookkeeping small parameter that groups them is collapsed away since
@@ -18,7 +18,6 @@ if TYPE_CHECKING:
 
 _DEGENERATE_DENOM = 1e-12
 _DEGENERATE_SLOPE = 1e-15
-_POLE_TOL = 1e-12
 
 
 class ComplexEigenvalue(NamedTuple):
@@ -33,16 +32,6 @@ class ExcitationReport(NamedTuple):
     numerator: float
     denominator: float
     excited: bool       # indicator <= 0
-
-
-class ForcedModeCoefficients(NamedTuple):
-    """Coefficients of U(x) = (B1+B2*x)cos(w*x) + (C1+C2*x)sin(w*x)."""
-
-    B1: float
-    B2: float
-    C1: float
-    C2: float
-    A: float
 
 
 def _frequency_denominator(w, eta, delta):
@@ -159,65 +148,11 @@ def boundary_frequency(nu: float, dp: DimensionlessParams) -> float | None:
 
 
 def second_method_bracket(omega: float, dp: DimensionlessParams) -> float:
-    """Damping/feedback bracket from the denominator of
-    :func:`second_method_indicator`; algebraically identical to the
-    excitation numerator, which is how the two perturbation routes agree."""
+    """Damping/feedback bracket of the second (forced-resonance)
+    perturbation route, the denominator of its excitation indicator;
+    algebraically identical to the excitation numerator, which is how the
+    two perturbation routes agree."""
     eps1, mu, nu, eta, delta = dp.eps1, dp.mu, dp.nu, dp.eta, dp.delta
     r = eta * delta * omega**2 - 1.0
     return (eps1 * (eta**2 * omega**2 * (1.0 - delta) + r * r + eta)
             + 2.0 * (eta**2 * omega**2 * delta**2 * (nu + mu) - eta * nu * delta))
-
-
-def second_method_indicator(omega: float, dp: DimensionlessParams,
-                            C2: float) -> float:
-    """Excitation indicator of the forced-resonance route (excited iff <= 0).
-
-    Evaluates
-
-        C2 * ([eta^2 w^2 (1+delta) + (eta delta w^2 - 1)^2 - eta] * w * cot(w)
-              - (eta delta w^2 - 1)^2) / (bracket * w^3)
-
-    with the bracket from :func:`second_method_bracket`, at the end x = 1
-    where the boundary condition was imposed.
-
-    Raises ZeroDivisionError at a cot pole (|sin(w)| < 1e-12) or when the
-    bracket degenerates.
-    """
-    s = math.sin(omega)
-    if abs(s) < _POLE_TOL:
-        raise ZeroDivisionError("cot pole: omega is a multiple of pi")
-    bracket = second_method_bracket(omega, dp)
-    if abs(bracket) < _DEGENERATE_SLOPE:
-        raise ZeroDivisionError("degenerate damping bracket")
-    eta, delta = dp.eta, dp.delta
-    r = eta * delta * omega**2 - 1.0
-    cot = math.cos(omega) / s
-    numer = (eta**2 * omega**2 * (1.0 + delta) + r * r - eta) * omega * cot - r * r
-    return C2 * numer / (bracket * omega**3)
-
-
-def forced_mode(omega: float, A: float, dp: DimensionlessParams,
-                C1: float = 0.0, C2: float = 0.0, num_points: int = 101):
-    """Resonantly forced spatial profile U(x) sampled on a uniform grid.
-
-    Returns (coefficients, x, U, residual).  The particular solution fixes
-    B1 = 0 and B2 = eps1*A*omega^2/2; C1 and C2 pass through as the free
-    homogeneous constants.  The residual of U'' + omega^2 U =
-    -eps1*A*omega^3*sin(omega x) is identically 2*C2*omega*cos(omega x):
-    the x*sin term is itself resonant, so the residual vanishes only for
-    C2 = 0.
-    """
-    import numpy as np
-
-    eps1 = dp.eps1
-    B1 = 0.0
-    B2 = 0.5 * eps1 * A * omega**2
-    x = np.linspace(0.0, 1.0, num_points)
-    c = np.cos(omega * x)
-    s = np.sin(omega * x)
-    u = (B1 + B2 * x) * c + (C1 + C2 * x) * s
-    upp = (-2.0 * B2 * omega * s - (B1 + B2 * x) * omega**2 * c
-           + 2.0 * C2 * omega * c - (C1 + C2 * x) * omega**2 * s)
-    residual = upp + omega**2 * u + eps1 * A * omega**3 * s
-    coeffs = ForcedModeCoefficients(B1=B1, B2=B2, C1=C1, C2=C2, A=A)
-    return coeffs, x, u, residual

@@ -227,8 +227,9 @@ def _conservative_roots(config, count):
 def _search(config: RunConfig, nu_values, modes: range):
     """(roots, rows): the first len(modes) undamped frequencies (ConfigError
     when omega_max holds fewer) and fundsys.sweep_feedback's rows for
-    `modes` over `nu_values` at the configured omega_max and discretisation
-    (none for no modes).  Every eigenvalue search of every verb runs here.
+    `modes` over `nu_values` at the configured omega_max (none for no
+    modes); the searches check step and subintervals but solve the
+    continuous system.  Every eigenvalue search of every verb runs here.
     `modes` is a range from 1, so a huge count costs nothing before the
     shortfall check."""
     # fundsys is imported only where a verb searches, so that stability,

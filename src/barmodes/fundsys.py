@@ -5,36 +5,38 @@ wave equation into the complex first-order system
 
     (u, u')' = A (u, u'),   A = [[0, 1], [K, 0]],   K = s^2 / (1 + eps1*s),
 
-whose coefficients do not depend on x, with A^2 = K*I.  One classical RK4
-step of length h is therefore exactly (1 + e)*I + b*A with z = h^2*K,
-e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the eigenvectors
-of A are 1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
+whose coefficients do not depend on x, with A^2 = K*I.  The propagator of
+the bar [0, 1], the fundamental matrix Gamma(1) (the Cauchy problems whose
+initial states at x = 0 form the identity), is therefore exp(A) =
+cosh(r)*I + sinh(r)*A/r with r = sqrt(K), in closed form.  The clamped end
+leaves only the solution with initial state (u, u') = (0, 1), which ends
+at u(1) = sinh(r)/r and u'(1) = cosh(r), and the end-mass boundary
+condition applied to it is the single complex row
+f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic determinant
+Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  f is analytic in
+s (D1..D4 are polynomials in s), so eigenvalues are located as its zeros
+by Newton's method from a seed, with the exact slope; the normalized Delta
+then certifies the answer.  Every search and mode profile solves this
+continuous system, whatever the step.
+
+The paper's discretised system replaces exp(A) by N equal classical RK4
+steps, each exactly (1 + e)*I + b*A with z = h^2*K, e = z/2 + z^2/24 and
+b = h*(1 + z/6).  Its eigenvalues on the eigenvectors of A are
+1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
 l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the N
 equal steps that cover [0, 1] (n subintervals, each of the fewest steps
-no longer than the requested one) multiply one step's exponents by N.
-With w = h*sqrt(K), N*t = sqrt(K)*(1 - w^4/120 + ...) and N*l is
-O(N*w^6), so for |w| below (120*2^-53)^(1/4) ~ 3.4e-4 (at the default
-step of 1e-6, every mode below omega ~ 340) the N steps are exp(A) to
-rounding, and the exponents are taken as (0, sqrt(K)) without the two
-logarithms or the factor exp(L) = 1.  The only propagator built is that
-of the bar [0, 1], the fundamental matrix Gamma(1) (the Cauchy problems
-whose initial states at x = 0 form the identity):
-exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)) in closed form, a handful of
-complex function calls whatever the step count.  The
-clamped end leaves only the solution with initial state (u, u') = (0, 1),
-which ends at u(1) = exp(L)*sinh(T)/sqrt(K) and u'(1) = exp(L)*cosh(T),
-and the end-mass boundary condition applied to it is the single complex
-row f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic
-determinant Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  The
-residual f of the discretised system is analytic in s (the propagator is
-a polynomial in K, or exp(A) to rounding, and D1..D4 are polynomials in
-s), so eigenvalues are located as its zeros by Newton's method from a
-seed, with the slope of the continuous system; the normalized Delta then
-certifies the answer.
-
-:func:`integrate_fundamental` returns the propagator a*I + b*A of [0, 1]
-as the complex pair (a, b), and :func:`boundary_coefficients` the real
-form D1..D4 of the residual kernel's P and Q.
+no longer than the requested one) multiply one step's exponents by N, and
+the propagator is exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)), a handful of
+complex function calls whatever the step count.  With w = h*sqrt(K),
+N*t = sqrt(K)*(1 - w^4/120 + ...) and N*l is O(N*w^6), so for |w| below
+(120*2^-53)^(1/4) ~ 3.4e-4 (at the default step of 1e-6, every mode below
+omega ~ 340) the N steps are exp(A) to rounding, and the exponents are
+taken as (0, sqrt(K)) without the two logarithms.  The RK4 system is what
+the options' step and subintervals set, and what
+:func:`integrate_fundamental` (the propagator a*I + b*A of [0, 1] as the
+complex pair (a, b)) and :func:`delta_subdivided` (its normalized
+determinant) build; :func:`boundary_coefficients` gives the real form
+D1..D4 of the residual kernel's P and Q.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ MAX_ITERATIONS = 500          # residual evaluations (Newton steps) per search
 _DENOM_FLOOR = 1e-30   # rhs-coefficient denominator guard
 _NORM_FLOOR = 1e-300   # keeps the normalized determinant total
 _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
-_FREE_RTOL = 1e-8      # a step this small from a converged exp(A) evaluation
-                       # is taken without evaluating its end
+_FREE_RTOL = 1e-8      # a step this small from a converged evaluation is
+                       # taken without evaluating its end
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
 _DEFAULT_OPTIONS = SolveOptions()   # options=None, built once
 # N RK4 steps of w = h*sqrt(K) have the exponent T = N*t with
@@ -183,10 +185,20 @@ def _step_count(n: int, step: float) -> int:
     return n * max(1, math.ceil(steps * (1.0 - 1e-12)))
 
 
+def _check(options: SolveOptions | None) -> None:
+    """Raise as :func:`_step_count` does on the options (None is the
+    defaults).  They set only the RK4 system of
+    :func:`integrate_fundamental` and :func:`delta_subdivided`; a search,
+    sweep or mode profile checks them and solves the continuous system."""
+    opts = options or _DEFAULT_OPTIONS
+    _step_count(opts.subintervals, opts.step)
+
+
 def _propagator_at(q: float, omega: float, eps1: float,
-                   count: int) -> tuple[complex, ...]:
-    """(r, L, T, a, b) of the [0, 1] propagator made of count equal RK4
-    steps at s = q + i*omega: r = sqrt(K), K = s^2/(1 + eps1*s), and
+                   count: int | None) -> tuple[complex, ...]:
+    """(r, L, T, a, b) of the [0, 1] propagator at s = q + i*omega: of the
+    continuous system, exp(A), for count None, and otherwise of count equal
+    RK4 steps; r = sqrt(K), K = s^2/(1 + eps1*s), and
     exp(L*I + T*A/r) = a*I + b*A; at K = 0 it is I + A.
 
     One classical Runge-Kutta step of length h = 1/count for y' = A y is
@@ -198,20 +210,21 @@ def _propagator_at(q: float, omega: float, eps1: float,
     steps make (L, T) = count*(l, t).  Any branch of the logarithm or of r
     gives the same propagator, because the exponents are only ever used
     times an integer step count.  When |h*r| < _EXACT_STEP, count*(l, t)
-    is (0, r) to rounding, and (L, T) = (0, r) is taken without _log1p:
-    the propagator is exp(A), a = cosh(r) and b = sinh(r)/r, with no
-    exp(L) factor.
+    is (0, r) to rounding, and (L, T) = (0, r) is taken without _log1p,
+    as for count None: the propagator is exp(A), a = cosh(r) and
+    b = sinh(r)/r, with no exp(L) factor.
 
     Raises as rhs_coefficients and _log1p do, and OverflowError when the
     real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
     or is not finite, and when a or b is 0, which only an underflow gives.
     A modulus bounds both parts, so entries whose moduli sum to at most
     1e150 pass without the part-by-part test.  An exponential that leaves
-    the float range inside cmath raises the same 1e150 message.
+    the float range inside cmath, or that cmath refuses at an infinite K,
+    raises the same 1e150 message.
     """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
-    w = 1.0 / count * r
+    w = 0j if count is None else 1.0 / count * r
     try:
         if abs(w) < _EXACT_STEP:
             L, T = 0j, r
@@ -226,7 +239,9 @@ def _propagator_at(q: float, omega: float, eps1: float,
             g = cmath.exp(L)
             a = g * cmath.cosh(T)
             b = g * cmath.sinh(T) / r
-    except OverflowError:   # cmath's bare 'math range error'
+    # cmath's bare 'math range error', and its 'math domain error' where K,
+    # though s is finite, is not (s^2 overflows)
+    except (OverflowError, ValueError):
         raise OverflowError(_OVERFLOW_MESSAGE) from None
     bK = b * K
     try:
@@ -259,41 +274,36 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     return _propagator_at(q, omega, dp.eps1, _step_count(1, step))[3:]
 
 
-def _residual_fn(dp: DimensionlessParams, n: int, step: float):
-    """(s, nu, built) -> (f, f', (P, Q, u, u')) of the end-mass residual of
-    the discretised system, with nu defaulting to dp.nu and built, the
-    tuple of :func:`_propagator_at` at s with this kernel's step count
-    (its attribute ``count``), to a fresh build (:func:`find_eigenvalue`
-    passes the one it builds, :func:`delta_subdivided` one it is given).
+def _kernel_of(dp: DimensionlessParams):
+    """(s, nu, built) -> (f, f', (P, Q, u, u')) of the end-mass residual at
+    s and the feedback gain nu, on built, the tuple of
+    :func:`_propagator_at` at s that the caller builds: exp(A) for a
+    search or a mode profile, the RK4 system for :func:`delta_subdivided`.
 
-    Built once per :func:`sweep_feedback` call, and once per entry of
-    :func:`_search_kernel` for direct :func:`find_eigenvalue` calls, it
-    takes the step count from :func:`_step_count`, which validates n and
-    step, and from :func:`_row_coefficients` the coefficients of P(s) =
-    D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s) and Q(s) = D3 - i*D4 =
-    1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3 coefficient
+    Built once per :func:`sweep_feedback` call, once per entry of
+    :func:`_search_kernel` for direct :func:`find_eigenvalue` calls, and
+    once per :func:`delta_subdivided` call or mode profile, it takes from
+    :func:`_row_coefficients` the coefficients of
+    P(s) = D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s) and
+    Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3 coefficient
     p3 = eta*delta*(nu + mu) of P depends on nu, and it is formed at each
     evaluation, so one kernel serves every nu: its value at nu is bit for
     bit the value of the kernel built for replace(dp, nu=nu).
     f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0, u' = 1
     at x = 0), whose end state (u, u') = (u(1), u'(1)) is the column (b, a)
-    of the [0, 1] propagator, the one propagator built and checked for
-    overflow.  f' is the slope of :func:`find_eigenvalue`, with K'/(2K) =
-    (2 + eps1*s)/(2s*(1 + eps1*s)).  (P, Q, u, u') are the four factors
-    of the bound of |f| that :func:`_normalized` forms, once per search.
+    of the [0, 1] propagator.  f' is the slope of the continuous system's
+    residual, with K'/(2K) = (2 + eps1*s)/(2s*(1 + eps1*s)): exact on
+    exp(A), within the RK4 error on an RK4 build.  (P, Q, u, u') are the
+    four factors of the bound of |f| that :func:`_normalized` forms, once
+    per search.
     """
-    return _kernel_of(dp, _step_count(n, step))
-
-
-def _kernel_of(dp: DimensionlessParams, count: int):
-    """The kernel of :func:`_residual_fn` for a validated step count."""
     eps1, mu = dp.eps1, dp.mu
     eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
     eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
 
-    def residual(s: complex, nu: float = dp.nu,
-                 built: tuple | None = None) -> tuple[complex, ...]:
-        _, _, _, du, u = built or _propagator_at(s.real, s.imag, eps1, count)
+    def residual(s: complex, nu: float,
+                 built: tuple[complex, ...]) -> tuple[complex, ...]:
+        _, _, _, du, u = built
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
@@ -303,20 +313,17 @@ def _kernel_of(dp: DimensionlessParams, count: int):
         df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
         return P * u + Q * du, df, (P, Q, u, du)
 
-    residual.count = count
     return residual
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def _search_kernel(count: int, eps1: float, mu: float, eta: float,
-                   delta: float):
-    """The kernel of a validated step count and of the groups other than
-    nu, which a search passes at each evaluation: one kernel serves every
-    direct :func:`find_eigenvalue` call on these groups and options, as
-    in a bisection in nu.  Keys are typed: an int, a float and an
-    np.float64 group that compare equal compute differently in the kernel,
-    so each gets its own."""
-    return _kernel_of(DimensionlessParams(eps1, mu, 0.0, eta, delta), count)
+def _search_kernel(eps1: float, mu: float, eta: float, delta: float):
+    """The kernel of the groups other than nu, which a search passes at
+    each evaluation: one kernel serves every direct
+    :func:`find_eigenvalue` call on these groups, as in a bisection in nu.
+    Keys are typed: an int, a float and an np.float64 group that compare
+    equal compute differently in the kernel, so each gets its own."""
+    return _kernel_of(DimensionlessParams(eps1, mu, 0.0, eta, delta))
 
 
 def _normalized(f: complex, bound: tuple[complex, ...]) -> float:
@@ -333,9 +340,12 @@ def _normalized(f: complex, bound: tuple[complex, ...]) -> float:
 
 def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
                      n: int = DEFAULT_SUBINTERVALS,
-                     step: float = DEFAULT_STEP, _built=None) -> float:
-    """Normalized characteristic determinant with [0, 1] split into n equal
-    subintervals; non-negative, zero exactly at eigenvalues.
+                     step: float = DEFAULT_STEP) -> float:
+    """Normalized characteristic determinant of the paper's RK4 system with
+    [0, 1] split into n equal subintervals; non-negative, zero exactly at
+    its eigenvalues.  The eigenvalue search and the mode profile solve the
+    continuous system instead, whatever the step; this is the system that
+    acceptance criteria 9 and 10 check.
 
     Each subinterval gets a fresh fundamental matrix from identity initial
     data; matching values and derivatives at the junctions is exactly
@@ -347,12 +357,9 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     single-interval integration of [0, 1].  Raises ValueError for an n
     that is not an integer of at least 1, a step that is not positive and
     a step so small that the step count, about 1/step, is not finite.
-
-    ``_built`` is private to :func:`_mode_profile`: the tuple that
-    :func:`_propagator_at` gives at (q, omega) with this n and step, taken
-    in place of a second build of it.
     """
-    f, _, bound = _residual_fn(dp, n, step)(complex(q, omega), dp.nu, _built)
+    built = _propagator_at(q, omega, dp.eps1, _step_count(n, step))
+    f, _, bound = _kernel_of(dp)(complex(q, omega), dp.nu, built)
     return _normalized(f, bound)
 
 
@@ -361,36 +368,30 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
                     _kernel=None) -> SpectralPoint:
     """Locate an eigenvalue near the seed as a zero of the boundary residual.
 
-    The residual f(s) = P*u(1) + Q*u'(1) of the discretised fundamental
-    system (the propagator :func:`delta_subdivided` uses) is analytic in
-    s = q + i*omega, and its zeros are the zeros of the normalized
-    determinant.  They are found by Newton's method from the seed.  Each
-    evaluation also gives the slope
+    The residual f(s) = P*u(1) + Q*u'(1) of the continuous fundamental
+    system, whose [0, 1] propagator is exp(A) (u(1) = sinh(r)/r,
+    u'(1) = cosh(r), r^2 = K), is analytic in s = q + i*omega, and its
+    zeros are the zeros of the normalized determinant.  They are found by
+    Newton's method from the seed.  Each evaluation also gives the exact
+    slope
 
         f' = P'*u + Q'*u' + (P*(u' - u)/(2K) + Q*u/2) * K',
 
-    K' = s*(2 + eps1*s)/(1 + eps1*s)^2, which is exact for the continuous
-    system (u = sinh(l)/l, u' = cosh(l), l^2 = K) and within the RK4 error
-    for the discretised one.  The search stops when a step is below
-    1e-15*|s| (as where f vanishes), when a step is no smaller than the one
-    before it while the normalized determinant at its evaluation is
-    already below ``CONVERGED_TOL`` (the residual's rounding noise then
+    K' = s*(2 + eps1*s)/(1 + eps1*s)^2.  The search stops when a step is
+    below 1e-15*|s| (as where f vanishes), when a step is no smaller than
+    the one before it while the normalized determinant at its evaluation
+    is already below ``CONVERGED_TOL`` (the residual's rounding noise then
     sets the step), or after ``MAX_ITERATIONS`` evaluations.  It also stops
     at s - ds, without evaluating it, when a step ds, smaller than the one
     before it and at most 1e-8*|s|, comes from an evaluation whose
-    normalized determinant is already below ``CONVERGED_TOL`` and whose
-    propagator is exp(A), and s - ds passes the band test below: there f'
-    is the slope of the discretised residual, Newton's method converges
-    quadratically, and the step's end lies about gamma*|ds|^2 from the
-    zero (Kantorovich; Smale's alpha theory).  The search builds each
-    evaluation's propagator itself, and reads its branch from that build
-    once per search, the first time the other conditions hold; on the RK4
-    branch, where f' is the continuous slope and the convergence only
-    linear, the search goes on evaluating.
+    normalized determinant is already below ``CONVERGED_TOL``, and s - ds
+    passes the band test below: Newton's method converges quadratically,
+    and the step's end lies about gamma*|ds|^2 from the zero (Kantorovich;
+    Smale's alpha theory).
     An iterate that is not finite, has omega <= 0 or leaves the seed's band
     (half-width ``BAND_HALFWIDTH``, which prevents mode hopping) ends the
-    search, as do an overflow, a degenerate rhs denominator, a singular RK4
-    step and a zero slope.
+    search, as do an overflow, a degenerate rhs denominator and a zero
+    slope.
 
     The result is the last iterate whose residual was evaluated, or the
     end of the unevaluated last step, with the normalized determinant of
@@ -398,44 +399,43 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     the value one Newton step before the reported point, below
     ``CONVERGED_TOL`` by construction (NaN when even the seed cannot be
     evaluated).  converged means the iteration settled and delta_value is
-    below ``CONVERGED_TOL``.  Raises ValueError, before
-    any evaluation, for a non-finite seed and for options whose subinterval
+    below ``CONVERGED_TOL``, so a converged answer is the continuous
+    eigenvalue to rounding at any options.  The options set only the RK4
+    system of :func:`delta_subdivided` and :func:`integrate_fundamental`,
+    but are checked here as there: raises ValueError, before any
+    evaluation, for a non-finite seed and for options whose subinterval
     count is not an integer of at least 1, a step that is not positive, or
     a step so small that the step count, about 1/step, is not finite;
     otherwise never raises: a failed search comes back with
     converged=False.
 
     ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
-    of a kernel that :func:`_residual_fn` built from dp and these options,
-    and the feedback gain to evaluate it at in place of dp.nu.  Without
-    it, the kernel comes from :func:`_search_kernel`, after the options
-    are validated; a zero group, whose sign the kernel's values carry but
-    a key does not, gets a kernel of its own.
+    of a kernel that :func:`_kernel_of` built from dp, and the feedback
+    gain to evaluate it at in place of dp.nu.  Without it, the kernel comes
+    from :func:`_search_kernel`, after the options are checked; a zero
+    group, whose sign the kernel's values carry but a key does not, gets a
+    kernel of its own.
     """
     s = last = complex(seed.q, seed.omega)
     if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
     if _kernel is None:
-        opts = options or _DEFAULT_OPTIONS
-        count = _step_count(opts.subintervals, opts.step)
-        key = (count, dp.eps1, dp.mu, dp.eta, dp.delta)
-        residual = (_kernel_of(dp, count) if 0.0 in key
-                    else _search_kernel(*key))
+        _check(options)
+        key = (dp.eps1, dp.mu, dp.eta, dp.delta)
+        residual = _kernel_of(dp) if 0.0 in key else _search_kernel(*key)
         nu = dp.nu
     else:
         residual, nu = _kernel
-        count = residual.count
     eps1 = dp.eps1
 
     omega0 = s.imag
     value = math.nan   # Delta-hat at last: None until formed, NaN unevaluated
     size = math.inf   # the size of the step before
-    free = True   # until an evaluation that met the other gates was RK4
     settled = False
     try:
         for _ in range(MAX_ITERATIONS):
-            built = _propagator_at(s.real, s.imag, eps1, count)
-            f, df, bound = residual(s, nu, built)
+            f, df, bound = residual(s, nu, _propagator_at(s.real, s.imag,
+                                                          eps1, None))
             last, value = s, None
             ds = f / df   # 0 where f vanishes: a step of 0 settles
             s = s - ds
@@ -451,14 +451,11 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
             if not (cmath.isfinite(s) and s.imag > 0.0
                     and abs(s.imag - omega0) < BAND_HALFWIDTH):
                 break
-            if free and step < size and step <= _FREE_RTOL * abs(s):
+            if step < size and step <= _FREE_RTOL * abs(s):
                 value = _normalized(f, bound)
                 if value < CONVERGED_TOL:
-                    # _propagator_at's branch test, on the r it built
-                    free = abs(1.0 / count * built[0]) < _EXACT_STEP
-                    if free:
-                        last, settled = s, True
-                        break
+                    last, settled = s, True
+                    break
             size = step
     except (OverflowError, ZeroDivisionError):
         pass
@@ -473,19 +470,19 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
                options: SolveOptions | None = None) -> ModeShape:
     """Displacement profile (u1, u2) of a converged eigenvalue on a grid.
 
-    The profile is u(x)/u(x_peak) on the discretised system that
-    find_eigenvalue solves with these options: u = exp(x*L)*sinh(x*T)/sqrt(K),
-    with (L, T) the exponents of its [0, 1] propagator, sampled at
-    `resolution` evenly spaced x (L = 0 where the propagator is exp(A)).
-    Dividing by the largest sample makes it exactly 1 + 0i, so the
-    conservative limit is real.  The grid, np.linspace(0, 1, resolution)
-    bit for bit, is one read-only array shared by every ModeShape of that
-    resolution; u1 and u2 are the shape's own.  The samples are
-    computed in cmath by _mode_profile, which the modeshape verb formats
-    without loading numpy.  Raises ValueError for an unconverged point, a
-    resolution that is not an integer of at least 2 and options the search
-    rejects, and numpy.linalg.LinAlgError when the rank check,
-    delta_subdivided with these options at the point, is not below
+    The profile is u(x)/u(x_peak) on the continuous system that
+    find_eigenvalue solves: u = sinh(x*r)/r, r = sqrt(K), sampled at
+    `resolution` evenly spaced x.  Dividing by the largest sample makes it
+    exactly 1 + 0i, so the conservative limit is real.  The grid,
+    np.linspace(0, 1, resolution) bit for bit, is one read-only array
+    shared by every ModeShape of that resolution; u1 and u2 are the
+    shape's own.  The samples are computed in cmath by _mode_profile,
+    which the modeshape verb formats without loading numpy.  The options
+    are checked as find_eigenvalue checks them, and set nothing here.
+    Raises ValueError for an unconverged point, a resolution that is not
+    an integer of at least 2 and options the search rejects, and
+    numpy.linalg.LinAlgError when the rank check, the normalized
+    determinant of the search's residual at the point, is not below
     ``CONVERGED_TOL``: the point is not an eigenvalue.  For a search
     result that is its delta_value when the search evaluated its answer;
     after an unevaluated last Newton step it is the determinant one step
@@ -525,26 +522,22 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     resolution = conservative._count(resolution, 2, "resolution")
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
+    _check(options)
 
-    opts = options or _DEFAULT_OPTIONS
-    n, step = opts.subintervals, opts.step
-    # One propagator serves the rank check and the profile.
-    built = _propagator_at(point.q, point.omega, dp.eps1, _step_count(n, step))
-    dhat = delta_subdivided(point.q, point.omega, dp, n, step, built)
+    # One exp(A) propagator serves the rank check and the profile.
+    built = _propagator_at(point.q, point.omega, dp.eps1, None)
+    f, _, bound = _kernel_of(dp)(complex(point.q, point.omega), dp.nu, built)
+    dhat = _normalized(f, bound)
     if not dhat < CONVERGED_TOL:
         from numpy.linalg import LinAlgError
         raise LinAlgError(
             f"boundary system is full rank (normalized determinant {dhat:.3e}); "
             "the point is not an eigenvalue")
 
-    # u of solution 3 at x: b of the x-th power of the [0, 1] propagator,
-    # with no exp(x*L) factor where the propagator is exp(A) (L = 0).
-    r, L, T, _, _ = built
+    # u of solution 3 at x: b of the propagator exp(x*A).
+    r = built[0]
     grid = _unit_grid(resolution)
-    if L:
-        profile = [cmath.exp(x * L) * cmath.sinh(x * T) / r for x in grid]
-    else:
-        profile = [cmath.sinh(x * T) / r for x in grid]
+    profile = [cmath.sinh(x * r) / r for x in grid]
     sizes = list(map(abs, profile))
     top = sizes.index(max(sizes))
     peak = profile[top]
@@ -584,10 +577,12 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     point whose two or three predecessors converged (at distinct nu) is
     seeded by predictor-corrector continuation: the polynomial
     extrapolation in nu through those eigenvalues, linear from two and
-    quadratic from three.  Any other later point is seeded from its
-    predecessor's eigenvalue (warm start); "converged" here is the search's
-    own verdict.  At each grid point, a converged row whose eigenvalue lies
-    within 1e-8 (relative) of a converged row of a mode listed earlier in
+    quadratic from three, unless that extrapolation has omega <= 0 (a
+    branch crossing the real axis), which no search may start from.  Any
+    other later point is seeded from its predecessor's eigenvalue (warm
+    start); "converged" here is the search's own verdict.  At each grid
+    point, a converged row whose eigenvalue lies within 1e-8 (relative)
+    of a converged row of a mode listed earlier in
     ``modes`` is a second search landing on one eigenvalue and comes back
     with converged=False, as does one within 1e-8 of its own conjugate,
     a real (aperiodic) root and not an oscillatory mode.  Unconverged
@@ -612,7 +607,6 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
         raise ValueError("nu grid must be ascending")
     if not (nu_values and modes):
         return []
-    opts = options or _DEFAULT_OPTIONS
 
     roots = conservative.find_roots(dp, omega_max, max_count=max(modes))
     if len(roots) < max(modes):
@@ -620,7 +614,8 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             f"only {len(roots)} undamped frequencies below omega_max={omega_max:g}; "
             f"mode {max(modes)} requested")
 
-    kernel = _residual_fn(dp, opts.subintervals, opts.step)
+    _check(options)
+    kernel = _kernel_of(dp)
     first = replace(dp, nu=nu_values[0])
     seeds = []
     for mode in modes:
@@ -644,9 +639,10 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             history = histories[k]
             if len(history) >= 2:
                 s = _extrapolate(history, nu)
-                seeds[k] = SpectralPoint(q=s.real, omega=s.imag)
+                if s.imag > 0.0:   # else the predecessor's eigenvalue
+                    seeds[k] = SpectralPoint(q=s.real, omega=s.imag)
             # The module global, so that a wrapper of it sees every row.
-            point = find_eigenvalue(dp, seeds[k], opts, _kernel=(kernel, nu))
+            point = find_eigenvalue(dp, seeds[k], _kernel=(kernel, nu))
             seeds[k] = point
             s = complex(point.q, point.omega)
             # |s - conj(s)| = 2*omega: a root repeating its conjugate is real.

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, strategies as st
 
 from barmodes import asymptotic, conservative, fundsys
@@ -179,25 +178,6 @@ def test_boundary_frequency_huge_mass_ratio():
 
 # -------------------------------------------------------------- second method
 
-def test_second_method_indicator_scales_with_c2():
-    assert asymptotic.second_method_indicator(OMEGA_1, REF, C2=0.0) == 0.0
-    one = asymptotic.second_method_indicator(OMEGA_1, REF, C2=1.0)
-    three = asymptotic.second_method_indicator(OMEGA_1, REF, C2=3.0)
-    assert three == pytest.approx(3 * one, rel=1e-12)
-
-
-def test_second_method_pole_detected():
-    with pytest.raises(ZeroDivisionError):
-        asymptotic.second_method_indicator(np.pi, REF, C2=1.0)
-
-
-def test_second_method_degenerate_bracket_raises():
-    # With eps1 = mu = nu = 0 the damping bracket vanishes identically.
-    undamped = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
-    with pytest.raises(ZeroDivisionError, match="degenerate damping bracket"):
-        asymptotic.second_method_indicator(OMEGA_1, undamped, C2=1.0)
-
-
 def test_bracket_equals_excitation_numerator():
     rng = np.random.default_rng(99)
     for _ in range(1000):
@@ -218,56 +198,6 @@ def test_bracket_zero_crossing_matches_critical_feedback():
     lo = asymptotic.second_method_bracket(OMEGA_1, dp_with(NU_CRIT - 1e-4))
     hi = asymptotic.second_method_bracket(OMEGA_1, dp_with(NU_CRIT + 1e-4))
     assert lo > 0 > hi
-
-
-# --------------------------------------------------------------- forced mode
-
-def test_forced_mode_b_coefficients():
-    coeffs, x, u, res = asymptotic.forced_mode(np.pi / 2, A=1.0, dp=REF)
-    assert coeffs.B1 == 0.0
-    assert coeffs.B2 == pytest.approx(0.005 * (np.pi / 2) ** 2 / 2, rel=1e-12)
-    assert coeffs.B2 == pytest.approx(0.0061685, abs=1e-6)
-    assert u[0] == 0.0
-
-
-def test_forced_mode_zero_everything_gives_zero_profile():
-    dp = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
-    _, _, u, res = asymptotic.forced_mode(1.3, A=2.0, dp=dp, C1=0.0, C2=0.0)
-    assert np.all(u == 0.0)
-    assert np.all(np.abs(res) < 1e-15)
-
-
-def test_forced_mode_residual_oracle_sympy():
-    # Independent check: differentiate the ansatz symbolically and evaluate
-    # the forced-equation residual; with C2 = 0 it must vanish.
-    omega, A, C1 = 0.77, 1.5, 0.4
-    coeffs, xs, u, res = asymptotic.forced_mode(omega, A=A, dp=REF, C1=C1, C2=0.0,
-                                                num_points=11)
-    x = sympy.symbols("x")
-    U = (coeffs.B1 + coeffs.B2 * x) * sympy.cos(omega * x) \
-        + (coeffs.C1 + coeffs.C2 * x) * sympy.sin(omega * x)
-    residual = sympy.diff(U, x, 2) + omega**2 * U \
-        + REF.eps1 * A * omega**3 * sympy.sin(omega * x)
-    f = sympy.lambdify(x, residual, "numpy")
-    assert np.max(np.abs(f(xs))) < 1e-10
-    assert np.max(np.abs(res)) < 1e-10
-    # Sampled profile must agree with the symbolic ansatz too.
-    g = sympy.lambdify(x, U, "numpy")
-    assert np.max(np.abs(g(xs) - u)) < 1e-12
-
-
-def test_forced_mode_residual_identity_with_free_c2():
-    # With C2 != 0 the residual is exactly 2*C2*omega*cos(omega*x): the
-    # x*sin term is the resonant particular solution, not a homogeneous one.
-    omega, C2 = 1.1, 0.3
-    _, xs, _, res = asymptotic.forced_mode(omega, A=0.7, dp=REF, C1=0.0, C2=C2)
-    assert np.allclose(res, 2 * C2 * omega * np.cos(omega * xs), atol=1e-12)
-
-
-def test_forced_mode_profile_starts_at_zero():
-    for omega in (0.4, 1.0, 2.9):
-        _, _, u, _ = asymptotic.forced_mode(omega, A=1.0, dp=REF, C1=0.3, C2=0.8)
-        assert u[0] == 0.0
 
 
 # ------------------------------------------------ the two routes' order law

@@ -1008,6 +1008,34 @@ def test_spectrum_counts_a_real_root_as_unconverged(tmp_path, capsys):
     assert "NA" not in (cells[1]["q_numeric"], cells[1]["omega_numeric"])
 
 
+def test_sweep_prints_no_negative_frequency(tmp_path):
+    # Mode 1 of this set reaches the real axis as nu grows.  A continuation
+    # seed extrapolated across it had omega < 0, and every omega_1 cell
+    # from nu = 0.02 to 0.1 read -1.15394170731e-36: the unevaluated seed.
+    section = dimensionless_section(
+        "0.0022989367474588176", "9.687177258985631", "0.02",
+        "7.490796060555215", "1.7389555402781556")
+    code, out = run_cli(tmp_path, "sweep", section, README_RUN)
+    assert code == 0
+    _, header, rows = read_output(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert len(cells) == 21
+    assert all(float(cell["omega_1"]) > 0.0 for cell in cells)
+    assert all(cell["converged_1"] == "0" for cell in cells[4:])
+
+
+def test_spectrum_survives_a_non_finite_k(tmp_path, capsys):
+    # With nu = 1e300 a search reaches a finite s whose K is not finite,
+    # where cmath.cosh raised 'ValueError: math domain error' out of
+    # spectrum.  The overflow ends that search instead.
+    section = dimensionless_section("14.248443735095481",
+                                    "0.0024058076295046457", "1e+300",
+                                    "0.07121452955562088", "0.155609209108611")
+    code, out = run_cli(tmp_path, "spectrum", section, strict=True)
+    assert code in (0, 3)
+    assert len(read_output(out)[2]) == 5
+
+
 def mp_continuous_eigenvalue(groups, s0):
     """continuous_eigenvalue in 34 digits, for the dimensionless groups
     (eps1, mu, nu, eta, delta) and with the slope from mpmath.diff."""

@@ -54,10 +54,11 @@ def asymptotic_seeds(dp, count):
         for r in conservative.find_roots(dp, 20.0, max_count=count)]
 
 
-def nelder_mead_eigenvalue(dp, seed, opts):
+def nelder_mead_eigenvalue(dp, seed):
     """The paper's direct search, kept as a cross-check: two Nelder-Mead
-    passes over the normalized determinant (simplex half-widths 1e-3, then
-    1e-4 from the first answer), with a penalty outside the seed's band."""
+    passes over the normalized determinant of the continuous system
+    (simplex half-widths 1e-3, then 1e-4 from the first answer), with a
+    penalty outside the seed's band."""
     minimize = pytest.importorskip("scipy.optimize").minimize
 
     def objective(z):
@@ -65,8 +66,7 @@ def nelder_mead_eigenvalue(dp, seed, opts):
         if omega <= 0.0 or abs(omega - seed.omega) >= fundsys.BAND_HALFWIDTH:
             return 1e6
         try:
-            return fundsys.delta_subdivided(q, omega, dp, opts.subintervals,
-                                            opts.step)
+            return exact_delta(dp, complex(q, omega))
         except (OverflowError, ZeroDivisionError):
             return 1e6
 
@@ -81,9 +81,35 @@ def nelder_mead_eigenvalue(dp, seed, opts):
     return complex(*x0), float(result.fun)
 
 
-def end_residual(dp, s, opts):
-    """The boundary residual f(s) of the discretised system."""
-    return fundsys._residual_fn(dp, opts.subintervals, opts.step)(s)[0]
+def kernel_on(dp, count):
+    """The residual kernel of dp, building its propagator at each
+    evaluation: count equal RK4 steps, as delta_subdivided builds it, or
+    exp(A) for None, as a search builds it.  (s, nu=dp.nu) ->
+    (f, f', (P, Q, u, u'))."""
+    kernel = fundsys._kernel_of(dp)
+
+    def residual(s, nu=dp.nu):
+        return kernel(s, nu, fundsys._propagator_at(s.real, s.imag, dp.eps1,
+                                                    count))
+
+    return residual
+
+
+def rk4_kernel(dp, n, step):
+    """kernel_on the RK4 system of n subintervals and this step."""
+    return kernel_on(dp, fundsys._step_count(n, step))
+
+
+def exact_delta(dp, s):
+    """The normalized determinant of the continuous system at s, as a
+    search and the mode profile's rank check form it."""
+    f, _, bound = kernel_on(dp, None)(s)
+    return fundsys._normalized(f, bound)
+
+
+def end_residual(dp, s):
+    """The boundary residual f(s) of the continuous system."""
+    return kernel_on(dp, None)(s)[0]
 
 
 def residual_bound(bound):
@@ -105,34 +131,29 @@ def kernel_end_state(monkeypatch, dp, s, n, step):
 
     with monkeypatch.context() as m:
         m.setattr(fundsys, "_propagator_at", recording)
-        fundsys._residual_fn(dp, n, step)(s)
+        rk4_kernel(dp, n, step)(s)
     *_, a, b = built[-1]
     return b, a
 
 
-def kernel_polynomials(monkeypatch, dp, s):
+def kernel_polynomials(dp, s):
     """(P(s), Q(s)) as the residual kernel evaluates them: its residual
-    P*u + Q*u' with the end state (u, u') forced to (1, 0), then (0, 1)."""
-    kernel = fundsys._residual_fn(dp, 1, fundsys.DEFAULT_STEP)
-    values = []
-    for a, b in ((0j, 1 + 0j), (1 + 0j, 0j)):
-        with monkeypatch.context() as m:
-            m.setattr(fundsys, "_propagator_at",
-                      lambda *args: (None, None, None, a, b))
-            values.append(kernel(s)[0])
-    return values
+    P*u + Q*u' on an end state (u, u') of (1, 0), then (0, 1)."""
+    kernel = fundsys._kernel_of(dp)
+    return [kernel(s, dp.nu, (None, None, None, a, b))[0]
+            for a, b in ((0j, 1 + 0j), (1 + 0j, 0j))]
 
 
-def secant_eigenvalue(dp, seed, opts):
+def secant_eigenvalue(dp, seed):
     """The complex secant search that Newton's method replaced, kept as a
-    cross-check: second point seed + (1 + i)*1e-3, secant steps on the same
-    residual until a step is below 1e-15*|s|, and the last evaluated
-    iterate as the answer."""
+    cross-check: second point seed + (1 + i)*1e-3, secant steps on the
+    continuous system's residual until a step is below 1e-15*|s|, and the
+    last evaluated iterate as the answer."""
     s0 = complex(seed.q, seed.omega)
     s1 = s0 + (1 + 1j) * 1e-3
-    f0 = end_residual(dp, s0, opts)
+    f0 = end_residual(dp, s0)
     for _ in range(100):
-        f1 = end_residual(dp, s1, opts)
+        f1 = end_residual(dp, s1)
         if f1 == 0 or f1 == f0:
             return s1
         s0, f0, s1 = s1, f1, s1 - f1 * (s1 - s0) / (f1 - f0)
@@ -511,7 +532,7 @@ def test_boundary_coefficients_complex_oracle():
         assert bc.D4 == pytest.approx(-Q.imag, rel=1e-12, abs=1e-12)
 
 
-def test_kernel_polynomials_match_boundary_coefficients(monkeypatch):
+def test_kernel_polynomials_match_boundary_coefficients():
     # The search evaluates P and Q as complex polynomials in s; they must
     # be the paper's D1 - i*D2 and D3 - i*D4, and boundary_coefficients
     # must be their real form bit for bit.
@@ -522,7 +543,7 @@ def test_kernel_polynomials_match_boundary_coefficients(monkeypatch):
             dp = replace(dp, nu=0.0)
         s = complex(rng.uniform(-2, 2), rng.uniform(0.0, 10))
         D1, D2, D3, D4 = paper_boundary_coefficients(s.real, s.imag, dp)
-        P, Q = kernel_polynomials(monkeypatch, dp, s)
+        P, Q = kernel_polynomials(dp, s)
         assert abs(P - complex(D1, -D2)) <= 1e-13 * abs(P)
         assert abs(Q - complex(D3, -D4)) <= 1e-13 * abs(Q)
         bc = fundsys.boundary_coefficients(s.real, s.imag, dp)
@@ -631,6 +652,19 @@ def test_cmath_overflow_raises_the_modules_message(step):
         fundsys.delta_subdivided(5000.0, 1.0, REF, 1, step)
 
 
+@pytest.mark.parametrize("count", [None, 8])
+@pytest.mark.parametrize("q, omega, eps1", [(9.6e296, 1.0, 14.25),
+                                            (0.0, 1e200, 0.005)])
+def test_non_finite_k_raises_the_modules_message(q, omega, eps1, count):
+    # s is finite but s^2 overflows, so K is inf - inf*j or NaN: cmath.cosh
+    # raised a bare 'ValueError: math domain error' on exp(A), which a
+    # search on a config with nu or mu = 1e300 reached.
+    assert not cmath.isfinite(fundsys.rhs_coefficients(q, omega, eps1))
+    with pytest.raises(OverflowError,
+                       match="^fundamental matrix entry exceeded 1e150"):
+        fundsys._propagator_at(q, omega, eps1, count)
+
+
 def test_integrator_underflow_raises():
     # 3000 RK4 steps of h*omega = 2, each shrinking |u| by |R(2i)| = 0.745,
     # leave the float range: a zero u(1) makes the residual f = Q(s), whose
@@ -707,7 +741,7 @@ def test_power_of_two_split_is_exact_at_a_dividing_step():
     rng = np.random.default_rng(31)
     step = 1.0 / 2000.0
     for dp in [REF] + [random_dp(rng) for _ in range(4)]:
-        kernels = [fundsys._residual_fn(dp, n, step) for n in (1, 2, 4, 8)]
+        kernels = [rk4_kernel(dp, n, step) for n in (1, 2, 4, 8)]
         for _ in range(20):
             s = complex(rng.uniform(-1.0, 0.5), rng.uniform(0.01, 20.0))
             first = kernels[0](s)
@@ -740,7 +774,7 @@ def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
     # 1 + K/2) to O(K^2).
     for n, step in ((1, 1.0 / 2000.0), (8, 0.0007)):
         assert kernel_end_state(monkeypatch, REF, 0j, n, step) == (1, 1)
-        f, df, bound = fundsys._residual_fn(REF, n, step)(0j)
+        f, df, bound = rk4_kernel(REF, n, step)(0j)
         assert (f, df, bound) == (1, REF.eps1 + REF.mu * REF.delta,
                                   (0, 1, 1, 1))
         assert residual_bound(bound) == np.sqrt(2.0)
@@ -762,7 +796,7 @@ def test_residual_kernel_takes_nu_as_an_argument(monkeypatch, n, step):
     # f(0) cancels digits when nu*delta*|s| is small.
     rng = np.random.default_rng(39 + n)
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(6)]:
-        kernel = fundsys._residual_fn(dp, n, step)
+        kernel = rk4_kernel(dp, n, step)
         for seed in asymptotic_seeds(dp, 5):
             s = (complex(seed.q, seed.omega)
                  + complex(*rng.uniform(-1e-3, 1e-3, 2)))
@@ -771,7 +805,7 @@ def test_residual_kernel_takes_nu_as_an_argument(monkeypatch, n, step):
             assert kernel(s) == kernel(s, dp.nu)
             for nu in (0.0, 0.013, 0.05, 0.1):
                 f, df, bound = kernel(s, nu)
-                assert (f, df, bound) == fundsys._residual_fn(
+                assert (f, df, bound) == rk4_kernel(
                     replace(dp, nu=nu), n, step)(s)
                 gap = f - f0 - nu * dp.eta * dp.delta * s ** 3 * u
                 assert abs(gap) <= 1e-13 * residual_bound(bound)
@@ -856,6 +890,8 @@ def test_delta_subdivided_composed_overflow_raises():
 def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
     # The end state comes straight from the composed propagator over [0, 1];
     # the subinterval's is never built, whatever the subinterval count.
+    # delta_subdivided builds the RK4 one, of its step count; a search
+    # builds exp(A) (count None), one per evaluation, whatever its options.
     built = []
     original = fundsys._propagator_at
 
@@ -865,20 +901,20 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
 
     monkeypatch.setattr(fundsys, "_propagator_at", recording)
     calls = count_rhs_calls(monkeypatch)
-    step = fundsys.DEFAULT_STEP
-    kernel = fundsys._residual_fn(REF, n, step)
-    for s in (complex(-0.01, 0.35), complex(0.0, 5.0), complex(0.3, 17.0)):
+    for step in (fundsys.DEFAULT_STEP, 0.01):
+        for s in (complex(-0.01, 0.35), complex(0.0, 5.0),
+                  complex(0.3, 17.0)):
+            built.clear()
+            fundsys.delta_subdivided(s.real, s.imag, REF, n, step)
+            assert built == [(s.real, s.imag, REF.eps1,
+                              fundsys._step_count(n, step))]
         built.clear()
-        kernel(s)
-        assert built == [(s.real, s.imag, REF.eps1,
-                          fundsys._step_count(n, step))]
-    # A search evaluates the same kernel: one propagator per evaluation.
-    built.clear()
-    calls.clear()
-    seed = asymptotic_seeds(REF, 2)[-1]
-    assert fundsys.find_eigenvalue(
-        REF, seed, fundsys.SolveOptions(subintervals=n)).converged
-    assert len(built) == len(calls) > 0
+        calls.clear()
+        seed = asymptotic_seeds(REF, 2)[-1]
+        assert fundsys.find_eigenvalue(
+            REF, seed, fundsys.SolveOptions(step, n)).converged
+        assert len(built) == len(calls) > 0
+        assert {args[3] for args in built} == {None}
 
 
 def mp_exponent_propagator(K, count):
@@ -934,10 +970,10 @@ def test_closed_form_propagator_is_rk4_to_rounding():
 def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
     # A search ends on a Newton step it does not evaluate only from an
     # evaluation whose propagator is exp(A) (T = r), where f' is the
-    # discretised residual's own slope.  At step 0.0005 reference mode 1
-    # (|h*sqrt(K)| ~ 1.8e-4) is exp(A) and modes 2-7 take RK4's exponents:
-    # their searches evaluate every point they report, although their
-    # last steps are as small as mode 1's.
+    # residual's own slope.  Every search evaluation is exp(A), so this
+    # holds at every step: at step 0.0005 modes 2-7 of the reference set,
+    # whose |h*sqrt(K)| is above _EXACT_STEP, end so as mode 1 does, as
+    # they do at the default step.
     builds = []
     original = fundsys._propagator_at
 
@@ -952,12 +988,13 @@ def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
             builds.clear()
             point = fundsys.find_eigenvalue(REF, seed, opts)
             assert point.converged
-            last, (r, _, T, _, _) = builds[-1]
-            if complex(point.q, point.omega) != last:
-                assert T is r, (opts, mode)
+            assert all(T is r for _, (r, _, T, _, _) in builds)
+            if complex(point.q, point.omega) != builds[-1][0]:
                 free.append((opts.step, mode))
     assert len(free) >= 7
-    assert [mode for step, mode in free if step == 0.0005] == [1]
+    assert ([mode for step, mode in free if step == 0.0005]
+            == [mode for step, mode in free if step != 0.0005])
+    assert len([mode for step, mode in free if step == 0.0005]) > 1
 
 
 # Outside small dissipation, mode 1 is aperiodic: a real root near
@@ -981,9 +1018,10 @@ def test_unevaluated_last_step_keeps_to_the_band(omega):
 
 def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
     # At the default step every reference mode below omega = 20 has
-    # |h*sqrt(K)| below _EXACT_STEP, so no evaluation takes RK4's exponents;
-    # at step 0.0005 mode 2 (|h*sqrt(K)| ~ 1.7e-3) takes two logarithms per
-    # evaluation.
+    # |h*sqrt(K)| below _EXACT_STEP, so not even the RK4 system of these
+    # options takes RK4's exponents.  At step 0.0005 mode 2's RK4 system
+    # (|h*sqrt(K)| ~ 1.7e-3), which delta_subdivided evaluates, takes two
+    # logarithms per evaluation; its search takes none (below).
     logs = []
     original = fundsys._log1p
 
@@ -997,22 +1035,22 @@ def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
     assert all(row.converged for row in rows) and calls
     assert logs == []
     calls.clear()
-    point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 2)[1],
-                                    fundsys.SolveOptions(step=0.0005))
-    assert point.converged
-    assert len(logs) == 2 * len(calls) > 0
+    seed = asymptotic_seeds(REF, 2)[1]
+    fundsys.delta_subdivided(seed.q, seed.omega, REF, 8, 0.0005)
+    assert len(logs) == 2 * len(calls) == 2
 
 
 def test_default_step_evaluations_take_no_log1p_or_exp(monkeypatch):
     # Where the propagator is exp(A), a = cosh(r) and b = sinh(r)/r: at the
-    # default step a residual evaluation, a search and the mode profile of
-    # its answer call neither RK4's logarithms nor exp(L) at L = 0.  At step
-    # 0.0005 an evaluation of mode 2 takes RK4's exponents and one exp(L).
+    # default step a residual evaluation of the RK4 system, a search and
+    # the mode profile of its answer call neither RK4's logarithms nor
+    # exp(L) at L = 0.  At step 0.0005 an evaluation of mode 2's RK4 system
+    # takes RK4's exponents and one exp(L).
     calls, exp = [], cmath.exp
     monkeypatch.setattr(fundsys, "_log1p", lambda z: calls.append("_log1p"))
     monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
-    kernel = fundsys._residual_fn(REF, fundsys.DEFAULT_SUBINTERVALS,
-                                  fundsys.DEFAULT_STEP)
+    kernel = rk4_kernel(REF, fundsys.DEFAULT_SUBINTERVALS,
+                        fundsys.DEFAULT_STEP)
     seeds = asymptotic_seeds(REF, 7)
     for seed in seeds:
         kernel(complex(seed.q, seed.omega))
@@ -1022,8 +1060,27 @@ def test_default_step_evaluations_take_no_log1p_or_exp(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
-    fundsys._residual_fn(REF, 8, 0.0005)(complex(seeds[1].q, seeds[1].omega))
+    rk4_kernel(REF, 8, 0.0005)(complex(seeds[1].q, seeds[1].omega))
     assert calls == ["exp"]
+
+
+@pytest.mark.parametrize("step", [0.2, 0.05, 0.01, 0.0005])
+def test_searches_and_mode_profiles_take_no_log1p_or_exp(monkeypatch, step):
+    # Every search and mode profile runs on exp(A), with neither RK4's
+    # logarithms nor exp(L), at coarse steps too, where the RK4 system of
+    # the options takes both.
+    calls, exp, log1p = [], cmath.exp, fundsys._log1p
+    monkeypatch.setattr(fundsys, "_log1p",
+                        lambda z: calls.append("_log1p") or log1p(z))
+    monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
+    opts = fundsys.SolveOptions(step=step)
+    rhs = count_rhs_calls(monkeypatch)
+    rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8), options=opts)
+    assert all(row.converged for row in rows)
+    for seed, row in zip(asymptotic_seeds(REF, 7), rows):
+        assert fundsys.find_eigenvalue(REF, seed, opts).converged
+        fundsys.mode_shape(row, REF, options=opts)
+    assert calls == [] and rhs
 
 
 def test_integrate_fundamental_is_the_kernels_propagator(monkeypatch):
@@ -1105,13 +1162,14 @@ def test_find_eigenvalue_never_raises_on_overflow():
 def test_find_eigenvalue_agrees_with_nelder_mead():
     rng = np.random.default_rng(31)
     cases = [(REF, 5)] + [(small_dissipation_dp(rng), 3) for _ in range(3)]
-    opts = fundsys.SolveOptions()
+    # The search solves the continuous system whatever the step.
+    opts = fundsys.SolveOptions(step=0.01)
     for dp, count in cases:
         seeds = asymptotic_seeds(dp, count)
         assert len(seeds) == count
         for seed in seeds:
             point = fundsys.find_eigenvalue(dp, seed, opts)
-            s_nm, value_nm = nelder_mead_eigenvalue(dp, seed, opts)
+            s_nm, value_nm = nelder_mead_eigenvalue(dp, seed)
             assert point.converged and value_nm < fundsys.CONVERGED_TOL
             assert abs(complex(point.q, point.omega) - s_nm) <= 1e-9
 
@@ -1124,7 +1182,7 @@ def test_find_eigenvalue_agrees_with_secant():
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(8)]:
         for seed in asymptotic_seeds(dp, None):
             point = fundsys.find_eigenvalue(dp, seed, opts)
-            s_ref = secant_eigenvalue(dp, seed, opts)
+            s_ref = secant_eigenvalue(dp, seed)
             assert point.converged
             s = complex(point.q, point.omega)
             assert abs(s - s_ref) <= 1e-13 * abs(s_ref)
@@ -1134,7 +1192,7 @@ def test_find_eigenvalue_agrees_with_secant():
             branch = [r for r in rows if r.mode == mode]
             for before, row in zip(branch, branch[1:]):
                 seed = fundsys.SpectralPoint(q=before.q, omega=before.omega)
-                s_ref = secant_eigenvalue(replace(dp, nu=row.nu), seed, opts)
+                s_ref = secant_eigenvalue(replace(dp, nu=row.nu), seed)
                 assert row.converged
                 s = complex(row.q, row.omega)
                 assert abs(s - s_ref) <= 1e-13 * abs(s_ref)
@@ -1232,7 +1290,7 @@ def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
 
 def test_direct_searches_share_one_kernel(monkeypatch):
     # A bisection in nu calls find_eigenvalue without a kernel; the calls
-    # share one, built for the groups other than nu and the step count,
+    # share one, built for the groups other than nu whatever the options,
     # and answer bit for bit as a search on a freshly built kernel does.
     # The options are validated first: subintervals=8.0 raises after 8 has
     # a kernel.  A zero group, whose sign the kernel's values carry but
@@ -1251,9 +1309,11 @@ def test_direct_searches_share_one_kernel(monkeypatch):
     for nu in (0.0, 0.025, 0.0125, 0.01875, 0.05):
         dp = replace(REF, nu=nu)
         point = fundsys.find_eigenvalue(dp, seed, opts)
-        fresh = fundsys.find_eigenvalue(dp, seed, opts, _kernel=(
-            build(dp, fundsys._step_count(opts.subintervals, opts.step)), nu))
+        fresh = fundsys.find_eigenvalue(dp, seed, opts,
+                                        _kernel=(build(dp), nu))
         assert repr(point) == repr(fresh)
+        assert repr(point) == repr(fundsys.find_eigenvalue(
+            dp, seed, fundsys.SolveOptions(step=0.01, subintervals=3)))
         seed = point
     assert len(builds) == 1
     with pytest.raises(ValueError):
@@ -1283,39 +1343,38 @@ def last_evaluated(calls):
 
 
 def test_find_eigenvalue_reports_its_last_evaluation(monkeypatch):
-    # At step 0.01 every evaluation takes RK4's exponents: the search
-    # reports its last evaluated point, with that point's normalized
-    # determinant.  At the default step every evaluation is exp(A), and a
-    # search that does not settle on a negligible step ends on a Newton
-    # step it does not evaluate: the answer is one step past the last
-    # evaluation, delta_value is the determinant there, and the
-    # determinant at the answer is below CONVERGED_TOL too.
+    # A search that settles on a negligible step reports its last evaluated
+    # point, with that point's normalized determinant.  Every evaluation is
+    # exp(A), so most searches end on a Newton step they do not evaluate:
+    # the answer is one step past the last evaluation, delta_value is the
+    # determinant there, and the determinant at the answer is below
+    # CONVERGED_TOL too.  The options change none of it.
     calls = count_rhs_calls(monkeypatch)
+    kernel = kernel_on(REF, None)
     ends = []
     for opts in (fundsys.SolveOptions(step=0.01), fundsys.SolveOptions()):
-        n, step = opts.subintervals, opts.step
-        kernel = fundsys._residual_fn(REF, n, step)
         for seed in asymptotic_seeds(REF, 5):
             calls.clear()
             point = fundsys.find_eigenvalue(REF, seed, opts)
             last = last_evaluated(calls)
             assert point.converged
             s = complex(point.q, point.omega)
-            dhat = fundsys.delta_subdivided(point.q, point.omega, REF, n, step)
-            ends.append((step, s == last))
+            ends.append((point, s == last))
             if s == last:
-                assert point.delta_value == dhat
+                assert point.delta_value == exact_delta(REF, s)
                 continue
             f, df, _ = kernel(last)
             assert s == last - f / df
-            assert point.delta_value == fundsys.delta_subdivided(
-                last.real, last.imag, REF, n, step)
-            assert dhat < fundsys.CONVERGED_TOL
-    assert ends[:5] == [(0.01, True)] * 5
+            assert point.delta_value == exact_delta(REF, last)
+            assert exact_delta(REF, s) < fundsys.CONVERGED_TOL
+    assert ends[:5] == ends[5:]
     assert sum(not evaluated for _, evaluated in ends[5:]) >= 4
 
 
 ORACLE_EXTREMES = (0.0, 5e-324, 1e-300, 1e-15, 1e150, 1e300)
+# 9.9e-16 at worst when drawn; at a coarse step the search had solved the
+# RK4 system, and only 1e-10 from its root could be asserted.
+ORACLE_RTOL = 1e-14
 
 
 def oracle_group(rng):
@@ -1330,12 +1389,14 @@ def oracle_group(rng):
 def test_converged_eigenvalues_match_a_34_digit_oracle():
     # Every converged eigenvalue of modes 1-4 of the reference set and of
     # drawn sets (step and subintervals drawn too), until there are 150,
-    # against Newton's method in 34 digits on the same discretised residual,
-    # started from the float answer.  An oracle root in the lower
-    # half-plane is another root (the conjugate); only a real root may sit
-    # a rounding below the axis.  The distance to the continuous eigenvalue
-    # is the RK4 error, which converged does not yet bound: it is printed,
-    # not asserted.
+    # against Newton's method in 34 digits on the continuous residual
+    # P*sinh(r)/r + Q*cosh(r), started from the float answer.  An oracle
+    # root in the lower half-plane is another root (the conjugate); only a
+    # real root may sit a rounding below the axis.  The search solves the
+    # continuous system at every step, so converged bounds the distance to
+    # it.  At a coarse step the searches had solved the RK4 system: 40 of
+    # these 151 eigenvalues lay more than 1e-8 from the continuous one, the
+    # largest 6.6e-4 away.
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(15)
     dp, opts, found = REF, fundsys.SolveOptions(), []
@@ -1354,19 +1415,13 @@ def test_converged_eigenvalues_match_a_34_digit_oracle():
         opts = fundsys.SolveOptions(
             step=10.0 ** rng.uniform(math.log10(2e-4), math.log10(0.14)),
             subintervals=int(rng.integers(1, 13)))
-    continuous = []
     with mp.workdps(34):
         for dp, opts, s in found:
-            root = mp_newton(mp_residual(dp, opts), s)
+            root = mp_newton(mp_residual(dp), s)
             assert root is not None and root.imag >= -1e-25 * abs(root), (
                 dp, opts, s, root)
-            assert abs(s - root) <= 1e-10 * abs(root), (dp, opts, s, root)
-            exact = mp_newton(mp_residual(dp), s)
-            continuous.append(math.inf if exact is None
-                              else float(abs(s - exact) / abs(exact)))
-    print(f"{len(found)} eigenvalues; relative distance to the continuous "
-          f"eigenvalue above 1e-8 for {sum(d > 1e-8 for d in continuous)}, "
-          f"largest {max(continuous):.3g}")
+            assert abs(s - root) <= ORACLE_RTOL * abs(root), (dp, opts, s,
+                                                              root)
 
 
 def test_default_options_give_the_continuous_eigenvalue():
@@ -1385,18 +1440,72 @@ def test_default_options_give_the_continuous_eigenvalue():
             assert abs(s - exact) <= 1e-14 * abs(exact), (row.mode, s, exact)
 
 
+# Option sets from the coarsest the library accepts to the default.
+STEP_OPTION_SETS = [fundsys.SolveOptions(step=step) for step in
+                    (0.2, 0.05, 0.01, 0.0005)]
+
+
+@pytest.mark.parametrize("opts", STEP_OPTION_SETS)
+def test_searches_and_profiles_are_the_same_at_every_step(opts):
+    # step and subintervals set only the RK4 system: the cold searches of
+    # reference modes 1-7, the 21 x 2 reference sweep and the mode shapes
+    # are bit for bit those of the default options.
+    default = fundsys.SolveOptions()
+    for seed in asymptotic_seeds(REF, 7):
+        assert repr(fundsys.find_eigenvalue(REF, seed, opts)) == repr(
+            fundsys.find_eigenvalue(REF, seed, default))
+    grid = [0.005 * i for i in range(21)]
+    rows = fundsys.sweep_feedback(REF, grid, (1, 2), options=opts)
+    assert [row_bits(r) for r in rows] == [
+        row_bits(r) for r in fundsys.sweep_feedback(REF, grid, (1, 2))]
+    for row in fundsys.sweep_feedback(REF, [REF.nu], range(1, 8),
+                                      options=opts):
+        shape = fundsys.mode_shape(row, REF, options=opts)
+        expected = fundsys.mode_shape(row, REF)
+        assert shape.u1.tobytes() == expected.u1.tobytes()
+        assert shape.u2.tobytes() == expected.u2.tobytes()
+
+
+@pytest.mark.parametrize("subintervals", [1, 8])
+def test_coarse_step_eigenvalues_are_the_continuous_ones(subintervals):
+    # At step 0.2 reference modes 3, 4 and 5 came back converged 0.010,
+    # 0.061 and 0.155 from the continuous eigenvalue with one subinterval
+    # (N = 5 RK4 steps), and 1.7e-3 to 1.3e-2 with eight (N = 8): the
+    # search solved the RK4 system.  Converged now means accurate.
+    mp = pytest.importorskip("mpmath")
+    opts = fundsys.SolveOptions(step=0.2, subintervals=subintervals)
+    with mp.workdps(34):
+        for seed in asymptotic_seeds(REF, 5)[2:]:
+            point = fundsys.find_eigenvalue(REF, seed, opts)
+            assert point.converged
+            s = complex(point.q, point.omega)
+            exact = mp_newton(mp_residual(REF), s)
+            assert abs(s - exact) <= 1e-14 * abs(exact), (seed, s, exact)
+
+
+def test_searches_near_the_rk4_stability_edge_settle_quickly(monkeypatch):
+    # At step 0.14 with one subinterval (h*omega up to 2.5, near RK4's
+    # stability edge 2*sqrt(2)), Newton's continuous slope on the RK4
+    # residual took 17 evaluations for reference mode 6, and mode 7 left
+    # its band after one.  On exp(A) each search takes at most 3.
+    calls = count_rhs_calls(monkeypatch)
+    opts = fundsys.SolveOptions(step=0.14, subintervals=1)
+    for seed in asymptotic_seeds(REF, 7):
+        calls.clear()
+        assert fundsys.find_eigenvalue(REF, seed, opts).converged
+        assert len(calls) <= 3
+
+
 def test_residual_kernel_slope_at_an_eigenvalue():
     # The kernel's slope f', which Newton's method divides by, is df/ds of
-    # the discretised residual at a search's answer, up to the RK4 error of
-    # the continuous-system derivative.
-    opts = fundsys.SolveOptions()
-    kernel = fundsys._residual_fn(REF, opts.subintervals, opts.step)
+    # the continuous residual at a search's answer.
+    kernel = kernel_on(REF, None)
     for seed in asymptotic_seeds(REF, 5):
-        point = fundsys.find_eigenvalue(REF, seed, opts)
+        point = fundsys.find_eigenvalue(REF, seed)
         assert point.converged
         s, h = complex(point.q, point.omega), 1e-5
-        central = (end_residual(REF, s + h, opts)
-                   - end_residual(REF, s - h, opts)) / (2 * h)
+        central = (end_residual(REF, s + h)
+                   - end_residual(REF, s - h)) / (2 * h)
         assert abs(kernel(s)[1] - central) <= 1e-7 * abs(central)
 
 
@@ -1439,7 +1548,7 @@ def test_import_loads_no_scipy(package):
 
 def test_propagator_and_polynomials_load_no_numpy():
     # integrate_fundamental, characteristic and boundary_coefficients are
-    # cmath/math only; numpy is loaded by mode_shape and forced_mode alone.
+    # cmath/math only; numpy is loaded by mode_shape alone.
     src = str(Path(barmodes.__file__).resolve().parents[1])
     code = """
 import sys
@@ -1526,7 +1635,7 @@ def test_mode_shape_rank_check_is_the_search_tolerance():
     point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 1)[0])
     assert point.converged
     moved = point._replace(omega=point.omega + 1e-5)
-    dhat = fundsys.delta_subdivided(moved.q, moved.omega, REF)
+    dhat = exact_delta(REF, complex(moved.q, moved.omega))
     assert fundsys.CONVERGED_TOL <= dhat < 1e-8
     with pytest.raises(np.linalg.LinAlgError):
         fundsys.mode_shape(moved, REF)
@@ -1543,13 +1652,12 @@ SHAPE_OPTION_SETS = [fundsys.SolveOptions(step=step, subintervals=n)
 def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
     # The rank check is the search's own residual, so a converged search
     # always has a shape: 77 searches per option set, all converged.
-    delta_subdivided, seen = fundsys.delta_subdivided, []
+    normalized, seen = fundsys._normalized, []
 
     def spy(*args):
-        seen.append(delta_subdivided(*args))
+        seen.append(normalized(*args))
         return seen[-1]
 
-    monkeypatch.setattr(fundsys, "delta_subdivided", spy)
     calls = count_rhs_calls(monkeypatch)
     rng = np.random.default_rng(43)
     shapes = 0
@@ -1562,15 +1670,16 @@ def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
                 continue
             last = last_evaluated(calls)
             seen.clear()
-            shape = fundsys.mode_shape(point, dp, options=opts)
+            with monkeypatch.context() as m:
+                m.setattr(fundsys, "_normalized", spy)
+                shape = fundsys.mode_shape(point, dp, options=opts)
             if complex(point.q, point.omega) == last:
                 assert seen == [point.delta_value]
             else:
-                # An unevaluated last step, from an exp(A) evaluation (mode
-                # 1 at step 1/2000): delta_value is the determinant there.
+                # An unevaluated last step: delta_value is the determinant
+                # of the last evaluation.
                 assert len(seen) == 1 and seen[0] < fundsys.CONVERGED_TOL
-                assert point.delta_value == delta_subdivided(
-                    last.real, last.imag, dp, opts.subintervals, opts.step)
+                assert point.delta_value == exact_delta(dp, last)
             assert len(shape.grid) == 201
             # Dividing the peak sample by itself can leave roundoff in its
             # u2, where the normalisation defines u2 = 0.
@@ -1712,7 +1821,7 @@ def test_sweep_feedback_makes_one_search_call_per_row(monkeypatch):
     # call with dp and the seed positional, and the sweep builds one
     # residual kernel in all, not one per row or per mode.
     searches, kernels = [], []
-    search, build = fundsys.find_eigenvalue, fundsys._residual_fn
+    search, build = fundsys.find_eigenvalue, fundsys._kernel_of
 
     def counting_search(*args, **kwargs):
         searches.append(args)
@@ -1723,13 +1832,13 @@ def test_sweep_feedback_makes_one_search_call_per_row(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(fundsys, "find_eigenvalue", counting_search)
-    monkeypatch.setattr(fundsys, "_residual_fn", counting_build)
+    monkeypatch.setattr(fundsys, "_kernel_of", counting_build)
     nu_grid = [0.005 * i for i in range(21)]
     rows = fundsys.sweep_feedback(REF, nu_grid, modes=(1, 2), options=FAST)
     assert len(rows) == len(searches) == 42
     assert all(args[0] is REF and isinstance(args[1], fundsys.SpectralPoint)
                for args in searches)
-    assert kernels == [(REF, FAST.subintervals, FAST.step)]
+    assert kernels == [(REF,)]
 
 
 # Outside small dissipation, with mode 2 aperiodic: both searches of modes 1
@@ -1753,22 +1862,37 @@ def test_sweep_feedback_flags_a_repeated_eigenvalue_per_grid_point():
             <= 1e-8 * abs(complex(one.q, one.omega))
 
 
-def test_sweep_feedback_flags_a_real_root():
-    # At step 1/2000, mode 1's search settles on -7.1741 + 2.4e-19i, within
-    # 1e-8 of its own conjugate: a real (aperiodic) root, which came back as
-    # a converged oscillatory mode.  (At the default step the search itself
-    # stops unsettled, at omega = 5.6e-13.)
-    dp = DimensionlessParams(
-        eps1=4.990891476241281, mu=10.320329820550578,
-        nu=0.0005833326333315348, eta=0.2512803016179906,
-        delta=6.021977396328784)
-    opts = fundsys.SolveOptions(step=1.0 / 2000.0)
-    row = fundsys.sweep_feedback(dp, [dp.nu], modes=(1,), options=opts)[0]
-    assert abs(complex(row.q, row.omega) + 7.1741) < 1e-4
+def test_sweep_feedback_flags_a_real_root(monkeypatch):
+    # Mode 1 of APERIODIC is aperiodic: its search converges on the real
+    # root near s = -0.0622733 of the continuous system, whose omega is a
+    # rounding above the axis.  It lies within 1e-8 of its own conjugate,
+    # so the row is not a converged oscillatory mode.
+    points, search = [], fundsys.find_eigenvalue
+
+    def recording(*args, **kwargs):
+        points.append(search(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(fundsys, "find_eigenvalue", recording)
+    row = fundsys.sweep_feedback(APERIODIC, [APERIODIC.nu], modes=(1,))[0]
+    assert points[0].converged and row.delta_value < 1e-16
+    assert abs(complex(row.q, row.omega) + 0.0622733) < 1e-6
     assert 0.0 < 2.0 * row.omega <= 1e-8 * abs(row.q)
-    assert fundsys.find_eigenvalue(
-        dp, fundsys.SpectralPoint(q=row.q, omega=row.omega), opts).converged
     assert not row.converged
+
+
+def test_sweep_feedback_seeds_no_search_below_the_real_axis():
+    # Mode 1 of APERIODIC reaches the real axis as nu grows: a continuation
+    # seed extrapolated across it had omega < 0, and every mode-1 row from
+    # nu = 0.02 on reported that seed, omega = -1.15e-36.  Such a row is
+    # seeded from its predecessor and stays on the real root, flagged.
+    grid = [0.005 * i for i in range(21)]
+    rows = fundsys.sweep_feedback(APERIODIC, grid, (1, 2))
+    assert all(row.omega > 0.0 for row in rows)
+    mode_one = [row for row in rows if row.mode == 1]
+    assert not any(row.converged for row in mode_one[2:])
+    for row in mode_one[4:]:
+        assert abs(row.q + 0.0622733) < 1e-4
 
 
 @settings(max_examples=30, deadline=None)

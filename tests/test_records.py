@@ -24,8 +24,6 @@ RECORDS = [
     (asymptotic.ComplexEigenvalue, dict(q=-0.01, omega=0.35)),
     (asymptotic.ExcitationReport, dict(indicator=-1.0, numerator=-2.0,
                                        denominator=2.0, excited=True)),
-    (asymptotic.ForcedModeCoefficients, dict(B1=0.0, B2=1.0, C1=0.0, C2=0.0,
-                                             A=1.0)),
     (conservative.ConservativeRoot, dict(omega=0.35, index=1)),
 ]
 
