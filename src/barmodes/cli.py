@@ -31,7 +31,6 @@ from .params import (
     STABILITY_EDGE,
     DimensionlessParams,
     PhysicalParams,
-    SolveOptions,
     to_dimensionless,
     validate,
 )
@@ -64,9 +63,6 @@ class RunConfig(types.SimpleNamespace):
     """A loaded config: the `dimensionless` parameters, the `physical` ones
     (None for a [dimensionless] config; kept only for the echo) and one
     attribute per _RUN_KEYS key."""
-
-    def solve_options(self) -> SolveOptions:
-        return SolveOptions(step=self.step, subintervals=self.subintervals)
 
     def nu_grid(self) -> list[float]:
         count = int(math.floor(self._nu_steps())) + 1
@@ -228,8 +224,8 @@ def _search(config: RunConfig, nu_values, modes: range):
     """(roots, rows): the first len(modes) undamped frequencies (ConfigError
     when omega_max holds fewer) and fundsys.sweep_feedback's rows for
     `modes` over `nu_values` at the configured omega_max (none for no
-    modes); the searches check step and subintervals but solve the
-    continuous system.  Every eigenvalue search of every verb runs here.
+    modes); the searches solve the continuous system and read neither step
+    nor subintervals.  Every eigenvalue search of every verb runs here.
     `modes` is a range from 1, so a huge count costs nothing before the
     shortfall check."""
     # fundsys is imported only where a verb searches, so that stability,
@@ -237,8 +233,7 @@ def _search(config: RunConfig, nu_values, modes: range):
     from . import fundsys
     roots = _conservative_roots(config, len(modes))
     return roots, fundsys.sweep_feedback(config.dimensionless, nu_values,
-                                         modes, omega_max=config.omega_max,
-                                         options=config.solve_options())
+                                         modes, omega_max=config.omega_max)
 
 
 def run_spectrum(config: RunConfig):
@@ -336,7 +331,9 @@ def run_modeshape(config: RunConfig):
     without loading numpy, of the eigenvalue that a one-point sweep of
     modes 1 to that mode at the configured nu found.  The earlier modes
     are searched so that the duplicate guard sees them: a mode landing on
-    an earlier mode's eigenvalue is unconverged and has no profile."""
+    an earlier mode's eigenvalue is unconverged and has no profile.  The
+    profile, like the search, is of the continuous system: step and
+    subintervals set nothing here."""
     dp = config.dimensionless
     _, sweep = _search(config, [dp.nu], range(1, config.mode + 1))
     row = sweep[-1]
@@ -344,8 +341,7 @@ def run_modeshape(config: RunConfig):
     if not row.converged:
         return header, [], False
     from . import fundsys
-    grid, profile = fundsys._mode_profile(row, dp, config.grid_points,
-                                          config.solve_options())
+    grid, profile = fundsys._mode_profile(row, dp, config.grid_points)
     rows = [",".join([_fmt(x), _fmt(u.real), _fmt(u.imag)])
             for x, u in zip(grid, profile)]
     return header, rows, True

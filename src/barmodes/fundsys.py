@@ -16,8 +16,8 @@ f = (D1 - i*D2)*u(1) + (D3 - i*D4)*u'(1); the characteristic determinant
 Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  f is analytic in
 s (D1..D4 are polynomials in s), so eigenvalues are located as its zeros
 by Newton's method from a seed, with the exact slope; the normalized Delta
-then certifies the answer.  Every search and mode profile solves this
-continuous system, whatever the step.
+then certifies the answer.  Every search, sweep and mode profile solves
+this continuous system and reads no step.
 
 The paper's discretised system replaces exp(A) by N equal classical RK4
 steps, each exactly (1 + e)*I + b*A with z = h^2*K, e = z/2 + z^2/24 and
@@ -31,12 +31,13 @@ complex function calls whatever the step count.  With w = h*sqrt(K),
 N*t = sqrt(K)*(1 - w^4/120 + ...) and N*l is O(N*w^6), so for |w| below
 (120*2^-53)^(1/4) ~ 3.4e-4 (at the default step of 1e-6, every mode below
 omega ~ 340) the N steps are exp(A) to rounding, and the exponents are
-taken as (0, sqrt(K)) without the two logarithms.  The RK4 system is what
-the options' step and subintervals set, and what
+taken as (0, sqrt(K)) without the two logarithms.  The RK4 system, of a
+step and a subinterval count (what SolveOptions holds), is what
 :func:`integrate_fundamental` (the propagator a*I + b*A of [0, 1] as the
 complex pair (a, b)) and :func:`delta_subdivided` (its normalized
-determinant) build; :func:`boundary_coefficients` gives the real form
-D1..D4 of the residual kernel's P and Q.
+determinant) build for acceptance criteria 9 and 10;
+:func:`boundary_coefficients` gives the real form D1..D4 of the residual
+kernel's P and Q.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import asymptotic, conservative
-# params defines the search defaults and SolveOptions, so that the CLI
-# reads them without compiling this module; they are fundsys's names too.
+# params defines the defaults and SolveOptions, so that the CLI reads the
+# defaults without compiling this module; they are fundsys's names too.
 from .params import (
     DEFAULT_OMEGA_MAX,
     DEFAULT_RESOLUTION,
@@ -75,7 +76,6 @@ _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 _FREE_RTOL = 1e-8      # a step this small from a converged evaluation is
                        # taken without evaluating its end
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
-_DEFAULT_OPTIONS = SolveOptions()   # options=None, built once
 # N RK4 steps of w = h*sqrt(K) have the exponent T = N*t with
 # t = w - w^5/120 + O(w^7) and L = N*w^6/144 + O(w^8): T is r = sqrt(K)
 # to a relative w^4/120, which is below 2^-53 for |w| below this, and
@@ -185,21 +185,12 @@ def _step_count(n: int, step: float) -> int:
     return n * max(1, math.ceil(steps * (1.0 - 1e-12)))
 
 
-def _check(options: SolveOptions | None) -> None:
-    """Raise as :func:`_step_count` does on the options (None is the
-    defaults).  They set only the RK4 system of
-    :func:`integrate_fundamental` and :func:`delta_subdivided`; a search,
-    sweep or mode profile checks them and solves the continuous system."""
-    opts = options or _DEFAULT_OPTIONS
-    _step_count(opts.subintervals, opts.step)
-
-
 def _propagator_at(q: float, omega: float, eps1: float,
-                   count: int | None) -> tuple[complex, ...]:
-    """(r, L, T, a, b) of the [0, 1] propagator at s = q + i*omega: of the
-    continuous system, exp(A), for count None, and otherwise of count equal
-    RK4 steps; r = sqrt(K), K = s^2/(1 + eps1*s), and
-    exp(L*I + T*A/r) = a*I + b*A; at K = 0 it is I + A.
+                   count: int | None = None) -> tuple[complex, ...]:
+    """(r, a, b) of the [0, 1] propagator a*I + b*A at s = q + i*omega: of
+    the continuous system, exp(A), for count None, and otherwise of count
+    equal RK4 steps; r = sqrt(K), K = s^2/(1 + eps1*s), and at K = 0 it is
+    I + A.  exp(A) is a = cosh(r) and b = sinh(r)/r.
 
     One classical Runge-Kutta step of length h = 1/count for y' = A y is
     exactly multiplication by the degree-4 Taylor polynomial of exp(hA);
@@ -207,12 +198,14 @@ def _propagator_at(q: float, omega: float, eps1: float,
     e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the
     eigenvectors of A are 1 + e +- b*r, so it is exp(l*I + t*A/r) with
     l +- t = log1p(e +- b*r).  Such exponentials commute, so the count
-    steps make (L, T) = count*(l, t).  Any branch of the logarithm or of r
-    gives the same propagator, because the exponents are only ever used
-    times an integer step count.  When |h*r| < _EXACT_STEP, count*(l, t)
-    is (0, r) to rounding, and (L, T) = (0, r) is taken without _log1p,
-    as for count None: the propagator is exp(A), a = cosh(r) and
-    b = sinh(r)/r, with no exp(L) factor.
+    steps make exp(L*I + T*A/r), (L, T) = count*(l, t): a = exp(L)*cosh(T)
+    and b = exp(L)*sinh(T)/r.  Any branch of the logarithm or of r gives
+    the same propagator, because the exponents are only ever used times an
+    integer step count.  When |h*r| < _EXACT_STEP, count*(l, t) is (0, r)
+    to rounding, and the propagator is exp(A), without _log1p.  Where
+    exp(L) or cosh(T) leaves the float range but their product need not
+    (Re L << 0 < |Re T|), a and b come from the count-th powers
+    e^(L +- T) of the step's eigenvalues instead.
 
     Raises as rhs_coefficients and _log1p do, and OverflowError when the
     real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
@@ -224,10 +217,8 @@ def _propagator_at(q: float, omega: float, eps1: float,
     """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
-    w = 0j if count is None else 1.0 / count * r
     try:
-        if abs(w) < _EXACT_STEP:
-            L, T = 0j, r
+        if count is None or abs(w := 1.0 / count * r) < _EXACT_STEP:
             a = cmath.cosh(r)
             b = cmath.sinh(r) / r if r else 1 + 0j
         else:   # here r != 0
@@ -236,9 +227,14 @@ def _propagator_at(q: float, omega: float, eps1: float,
             plus, minus = _log1p(e + bw), _log1p(e - bw)
             L = count * (0.5 * (plus + minus))
             T = count * (0.5 * (plus - minus))
-            g = cmath.exp(L)
-            a = g * cmath.cosh(T)
-            b = g * cmath.sinh(T) / r
+            try:
+                g = cmath.exp(L)
+                a = g * cmath.cosh(T)
+                b = g * cmath.sinh(T) / r
+            except OverflowError:   # Re L << 0 < |Re T|
+                up, down = cmath.exp(count * plus), cmath.exp(count * minus)
+                a = 0.5 * (up + down)
+                b = (up - down) / (2.0 * r)
     # cmath's bare 'math range error', and its 'math domain error' where K,
     # though s is finite, is not (s^2 overflows)
     except (OverflowError, ValueError):
@@ -255,7 +251,7 @@ def _propagator_at(q: float, omega: float, eps1: float,
                 raise OverflowError(_OVERFLOW_MESSAGE)
         if not (a and b):
             raise OverflowError("fundamental matrix entry underflowed to 0")
-    return r, L, T, a, b
+    return r, a, b
 
 
 def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
@@ -271,12 +267,12 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     leaves the float range at this point and step, and ValueError on a step
     that :func:`_step_count` rejects.
     """
-    return _propagator_at(q, omega, dp.eps1, _step_count(1, step))[3:]
+    return _propagator_at(q, omega, dp.eps1, _step_count(1, step))[1:]
 
 
 def _kernel_of(dp: DimensionlessParams):
     """(s, nu, built) -> (f, f', (P, Q, u, u')) of the end-mass residual at
-    s and the feedback gain nu, on built, the tuple of
+    s and the feedback gain nu, on built, the (r, a, b) of
     :func:`_propagator_at` at s that the caller builds: exp(A) for a
     search or a mode profile, the RK4 system for :func:`delta_subdivided`.
 
@@ -303,7 +299,7 @@ def _kernel_of(dp: DimensionlessParams):
 
     def residual(s: complex, nu: float,
                  built: tuple[complex, ...]) -> tuple[complex, ...]:
-        _, _, _, du, u = built
+        _, du, u = built
         p3 = eta_delta * (nu + mu)
         Ps = eta + p3 * s                     # P / s^2
         P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
@@ -400,27 +396,22 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     ``CONVERGED_TOL`` by construction (NaN when even the seed cannot be
     evaluated).  converged means the iteration settled and delta_value is
     below ``CONVERGED_TOL``, so a converged answer is the continuous
-    eigenvalue to rounding at any options.  The options set only the RK4
-    system of :func:`delta_subdivided` and :func:`integrate_fundamental`,
-    but are checked here as there: raises ValueError, before any
-    evaluation, for a non-finite seed and for options whose subinterval
-    count is not an integer of at least 1, a step that is not positive, or
-    a step so small that the step count, about 1/step, is not finite;
-    otherwise never raises: a failed search comes back with
-    converged=False.
+    eigenvalue to rounding.  Raises ValueError, before any evaluation, for
+    a non-finite seed; otherwise never raises: a failed search comes back
+    with converged=False.  ``options`` is not read, neither used nor
+    checked: a search has no step.  The slot stays for callers that pass
+    SolveOptions to it.
 
     ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
     of a kernel that :func:`_kernel_of` built from dp, and the feedback
     gain to evaluate it at in place of dp.nu.  Without it, the kernel comes
-    from :func:`_search_kernel`, after the options are checked; a zero
-    group, whose sign the kernel's values carry but a key does not, gets a
-    kernel of its own.
+    from :func:`_search_kernel`; a zero group, whose sign the kernel's
+    values carry but a key does not, gets a kernel of its own.
     """
     s = last = complex(seed.q, seed.omega)
     if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
     if _kernel is None:
-        _check(options)
         key = (dp.eps1, dp.mu, dp.eta, dp.delta)
         residual = _kernel_of(dp) if 0.0 in key else _search_kernel(*key)
         nu = dp.nu
@@ -435,7 +426,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     try:
         for _ in range(MAX_ITERATIONS):
             f, df, bound = residual(s, nu, _propagator_at(s.real, s.imag,
-                                                          eps1, None))
+                                                          eps1))
             last, value = s, None
             ds = f / df   # 0 where f vanishes: a step of 0 settles
             s = s - ds
@@ -466,8 +457,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
 
 
 def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
-               resolution: int = DEFAULT_RESOLUTION,
-               options: SolveOptions | None = None) -> ModeShape:
+               resolution: int = DEFAULT_RESOLUTION) -> ModeShape:
     """Displacement profile (u1, u2) of a converged eigenvalue on a grid.
 
     The profile is u(x)/u(x_peak) on the continuous system that
@@ -477,20 +467,19 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     np.linspace(0, 1, resolution) bit for bit, is one read-only array
     shared by every ModeShape of that resolution; u1 and u2 are the
     shape's own.  The samples are computed in cmath by _mode_profile,
-    which the modeshape verb formats without loading numpy.  The options
-    are checked as find_eigenvalue checks them, and set nothing here.
-    Raises ValueError for an unconverged point, a resolution that is not
-    an integer of at least 2 and options the search rejects, and
-    numpy.linalg.LinAlgError when the rank check, the normalized
-    determinant of the search's residual at the point, is not below
-    ``CONVERGED_TOL``: the point is not an eigenvalue.  For a search
-    result that is its delta_value when the search evaluated its answer;
-    after an unevaluated last Newton step it is the determinant one step
-    further on, where the search's value was already below the tolerance.
+    which the modeshape verb formats without loading numpy.  Raises
+    ValueError for an unconverged point and a resolution that is not an
+    integer of at least 2, and numpy.linalg.LinAlgError when the rank
+    check, the normalized determinant of the search's residual at the
+    point, is not below ``CONVERGED_TOL``: the point is not an eigenvalue.
+    For a search result that is its delta_value when the search evaluated
+    its answer; after an unevaluated last Newton step it is the
+    determinant one step further on, where the search's value was already
+    below the tolerance.
     """
     import numpy as np
 
-    grid, profile = _mode_profile(point, dp, resolution, options)
+    grid, profile = _mode_profile(point, dp, resolution)
     profile = np.array(profile)
     return ModeShape(grid=_shared_grid(len(grid)), u1=profile.real,
                      u2=profile.imag)
@@ -514,18 +503,16 @@ def _shared_grid(resolution: int) -> np.ndarray:
 
 
 def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
-                  resolution: int, options: SolveOptions | None
-                  ) -> tuple[list[float], list[complex]]:
+                  resolution: int) -> tuple[list[float], list[complex]]:
     """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads q, omega and
     converged of point only, so a SweepRow at nu = dp.nu serves as well (at
     another nu, the rank check fails).  Raises as mode_shape does."""
     resolution = conservative._count(resolution, 2, "resolution")
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
-    _check(options)
 
     # One exp(A) propagator serves the rank check and the profile.
-    built = _propagator_at(point.q, point.omega, dp.eps1, None)
+    built = _propagator_at(point.q, point.omega, dp.eps1)
     f, _, bound = _kernel_of(dp)(complex(point.q, point.omega), dp.nu, built)
     dhat = _normalized(f, bound)
     if not dhat < CONVERGED_TOL:
@@ -591,7 +578,8 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     i*len(modes) + k is mode modes[k] at nu_values[i]; an empty grid or
     mode list gives none.  Raises ValueError, before any search, for a mode
     that is not an integer or is below 1, a repeated mode, and a nu grid
-    that is not finite or not ascending.
+    that is not finite or not ascending.  ``options`` is not read, as in
+    :func:`find_eigenvalue`.
     """
     message = f"modes must be distinct integers of at least 1: {modes}"
     try:
@@ -614,7 +602,6 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             f"only {len(roots)} undamped frequencies below omega_max={omega_max:g}; "
             f"mode {max(modes)} requested")
 
-    _check(options)
     kernel = _kernel_of(dp)
     first = replace(dp, nu=nu_values[0])
     seeds = []

@@ -20,12 +20,12 @@ SMALLNESS_LIMIT = 0.1
 
 # Defaults, limits and options of fundsys.  They live here, and fundsys
 # imports them, so that the CLI uses them without the solver.  The step
-# and subintervals set the paper's RK4 system; the eigenvalue search solves
-# the continuous one.  The propagator is built in closed form, so the step
-# count costs nothing; at this step the RK4 error, about
-# 7.4e-3*(h*omega)^4 relative, lies below rounding for omega up to about
-# 340: there h*|sqrt(K)| is below fundsys._EXACT_STEP, and the RK4
-# propagator is exp(A) without RK4's exponents.
+# and subintervals set only the paper's RK4 system; no search reads them,
+# because every search solves the continuous one.  The propagator is built
+# in closed form, so the step count costs nothing; at this step the RK4
+# error, about 7.4e-3*(h*omega)^4 relative, lies below rounding for omega
+# up to about 340: there h*|sqrt(K)| is below fundsys._EXACT_STEP, and the
+# RK4 propagator is exp(A) without RK4's exponents.
 DEFAULT_STEP = 1e-6
 DEFAULT_SUBINTERVALS = 8
 DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
@@ -38,9 +38,9 @@ class SolveOptions(NamedTuple):
     and the number of equal subintervals, which fundsys.integrate_fundamental
     and fundsys.delta_subdivided build.  The defaults give N = 10^6 equal
     steps over [0, 1], whose eigenvalues are the continuous ones to
-    rounding.  The eigenvalue search, the sweep and the mode shape take
-    these options and check them, but always solve the continuous system,
-    whose propagator is exp(A): every step gives the same eigenvalues."""
+    rounding.  No search reads these options: the eigenvalue search, the
+    sweep and the mode shape solve the continuous system, whose propagator
+    is exp(A), and neither use nor check them."""
 
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS

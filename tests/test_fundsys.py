@@ -140,7 +140,7 @@ def kernel_polynomials(dp, s):
     """(P(s), Q(s)) as the residual kernel evaluates them: its residual
     P*u + Q*u' on an end state (u, u') of (1, 0), then (0, 1)."""
     kernel = fundsys._kernel_of(dp)
-    return [kernel(s, dp.nu, (None, None, None, a, b))[0]
+    return [kernel(s, dp.nu, (None, a, b))[0]
             for a, b in ((0j, 1 + 0j), (1 + 0j, 0j))]
 
 
@@ -891,7 +891,7 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
     # The end state comes straight from the composed propagator over [0, 1];
     # the subinterval's is never built, whatever the subinterval count.
     # delta_subdivided builds the RK4 one, of its step count; a search
-    # builds exp(A) (count None), one per evaluation, whatever its options.
+    # builds exp(A) (no count), one per evaluation, whatever its options.
     built = []
     original = fundsys._propagator_at
 
@@ -914,7 +914,7 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
         assert fundsys.find_eigenvalue(
             REF, seed, fundsys.SolveOptions(step, n)).converged
         assert len(built) == len(calls) > 0
-        assert {args[3] for args in built} == {None}
+        assert {args[3:] for args in built} == {()}
 
 
 def mp_exponent_propagator(K, count):
@@ -934,13 +934,14 @@ def mp_exponent_propagator(K, count):
 
 
 def test_closed_form_propagator_is_rk4_to_rounding():
-    # Below _EXACT_STEP the propagator is exp(A): (L, T) = (0, r) with no
-    # logarithm.  Just below it, with the fewest steps that get there, that
-    # is RK4's exponent form in 50 digits within 4*2^-52*cosh(Re r)*(1 + |r|)
-    # (2.1 of those units at worst when drawn): a relative rounding of T
-    # moves cosh(T) by up to |r|*cosh(Re r) of it.  b is compared with that
-    # scale over max(1, |r|).  Drawn: K in all four quadrants, near the rhs
-    # pole (1 + eps1*s ~ 0, |K| up to 8e4) and near K = 0 (one step).
+    # Below _EXACT_STEP the propagator is exp(A), a = cosh(r) and
+    # b = sinh(r)/r bit for bit, with no logarithm.  Just below it, with
+    # the fewest steps that get there, that is RK4's exponent form in 50
+    # digits within 4*2^-52*cosh(Re r)*(1 + |r|) (2.1 of those units at
+    # worst when drawn): a relative rounding of the exponent T moves cosh(T)
+    # by up to |r|*cosh(Re r) of it.  b is compared with that scale over
+    # max(1, |r|).  Drawn: K in all four quadrants, near the rhs pole
+    # (1 + eps1*s ~ 0, |K| up to 8e4) and near K = 0 (one step).
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(28)
     ulp, quadrants = 2.0 ** -52, set()
@@ -956,8 +957,8 @@ def test_closed_form_propagator_is_rk4_to_rounding():
         K = fundsys.rhs_coefficients(q, omega, eps1)
         quadrants.add((K.real > 0, K.imag > 0))
         count = max(1, math.ceil(abs(K) ** 0.5 / fundsys._EXACT_STEP))
-        r, L, T, a, b = fundsys._propagator_at(q, omega, eps1, count)
-        assert (L, T) == (0j, r)
+        r, a, b = fundsys._propagator_at(q, omega, eps1, count)
+        assert (a, b) == (cmath.cosh(r), cmath.sinh(r) / r)
         with mp.workdps(50):
             exact_a, exact_b = mp_exponent_propagator(mp.mpc(K), count)
             scale = 4 * ulp * math.cosh(r.real) * (1.0 + abs(r))
@@ -967,9 +968,28 @@ def test_closed_form_propagator_is_rk4_to_rounding():
     assert len(quadrants) == 4
 
 
+def test_rk4_propagator_past_the_cosh_range_is_in_range():
+    # 8000 RK4 steps at this point have exponents L ~ -2503 - 1126j and
+    # T ~ 1874 - 16579j: exp(L) underflows and cosh(T) overflows, but the
+    # entries, ~1e-274, are in range.  They raised "exceeded 1e150"; they
+    # now come from the steps' eigenvalue powers e^(L +- T).  A relative
+    # rounding of the exponents, |L +- T| up to ~1.8e4, moves an entry by
+    # up to ~4e-12 of itself (5.4e-12 seen).
+    mp = pytest.importorskip("mpmath")
+    q, omega = -2569.609278492613, 9.940254866056055
+    dp = replace(REF, eps1=3.9853927879276833e-4)
+    a, b = fundsys.integrate_fundamental(q, omega, dp, step=1.0 / 8000.0)
+    assert 1e-276 < abs(a) < 1e-272
+    K = fundsys.rhs_coefficients(q, omega, dp.eps1)
+    with mp.workdps(50):
+        exact_a, exact_b = mp_exponent_propagator(mp.mpc(K), 8000)
+        assert abs(a - exact_a) <= 2e-11 * abs(exact_a)
+        assert abs(b - exact_b) <= 2e-11 * abs(exact_b)
+
+
 def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
     # A search ends on a Newton step it does not evaluate only from an
-    # evaluation whose propagator is exp(A) (T = r), where f' is the
+    # evaluation whose propagator is exp(A) (no count), where f' is the
     # residual's own slope.  Every search evaluation is exp(A), so this
     # holds at every step: at step 0.0005 modes 2-7 of the reference set,
     # whose |h*sqrt(K)| is above _EXACT_STEP, end so as mode 1 does, as
@@ -978,8 +998,8 @@ def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
     original = fundsys._propagator_at
 
     def recording(q, omega, *args):
-        builds.append((complex(q, omega), original(q, omega, *args)))
-        return builds[-1][1]
+        builds.append((complex(q, omega), args))
+        return original(q, omega, *args)
 
     monkeypatch.setattr(fundsys, "_propagator_at", recording)
     free = []
@@ -988,7 +1008,7 @@ def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
             builds.clear()
             point = fundsys.find_eigenvalue(REF, seed, opts)
             assert point.converged
-            assert all(T is r for _, (r, _, T, _, _) in builds)
+            assert all(args == (REF.eps1,) for _, args in builds)
             if complex(point.q, point.omega) != builds[-1][0]:
                 free.append((opts.step, mode))
     assert len(free) >= 7
@@ -1079,7 +1099,7 @@ def test_searches_and_mode_profiles_take_no_log1p_or_exp(monkeypatch, step):
     assert all(row.converged for row in rows)
     for seed, row in zip(asymptotic_seeds(REF, 7), rows):
         assert fundsys.find_eigenvalue(REF, seed, opts).converged
-        fundsys.mode_shape(row, REF, options=opts)
+        fundsys.mode_shape(row, REF)
     assert calls == [] and rhs
 
 
@@ -1102,7 +1122,7 @@ def test_delta_subdivided_rejects_bad_count():
 
 
 @pytest.mark.parametrize("step", [1e-320, 5e-324])
-def test_subnormal_step_is_a_value_error(conservative_mode_one, step):
+def test_subnormal_step_is_a_value_error(step):
     # length/step overflows to inf, whose step count int(floor(inf)) raised
     # OverflowError, which says a propagator entry left the float range,
     # instead of rejecting the step.
@@ -1110,9 +1130,6 @@ def test_subnormal_step_is_a_value_error(conservative_mode_one, step):
         fundsys.delta_subdivided(0.0, 0.35, REF, 1, step)
     with pytest.raises(ValueError, match="too small"):
         fundsys.integrate_fundamental(0.0, 0.35, REF, step=step)
-    with pytest.raises(ValueError, match="too small"):
-        fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=11,
-                           options=SHAPE_OPTS._replace(step=step))
 
 
 # ------------------------------------------------------------------- eigensolve
@@ -1279,22 +1296,56 @@ def test_reference_sweep_cost(monkeypatch):
     fundsys.SolveOptions(step=5e-324),
     fundsys.SolveOptions(subintervals=2.5),
     fundsys.SolveOptions(subintervals=8.0)])
-def test_find_eigenvalue_rejects_bad_options_before_evaluating(monkeypatch,
-                                                                options):
-    calls = count_rhs_calls(monkeypatch)
+def test_find_eigenvalue_reads_no_options(options):
+    # The options set only the RK4 system, which rejects these; a search
+    # builds none, so it neither checks nor uses them and answers bit for
+    # bit as with none.  It used to reject them before evaluating.
     with pytest.raises(ValueError):
-        fundsys.find_eigenvalue(REF, fundsys.SpectralPoint(q=-0.01, omega=0.35),
-                                options)
-    assert calls == []
+        fundsys.delta_subdivided(-0.01, 0.35, REF, options.subintervals,
+                                 options.step)
+    seed = fundsys.SpectralPoint(q=-0.01, omega=0.35)
+    point = fundsys.find_eigenvalue(REF, seed, options)
+    assert point.converged
+    assert repr(point) == repr(fundsys.find_eigenvalue(REF, seed))
+
+
+def test_searches_sweeps_and_profiles_check_no_step_count(monkeypatch):
+    # Nothing on the search path builds an RK4 system, so nothing there
+    # counts steps: with _step_count raising, direct searches at any
+    # options, a sweep and a mode shape still answer bit for bit.  Each
+    # checked its options through _step_count before it evaluated.
+    seed = asymptotic_seeds(REF, 1)[0]
+    grid = [0.005 * i for i in range(21)]
+    rows = [row_bits(row) for row in fundsys.sweep_feedback(REF, grid)]
+    profile = fundsys.mode_shape(fundsys.find_eigenvalue(REF, seed), REF)
+
+    def refuse(*args):
+        raise AssertionError("a step count on the search path")
+
+    monkeypatch.setattr(fundsys, "_step_count", refuse)
+    for options in ((), (fundsys.SolveOptions(),),
+                    (fundsys.SolveOptions(step=0.01, subintervals=3),)):
+        point = fundsys.find_eigenvalue(REF, seed, *options)
+        assert (point.q.hex(), point.omega.hex(), point.delta_value.hex(),
+                point.converged) == ("-0x1.1182976445692p-16",
+                                     "0x1.69e2c883744a0p-2",
+                                     "0x1.c370edac0eb53p-93", True)
+        assert [row_bits(row) for row in fundsys.sweep_feedback(
+            REF, grid, options=options[0] if options else None)] == rows
+        shape = fundsys.mode_shape(point, REF)
+        assert shape.u1.tobytes() == profile.u1.tobytes()
+        assert shape.u2.tobytes() == profile.u2.tobytes()
+    with pytest.raises(AssertionError, match="step count"):
+        fundsys.delta_subdivided(point.q, point.omega, REF)
 
 
 def test_direct_searches_share_one_kernel(monkeypatch):
     # A bisection in nu calls find_eigenvalue without a kernel; the calls
     # share one, built for the groups other than nu whatever the options,
-    # and answer bit for bit as a search on a freshly built kernel does.
-    # The options are validated first: subintervals=8.0 raises after 8 has
-    # a kernel.  A zero group, whose sign the kernel's values carry but
-    # 0.0 == -0.0 hides from a key, gets a kernel of its own every time.
+    # and answer bit for bit as a search on a freshly built kernel does,
+    # with options the RK4 system rejects too.  A zero group, whose sign
+    # the kernel's values carry but 0.0 == -0.0 hides from a key, gets a
+    # kernel of its own every time.
     builds = []
     build = fundsys._kernel_of
 
@@ -1315,9 +1366,10 @@ def test_direct_searches_share_one_kernel(monkeypatch):
         assert repr(point) == repr(fundsys.find_eigenvalue(
             dp, seed, fundsys.SolveOptions(step=0.01, subintervals=3)))
         seed = point
+    assert repr(fundsys.find_eigenvalue(
+        REF, seed, opts._replace(subintervals=8.0))) == repr(
+        fundsys.find_eigenvalue(REF, seed))
     assert len(builds) == 1
-    with pytest.raises(ValueError):
-        fundsys.find_eigenvalue(REF, seed, opts._replace(subintervals=8.0))
     for mu in (0.0, -0.0, 0.0):
         builds.clear()
         assert fundsys.find_eigenvalue(replace(REF, mu=mu), seed).converged
@@ -1458,10 +1510,11 @@ def test_searches_and_profiles_are_the_same_at_every_step(opts):
     rows = fundsys.sweep_feedback(REF, grid, (1, 2), options=opts)
     assert [row_bits(r) for r in rows] == [
         row_bits(r) for r in fundsys.sweep_feedback(REF, grid, (1, 2))]
-    for row in fundsys.sweep_feedback(REF, [REF.nu], range(1, 8),
-                                      options=opts):
-        shape = fundsys.mode_shape(row, REF, options=opts)
-        expected = fundsys.mode_shape(row, REF)
+    for row, default_row in zip(
+            fundsys.sweep_feedback(REF, [REF.nu], range(1, 8), options=opts),
+            fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))):
+        shape = fundsys.mode_shape(row, REF)
+        expected = fundsys.mode_shape(default_row, REF)
         assert shape.u1.tobytes() == expected.u1.tobytes()
         assert shape.u2.tobytes() == expected.u2.tobytes()
 
@@ -1579,7 +1632,7 @@ def conservative_mode_one():
 
 def test_mode_shape_conservative_is_real_sine(conservative_mode_one):
     shape = fundsys.mode_shape(conservative_mode_one, UNDAMPED,
-                               resolution=101, options=SHAPE_OPTS)
+                               resolution=101)
     assert np.max(np.abs(shape.u2)) <= 1e-6
     expected = np.sin(conservative_mode_one.omega * shape.grid)
     expected = expected / np.max(np.abs(expected))
@@ -1588,7 +1641,7 @@ def test_mode_shape_conservative_is_real_sine(conservative_mode_one):
 
 def test_mode_shape_clamped_end_and_normalization(conservative_mode_one):
     shape = fundsys.mode_shape(conservative_mode_one, UNDAMPED,
-                               resolution=64, options=SHAPE_OPTS)
+                               resolution=64)
     assert shape.u1[0] == 0.0 and shape.u2[0] == 0.0
     assert np.max(np.hypot(shape.u1, shape.u2)) == pytest.approx(1.0, abs=1e-15)
     assert len(shape.grid) == 64
@@ -1609,13 +1662,8 @@ def test_counts_must_be_integers(conservative_mode_one, count):
     with pytest.raises(ValueError, match="subinterval count must be an "
                                          "integer"):
         fundsys.delta_subdivided(-0.01, 0.35, REF, n=count)
-    with pytest.raises(ValueError, match="subinterval count must be an "
-                                         "integer"):
-        fundsys.sweep_feedback(REF, [0.05], (1,), options=fundsys.SolveOptions(
-            subintervals=count))
     with pytest.raises(ValueError, match="resolution must be an integer"):
-        fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=count,
-                           options=SHAPE_OPTS)
+        fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=count)
 
 
 def test_mode_shape_rejects_non_eigenvalue():
@@ -1623,8 +1671,7 @@ def test_mode_shape_rejects_non_eigenvalue():
     forged = fundsys.SpectralPoint(q=0.25, omega=1.9, delta_value=0.0,
                                    converged=True)
     with pytest.raises(np.linalg.LinAlgError):
-        fundsys.mode_shape(forged, UNDAMPED, resolution=11,
-                           options=SHAPE_OPTS._replace(step=1.0 / 500.0))
+        fundsys.mode_shape(forged, UNDAMPED, resolution=11)
 
 
 def test_mode_shape_rank_check_is_the_search_tolerance():
@@ -1672,7 +1719,7 @@ def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
             seen.clear()
             with monkeypatch.context() as m:
                 m.setattr(fundsys, "_normalized", spy)
-                shape = fundsys.mode_shape(point, dp, options=opts)
+                shape = fundsys.mode_shape(point, dp)
             if complex(point.q, point.omega) == last:
                 assert seen == [point.delta_value]
             else:
@@ -1695,7 +1742,7 @@ def test_mode_shape_resolution_only_sets_the_sampling():
     assert point.converged
     middle, end = [], []
     for resolution in (11, 101, 201):
-        shape = fundsys.mode_shape(point, REF, resolution, options=opts)
+        shape = fundsys.mode_shape(point, REF, resolution)
         half = (resolution - 1) // 2
         assert shape.grid[half] == 0.5
         middle.append(complex(shape.u1[half], shape.u2[half]))
@@ -1711,7 +1758,7 @@ def test_mode_shape_grid_is_one_read_only_array_per_resolution(
     # u1 and u2 stay each shape's own.
     for resolution in (2, 3, 64, 201, 1000, np.int64(201)):
         first, second = (fundsys.mode_shape(conservative_mode_one, UNDAMPED,
-                                            resolution, options=SHAPE_OPTS)
+                                            resolution)
                          for _ in range(2))
         assert second.grid is first.grid
         assert first.grid.tobytes() == np.linspace(0.0, 1.0,

@@ -83,17 +83,6 @@ def test_stability_verb_loads_neither_fundsys_nor_cmath(tmp_path):
         "cmath"]
 
 
-def test_solve_options_of_a_config_load_no_fundsys(tmp_path):
-    config = tmp_path / "run.ini"
-    config.write_text(README_CONFIG)
-    code = ("from barmodes import cli\n"
-            f"options = cli.load_config({str(config)!r}).solve_options()\n"
-            "assert options == (0.0005, 8), options\n")
-    assert loaded_after(code) == ["barmodes", "barmodes.asymptotic",
-                                  "barmodes.cli", "barmodes.conservative",
-                                  "barmodes.params"]
-
-
 @pytest.mark.parametrize("code", [
     "import barmodes\nbarmodes.fundsys",
     "import barmodes\nfor name in dir(barmodes): getattr(barmodes, name)",
