@@ -36,8 +36,8 @@ step and a subinterval count (what SolveOptions holds), is what
 :func:`integrate_fundamental` (the propagator a*I + b*A of [0, 1] as the
 complex pair (a, b)) and :func:`delta_subdivided` (its normalized
 determinant) build for acceptance criteria 9 and 10;
-:func:`boundary_coefficients` gives the real form D1..D4 of the residual
-kernel's P and Q.
+:func:`boundary_coefficients` gives the real form D1..D4 of the
+residual's P and Q.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ from .params import (
     DEFAULT_STEP,
     DEFAULT_SUBINTERVALS,
     STABILITY_EDGE,
-    DimensionlessParams,
     SolveOptions,
 )
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .params import DimensionlessParams
 
 OVERFLOW_LIMIT = 1e150
 CONVERGED_TOL = 1e-12         # normalized determinant of a converged search
@@ -139,22 +140,24 @@ def rhs_coefficients(q: float, omega: float, eps1: float) -> complex:
 
 
 def _row_coefficients(dp: DimensionlessParams) -> tuple[float, ...]:
-    """(eta, eta*delta, a1, a2, a3) of the end-mass row P*u(1) + Q*u'(1):
+    """(eps1, mu, eta, eta*delta, a1, a2, a3, 2*eta, 2*a2, 3*a3), what
+    :func:`_residual` reads of dp: the end-mass row P*u(1) + Q*u'(1) has
     P(s) = s^2*(eta + eta*delta*(nu + mu)*s) and
-    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3."""
+    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3.  nu is not in it."""
     eps1, eta, mu, delta = dp.eps1, dp.eta, dp.mu, dp.delta
-    return (eta, eta * delta, eps1 + mu * delta, delta * (eta + eps1 * mu),
-            eps1 * eta * delta)
+    a2, a3 = delta * (eta + eps1 * mu), eps1 * eta * delta
+    return (eps1, mu, eta, eta * delta, eps1 + mu * delta, a2, a3,
+            2.0 * eta, 2.0 * a2, 3.0 * a3)
 
 
 def boundary_coefficients(q: float, omega: float,
                           dp: DimensionlessParams) -> BoundaryCoefficients:
     """The end-mass boundary polynomials at s = q + i*omega in real form:
     D1 = Re P, D2 = -Im P, D3 = Re Q and D4 = -Im Q, with P and Q evaluated
-    as the residual kernel of :func:`find_eigenvalue` evaluates them."""
-    eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
+    as :func:`_residual` evaluates them."""
+    _, mu, eta, eta_delta, a1, a2, a3, *_ = _row_coefficients(dp)
     s = complex(q, omega)
-    P = (eta + eta_delta * (dp.nu + dp.mu) * s) * s * s
+    P = (eta + eta_delta * (dp.nu + mu) * s) * s * s
     Q = 1.0 + s * (a1 + s * (a2 + a3 * s))
     return BoundaryCoefficients(D1=P.real, D2=-P.imag, D3=Q.real, D4=-Q.imag)
 
@@ -270,21 +273,18 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     return _propagator_at(q, omega, dp.eps1, _step_count(1, step))[1:]
 
 
-def _kernel_of(dp: DimensionlessParams):
-    """(s, nu, built) -> (f, f', (P, Q, u, u')) of the end-mass residual at
-    s and the feedback gain nu, on built, the (r, a, b) of
-    :func:`_propagator_at` at s that the caller builds: exp(A) for a
-    search or a mode profile, the RK4 system for :func:`delta_subdivided`.
+def _residual(row: tuple[float, ...], s: complex, nu: float,
+              built: tuple[complex, ...]) -> tuple[complex, ...]:
+    """(f, f', (P, Q, u, u')) of the end-mass residual at s and the
+    feedback gain nu, on row, the :func:`_row_coefficients` of the other
+    groups, and built, the (r, a, b) of :func:`_propagator_at` at s that
+    the caller builds: exp(A) for a search or a mode profile, the RK4
+    system for :func:`delta_subdivided`.
 
-    Built once per :func:`sweep_feedback` call, once per entry of
-    :func:`_search_kernel` for direct :func:`find_eigenvalue` calls, and
-    once per :func:`delta_subdivided` call or mode profile, it takes from
-    :func:`_row_coefficients` the coefficients of
     P(s) = D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s) and
-    Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3 coefficient
-    p3 = eta*delta*(nu + mu) of P depends on nu, and it is formed at each
-    evaluation, so one kernel serves every nu: its value at nu is bit for
-    bit the value of the kernel built for replace(dp, nu=nu).
+    Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3
+    coefficient p3 = eta*delta*(nu + mu) of P depends on nu, and it is
+    formed at each evaluation, so one row serves every nu.
     f = P*u(1) + Q*u'(1) is the end-mass row on solution 3 (u = 0, u' = 1
     at x = 0), whose end state (u, u') = (u(1), u'(1)) is the column (b, a)
     of the [0, 1] propagator.  f' is the slope of the continuous system's
@@ -293,33 +293,16 @@ def _kernel_of(dp: DimensionlessParams):
     four factors of the bound of |f| that :func:`_normalized` forms, once
     per search.
     """
-    eps1, mu = dp.eps1, dp.mu
-    eta, eta_delta, a1, a2, a3 = _row_coefficients(dp)
-    eta2, a22, a33 = 2.0 * eta, 2.0 * a2, 3.0 * a3
-
-    def residual(s: complex, nu: float,
-                 built: tuple[complex, ...]) -> tuple[complex, ...]:
-        _, du, u = built
-        p3 = eta_delta * (nu + mu)
-        Ps = eta + p3 * s                     # P / s^2
-        P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
-        dP, dQ = s * (eta2 + 3.0 * p3 * s), a1 + s * (a22 + a33 * s)
-        den = 1.0 + eps1 * s
-        g = s * (2.0 + eps1 * s) / (2.0 * den)  # s^2 * K'/(2K)
-        df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
-        return P * u + Q * du, df, (P, Q, u, du)
-
-    return residual
-
-
-@functools.lru_cache(maxsize=8, typed=True)
-def _search_kernel(eps1: float, mu: float, eta: float, delta: float):
-    """The kernel of the groups other than nu, which a search passes at
-    each evaluation: one kernel serves every direct
-    :func:`find_eigenvalue` call on these groups, as in a bisection in nu.
-    Keys are typed: an int, a float and an np.float64 group that compare
-    equal compute differently in the kernel, so each gets its own."""
-    return _kernel_of(DimensionlessParams(eps1, mu, 0.0, eta, delta))
+    eps1, mu, eta, eta_delta, a1, a2, a3, eta2, a22, a33 = row
+    _, du, u = built
+    p3 = eta_delta * (nu + mu)
+    Ps = eta + p3 * s                     # P / s^2
+    P, Q = Ps * s * s, 1.0 + s * (a1 + s * (a2 + a3 * s))
+    dP, dQ = s * (eta2 + 3.0 * p3 * s), a1 + s * (a22 + a33 * s)
+    den = 1.0 + eps1 * s
+    g = s * (2.0 + eps1 * s) / (2.0 * den)  # s^2 * K'/(2K)
+    df = dP * u + dQ * du + g * (Ps * (du - u) + Q * u / den)
+    return P * u + Q * du, df, (P, Q, u, du)
 
 
 def _normalized(f: complex, bound: tuple[complex, ...]) -> float:
@@ -350,18 +333,20 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     power; only that product is built and overflow-checked (OverflowError).
     Each subinterval takes the fewest equal steps no longer than step, so
     [0, 1] is covered by n times that many equal steps, and n = 1 is a
-    single-interval integration of [0, 1].  Raises ValueError for an n
+    single-interval integration of [0, 1].  Its :func:`_residual` is on the
+    row of dp, formed once per call.  Raises ValueError for an n
     that is not an integer of at least 1, a step that is not positive and
     a step so small that the step count, about 1/step, is not finite.
     """
     built = _propagator_at(q, omega, dp.eps1, _step_count(n, step))
-    f, _, bound = _kernel_of(dp)(complex(q, omega), dp.nu, built)
+    f, _, bound = _residual(_row_coefficients(dp), complex(q, omega), dp.nu,
+                            built)
     return _normalized(f, bound)
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
                     options: SolveOptions | None = None, *,
-                    _kernel=None) -> SpectralPoint:
+                    _row=None) -> SpectralPoint:
     """Locate an eigenvalue near the seed as a zero of the boundary residual.
 
     The residual f(s) = P*u(1) + Q*u'(1) of the continuous fundamental
@@ -402,21 +387,15 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     checked: a search has no step.  The slot stays for callers that pass
     SolveOptions to it.
 
-    ``_kernel`` is private to :func:`sweep_feedback`: a pair (residual, nu)
-    of a kernel that :func:`_kernel_of` built from dp, and the feedback
-    gain to evaluate it at in place of dp.nu.  Without it, the kernel comes
-    from :func:`_search_kernel`; a zero group, whose sign the kernel's
-    values carry but a key does not, gets a kernel of its own.
+    ``_row`` is private to :func:`sweep_feedback`: a pair (row, nu) of the
+    :func:`_row_coefficients` of dp and the feedback gain to evaluate the
+    residual at in place of dp.nu.  Without it, the search forms the row
+    of dp, once, after the seed check.
     """
     s = last = complex(seed.q, seed.omega)
     if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
-    if _kernel is None:
-        key = (dp.eps1, dp.mu, dp.eta, dp.delta)
-        residual = _kernel_of(dp) if 0.0 in key else _search_kernel(*key)
-        nu = dp.nu
-    else:
-        residual, nu = _kernel
+    row, nu = (_row_coefficients(dp), dp.nu) if _row is None else _row
     eps1 = dp.eps1
 
     omega0 = s.imag
@@ -425,8 +404,8 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     settled = False
     try:
         for _ in range(MAX_ITERATIONS):
-            f, df, bound = residual(s, nu, _propagator_at(s.real, s.imag,
-                                                          eps1))
+            f, df, bound = _residual(row, s, nu,
+                                     _propagator_at(s.real, s.imag, eps1))
             last, value = s, None
             ds = f / df   # 0 where f vanishes: a step of 0 settles
             s = s - ds
@@ -506,14 +485,17 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
                   resolution: int) -> tuple[list[float], list[complex]]:
     """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads q, omega and
     converged of point only, so a SweepRow at nu = dp.nu serves as well (at
-    another nu, the rank check fails).  Raises as mode_shape does."""
+    another nu, the rank check fails).  The rank check's :func:`_residual`
+    is on the row of dp, formed once per call.  Raises as mode_shape
+    does."""
     resolution = conservative._count(resolution, 2, "resolution")
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
     # One exp(A) propagator serves the rank check and the profile.
     built = _propagator_at(point.q, point.omega, dp.eps1)
-    f, _, bound = _kernel_of(dp)(complex(point.q, point.omega), dp.nu, built)
+    f, _, bound = _residual(_row_coefficients(dp),
+                            complex(point.q, point.omega), dp.nu, built)
     dhat = _normalized(f, bound)
     if not dhat < CONVERGED_TOL:
         from numpy.linalg import LinAlgError
@@ -552,7 +534,7 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
     """Track eigenvalues of the requested modes across an ascending nu grid.
 
     dp.nu is ignored; each grid value replaces it.  The residual is affine
-    in nu, so one residual kernel serves the whole sweep, and each row is
+    in nu, so the sweep forms one coefficient row of dp, and each row is
     one :func:`find_eigenvalue` call on it at the row's nu.  This is the one
     place that turns an undamped frequency into a search: a one-point grid
     [dp.nu] is the single search of each mode at dp.  Mode k starts from
@@ -602,7 +584,7 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             f"only {len(roots)} undamped frequencies below omega_max={omega_max:g}; "
             f"mode {max(modes)} requested")
 
-    kernel = _kernel_of(dp)
+    row = _row_coefficients(dp)
     first = replace(dp, nu=nu_values[0])
     seeds = []
     for mode in modes:
@@ -629,7 +611,7 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
                 if s.imag > 0.0:   # else the predecessor's eigenvalue
                     seeds[k] = SpectralPoint(q=s.real, omega=s.imag)
             # The module global, so that a wrapper of it sees every row.
-            point = find_eigenvalue(dp, seeds[k], _kernel=(kernel, nu))
+            point = find_eigenvalue(dp, seeds[k], _row=(row, nu))
             seeds[k] = point
             s = complex(point.q, point.omega)
             # |s - conj(s)| = 2*omega: a root repeating its conjugate is real.

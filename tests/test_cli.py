@@ -1084,7 +1084,7 @@ def test_sweep_searches_settle_at_the_rounding_floor(tmp_path, monkeypatch):
     def recording(*args, **kwargs):
         evaluations.append(0)
         point = search(*args, **kwargs)
-        searches.append((kwargs["_kernel"][1], point))
+        searches.append((kwargs["_row"][1], point))
         return point
 
     monkeypatch.setattr(fundsys, "rhs_coefficients", counting)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -82,15 +83,15 @@ def nelder_mead_eigenvalue(dp, seed):
 
 
 def kernel_on(dp, count):
-    """The residual kernel of dp, building its propagator at each
-    evaluation: count equal RK4 steps, as delta_subdivided builds it, or
-    exp(A) for None, as a search builds it.  (s, nu=dp.nu) ->
+    """The residual of dp on its coefficient row, building its propagator
+    at each evaluation: count equal RK4 steps, as delta_subdivided builds
+    it, or exp(A) for None, as a search builds it.  (s, nu=dp.nu) ->
     (f, f', (P, Q, u, u'))."""
-    kernel = fundsys._kernel_of(dp)
+    row = fundsys._row_coefficients(dp)
 
     def residual(s, nu=dp.nu):
-        return kernel(s, nu, fundsys._propagator_at(s.real, s.imag, dp.eps1,
-                                                    count))
+        return fundsys._residual(row, s, nu, fundsys._propagator_at(
+            s.real, s.imag, dp.eps1, count))
 
     return residual
 
@@ -137,10 +138,10 @@ def kernel_end_state(monkeypatch, dp, s, n, step):
 
 
 def kernel_polynomials(dp, s):
-    """(P(s), Q(s)) as the residual kernel evaluates them: its residual
-    P*u + Q*u' on an end state (u, u') of (1, 0), then (0, 1)."""
-    kernel = fundsys._kernel_of(dp)
-    return [kernel(s, dp.nu, (None, a, b))[0]
+    """(P(s), Q(s)) as the residual evaluates them: P*u + Q*u' on an end
+    state (u, u') of (1, 0), then (0, 1)."""
+    row = fundsys._row_coefficients(dp)
+    return [fundsys._residual(row, s, dp.nu, (None, a, b))[0]
             for a, b in ((0j, 1 + 0j), (1 + 0j, 0j))]
 
 
@@ -183,8 +184,8 @@ def seed_omega(dp, w0):
 
 
 def reference_sweep(dp, nu_values, modes, omega_max, opts):
-    """The per-row nu sweep that one nu-kernel per sweep replaced, kept as
-    a cross-check: a replace(dp, nu=...) and a fresh search kernel per row,
+    """The per-row nu sweep that one coefficient row per sweep replaced,
+    kept as a cross-check: a direct search on replace(dp, nu=...) per row,
     seeds from a Lagrange extrapolation through up to three converged rows
     at distinct nu, else from the previous row.  Mode by mode, then laid
     out grid position by grid position, modes in the order given; no
@@ -789,9 +790,10 @@ def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
 @pytest.mark.parametrize("step", [1.0 / 2000.0, 0.01])
 @pytest.mark.parametrize("n", [1, 8])
 def test_residual_kernel_takes_nu_as_an_argument(monkeypatch, n, step):
-    # One kernel evaluated at nu is bit for bit the kernel built for
-    # replace(dp, nu=nu), and f is affine in nu: only P's s^3 coefficient
-    # eta*delta*(nu + mu) moves, so f(s; nu) - f(s; 0) = nu*eta*delta*s^3*u(1).
+    # The residual on dp's row at nu is bit for bit the residual on the
+    # row of replace(dp, nu=nu), and f is affine in nu: only P's s^3
+    # coefficient eta*delta*(nu + mu) moves, so
+    # f(s; nu) - f(s; 0) = nu*eta*delta*s^3*u(1).
     # The gap is measured against the bound scale of |f|, because f(nu) -
     # f(0) cancels digits when nu*delta*|s| is small.
     rng = np.random.default_rng(39 + n)
@@ -1339,43 +1341,96 @@ def test_searches_sweeps_and_profiles_check_no_step_count(monkeypatch):
         fundsys.delta_subdivided(point.q, point.omega, REF)
 
 
-def test_direct_searches_share_one_kernel(monkeypatch):
-    # A bisection in nu calls find_eigenvalue without a kernel; the calls
-    # share one, built for the groups other than nu whatever the options,
-    # and answer bit for bit as a search on a freshly built kernel does,
-    # with options the RK4 system rejects too.  A zero group, whose sign
-    # the kernel's values carry but 0.0 == -0.0 hides from a key, gets a
-    # kernel of its own every time.
-    builds = []
-    build = fundsys._kernel_of
+def test_direct_searches_form_their_own_row(monkeypatch):
+    # A bisection in nu calls find_eigenvalue without a row; each call
+    # forms the row of its own dp, once, whatever the options, with
+    # options the RK4 system rejects too, and answers bit for bit as the
+    # sweep path's call on REF's row at that nu does.  Nothing is shared
+    # between calls, so a -0.0 group keeps its sign in its call's row.
+    rows = []
+    form = fundsys._row_coefficients
 
-    def counting(*args):
-        builds.append(args)
-        return build(*args)
+    def counting(dp):
+        rows.append(form(dp))
+        return rows[-1]
 
-    monkeypatch.setattr(fundsys, "_kernel_of", counting)
-    fundsys._search_kernel.cache_clear()
-    opts = fundsys.SolveOptions()
+    monkeypatch.setattr(fundsys, "_row_coefficients", counting)
     seed = asymptotic_seeds(REF, 1)[0]
     for nu in (0.0, 0.025, 0.0125, 0.01875, 0.05):
         dp = replace(REF, nu=nu)
-        point = fundsys.find_eigenvalue(dp, seed, opts)
-        fresh = fundsys.find_eigenvalue(dp, seed, opts,
-                                        _kernel=(build(dp), nu))
-        assert repr(point) == repr(fresh)
-        assert repr(point) == repr(fundsys.find_eigenvalue(
-            dp, seed, fundsys.SolveOptions(step=0.01, subintervals=3)))
+        swept = fundsys.find_eigenvalue(REF, seed, _row=(form(REF), nu))
+        for options in ((), (fundsys.SolveOptions(),),
+                        (fundsys.SolveOptions(subintervals=8.0),),
+                        (fundsys.SolveOptions(step=0.01, subintervals=3),)):
+            rows.clear()
+            point = fundsys.find_eigenvalue(dp, seed, *options)
+            assert rows == [form(dp)]
+            assert repr(point) == repr(swept)
         seed = point
-    assert repr(fundsys.find_eigenvalue(
-        REF, seed, opts._replace(subintervals=8.0))) == repr(
-        fundsys.find_eigenvalue(REF, seed))
-    assert len(builds) == 1
     for mu in (0.0, -0.0, 0.0):
-        builds.clear()
+        rows.clear()
         assert fundsys.find_eigenvalue(replace(REF, mu=mu), seed).converged
-        assert [args[0].mu for args in builds] == [mu]
-        assert math.copysign(1.0, builds[0][0].mu) == math.copysign(1.0, mu)
-    assert fundsys._search_kernel.cache_info().currsize == 1
+        assert [row[1] for row in rows] == [mu]
+        assert math.copysign(1.0, rows[0][1]) == math.copysign(1.0, mu)
+
+
+# Direct searches, one-point sweeps and mode shapes on REF and on REF with
+# an int, an np.float64 and a -0.0 group, as reprs and bytes;
+# answers(order) makes the calls of CALLS in that order.
+TYPED_GROUP_CALLS = """
+from dataclasses import replace
+
+import numpy as np
+
+from barmodes import asymptotic, conservative, fundsys
+from barmodes.params import DimensionlessParams
+
+REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
+SETS = [REF, replace(REF, eta=7), replace(REF, eps1=np.float64(0.005)),
+        replace(REF, mu=-0.0)]
+
+
+def search(dp):
+    root = conservative.find_roots(dp, 20.0, max_count=2)[1].omega
+    seed = fundsys.SpectralPoint(
+        q=asymptotic.corrected_eigenvalue(root, dp).q, omega=root)
+    return fundsys.find_eigenvalue(dp, seed)
+
+
+def shape(dp):
+    shape = fundsys.mode_shape(search(dp), dp)
+    return (shape.u1.tobytes() + shape.u2.tobytes()).hex()
+
+
+def sweep(dp):
+    return repr(fundsys.sweep_feedback(dp, [dp.nu], modes=(1, 2)))
+
+
+CALLS = [(call, dp) for dp in SETS
+         for call in (lambda dp: repr(search(dp)), sweep, shape)]
+
+
+def answers(order):
+    return [CALLS[i][0](CALLS[i][1]) for i in order]
+"""
+
+
+def test_typed_groups_answer_as_they_do_alone():
+    # An int, an np.float64 and a -0.0 group compute with their own types
+    # and signs, so no call may reuse what a call on other groups formed:
+    # the calls interleaved here answer bit for bit, and in the same types
+    # (repr), as the same calls run in reverse order in a fresh
+    # interpreter, where an np.float64 set comes before REF.
+    src = str(Path(barmodes.__file__).resolve().parents[1])
+    code = (TYPED_GROUP_CALLS + "import json\n"
+            "print(json.dumps(answers(reversed(range(len(CALLS))))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    namespace = {}
+    exec(TYPED_GROUP_CALLS, namespace)
+    interleaved = namespace["answers"](range(len(namespace["CALLS"])))
+    assert interleaved == json.loads(proc.stdout)[::-1]
 
 
 @pytest.mark.parametrize("q, omega", [(np.nan, 0.35), (-0.01, np.inf)])
@@ -1850,7 +1905,7 @@ def test_sweep_feedback_rejects_non_finite_grid(monkeypatch, nu_values):
 
 @pytest.mark.parametrize("opts", [fundsys.SolveOptions(), FAST])
 def test_sweep_feedback_matches_the_per_row_sweep(opts):
-    # One nu-kernel per sweep, the unrolled extrapolation and the result
+    # One coefficient row per sweep, the unrolled extrapolation and the result
     # reused as the next seed change no bit of any row.
     rng = np.random.default_rng(40)
     grids = ([0.005 * i for i in range(21)], [0.0, 0.01, 0.01, 0.02, 0.1])
@@ -1865,27 +1920,27 @@ def test_sweep_feedback_matches_the_per_row_sweep(opts):
 
 def test_sweep_feedback_makes_one_search_call_per_row(monkeypatch):
     # A wrapper of the module global find_eigenvalue sees every row as one
-    # call with dp and the seed positional, and the sweep builds one
-    # residual kernel in all, not one per row or per mode.
-    searches, kernels = [], []
-    search, build = fundsys.find_eigenvalue, fundsys._kernel_of
+    # call with dp and the seed positional, and the sweep forms one
+    # coefficient row in all, not one per row or per mode.
+    searches, formed = [], []
+    search, form = fundsys.find_eigenvalue, fundsys._row_coefficients
 
     def counting_search(*args, **kwargs):
         searches.append(args)
         return search(*args, **kwargs)
 
-    def counting_build(*args):
-        kernels.append(args)
-        return build(*args)
+    def counting_form(*args):
+        formed.append(args)
+        return form(*args)
 
     monkeypatch.setattr(fundsys, "find_eigenvalue", counting_search)
-    monkeypatch.setattr(fundsys, "_kernel_of", counting_build)
+    monkeypatch.setattr(fundsys, "_row_coefficients", counting_form)
     nu_grid = [0.005 * i for i in range(21)]
     rows = fundsys.sweep_feedback(REF, nu_grid, modes=(1, 2), options=FAST)
     assert len(rows) == len(searches) == 42
     assert all(args[0] is REF and isinstance(args[1], fundsys.SpectralPoint)
                for args in searches)
-    assert kernels == [(REF,)]
+    assert formed == [(REF,)]
 
 
 # Outside small dissipation, with mode 2 aperiodic: both searches of modes 1
