@@ -1,14 +1,16 @@
 """Eigenvalue and stability toolkit for a damped elastic bar whose free end
 carries a mass under spring, damper and velocity-feedback forces.
 
-Three solver families are provided:
+Four solver modules are provided:
 
 * ``conservative`` — real eigenfrequencies of the undamped limit;
 * ``asymptotic`` — first-order complex-eigenvalue corrections and the
   self-excitation condition in closed form;
 * ``fundsys`` — fully numerical complex eigenvalues via normal fundamental
   systems of solutions and a Newton search for the zeros of the boundary
-  residual.
+  residual;
+* ``rk4`` — the paper's RK4 discretisation of that system, which no search
+  loads.
 
 ``params`` holds the physical and dimensionless parameter sets, and ``cli``
 ties the solvers together behind the ``barmodes`` command.
@@ -16,12 +18,13 @@ ties the solvers together behind the ``barmodes`` command.
 Importing the package loads none of them: each submodule is imported on
 first access (``barmodes.fundsys``, ``from barmodes import fundsys``), and
 loads only the modules it uses.  ``conservative`` and ``asymptotic`` import
-no other submodule, and the ``stability`` verb never loads ``fundsys``.
+no other submodule, the ``stability`` verb never loads ``fundsys``, and no
+verb loads ``rk4``.
 """
 
 import sys
 
-__all__ = ["asymptotic", "conservative", "fundsys", "params"]
+__all__ = ["asymptotic", "conservative", "fundsys", "params", "rk4"]
 
 __version__ = "0.1.0"
 

@@ -62,15 +62,16 @@ def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]
     return chi, slope
 
 
-def _refine(lo: float, hi: float, dp: DimensionlessParams) -> float:
-    """The root of chi in a sign-change bracket: Newton steps from the
-    midpoint, with a bisection of the shrinking bracket in place of any
-    step that would leave it.  The first bracket starts at 0, and there
-    Newton starts from the small-frequency root 1/sqrt(c) of
-    chi ~ -1 + c*w^2, c = eta*(1 + delta) + 1/2, when that is lower: for a
-    huge mass ratio the root sits near 0, and from the midpoint Newton and
-    bisection would only halve their way down to it."""
-    chi_lo = _chi_and_slope(lo, dp)[0]
+def _refine(lo: float, chi_lo: float, hi: float,
+            dp: DimensionlessParams) -> float:
+    """The root of chi in a sign-change bracket [lo, hi], where chi(lo) is
+    chi_lo, the branch walk's value: Newton steps from the midpoint, with a
+    bisection of the shrinking bracket in place of any step that would
+    leave it.  The first bracket starts at 0, and there Newton starts from
+    the small-frequency root 1/sqrt(c) of chi ~ -1 + c*w^2,
+    c = eta*(1 + delta) + 1/2, when that is lower: for a huge mass ratio
+    the root sits near 0, and from the midpoint Newton and bisection would
+    only halve their way down to it."""
     x = 0.5 * (lo + hi)
     if lo == 0.0:
         x = min(x, 1.0 / math.sqrt(dp.eta * (1.0 + dp.delta) + 0.5))
@@ -130,7 +131,7 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
         if chi_hi == 0.0:
             roots.append(hi)
         elif chi_lo * chi_hi < 0.0:
-            roots.append(_refine(lo, hi, dp))
+            roots.append(_refine(lo, chi_lo, hi, dp))
         lo, chi_lo = hi, chi_hi
         k += 1
     return [ConservativeRoot(omega=w, index=i + 1) for i, w in enumerate(roots)]

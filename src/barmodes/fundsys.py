@@ -17,25 +17,8 @@ Delta(omega, q) = |f|^2 vanishes exactly at eigenvalues.  f is analytic in
 s (D1..D4 are polynomials in s), so eigenvalues are located as its zeros
 by Newton's method from a seed, with the exact slope; the normalized Delta
 then certifies the answer.  Every search, sweep and mode profile solves
-this continuous system and reads no step.
-
-The paper's discretised system replaces exp(A) by N equal classical RK4
-steps, each exactly (1 + e)*I + b*A with z = h^2*K, e = z/2 + z^2/24 and
-b = h*(1 + z/6).  Its eigenvalues on the eigenvectors of A are
-1 + e +- b*sqrt(K), so it equals exp(l*I + t*A/sqrt(K)) with
-l +- t = log1p(e +- b*sqrt(K)).  All such exponentials commute: the N
-equal steps that cover [0, 1] (n subintervals, each of the fewest steps
-no longer than the requested one) multiply one step's exponents by N, and
-the propagator is exp(L)*(cosh(T)*I + sinh(T)*A/sqrt(K)), a handful of
-complex function calls whatever the step count.  With w = h*sqrt(K),
-N*t = sqrt(K)*(1 - w^4/120 + ...) and N*l is O(N*w^6), so for |w| below
-(120*2^-53)^(1/4) ~ 3.4e-4 (at the default step of 1e-6, every mode below
-omega ~ 340) the N steps are exp(A) to rounding, and the exponents are
-taken as (0, sqrt(K)) without the two logarithms.  The RK4 system, of a
-step and a subinterval count (what SolveOptions holds), is what
-:func:`integrate_fundamental` (the propagator a*I + b*A of [0, 1] as the
-complex pair (a, b)) and :func:`delta_subdivided` (its normalized
-determinant) build for acceptance criteria 9 and 10;
+this continuous system and reads no step.  The paper's RK4 discretisation
+of it, which no search loads, is in :mod:`barmodes.rk4`.
 :func:`boundary_coefficients` gives the real form D1..D4 of the
 residual's P and Q.
 """
@@ -52,14 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import asymptotic, conservative
 # params defines the defaults and SolveOptions, so that the CLI reads the
 # defaults without compiling this module; they are fundsys's names too.
-from .params import (
-    DEFAULT_OMEGA_MAX,
-    DEFAULT_RESOLUTION,
-    DEFAULT_STEP,
-    DEFAULT_SUBINTERVALS,
-    STABILITY_EDGE,
-    SolveOptions,
-)
+from .params import DEFAULT_OMEGA_MAX, DEFAULT_RESOLUTION, SolveOptions
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,11 +53,6 @@ _NEWTON_RTOL = 1e-15   # stop once a Newton step is this small relative to |s|
 _FREE_RTOL = 1e-8      # a step this small from a converged evaluation is
                        # taken without evaluating its end
 _DUPLICATE_RTOL = 1e-8  # two modes' eigenvalues this close (relative) are one
-# N RK4 steps of w = h*sqrt(K) have the exponent T = N*t with
-# t = w - w^5/120 + O(w^7) and L = N*w^6/144 + O(w^8): T is r = sqrt(K)
-# to a relative w^4/120, which is below 2^-53 for |w| below this, and
-# exp(L) is 1 to rounding.  There the propagator is exp(A) itself.
-_EXACT_STEP = (120.0 * 2.0 ** -53) ** 0.25   # ~3.4e-4
 _OVERFLOW_MESSAGE = ("fundamental matrix entry exceeded 1e150: it leaves the "
                      "float range at this point and step")
 
@@ -143,8 +114,11 @@ def _row_coefficients(dp: DimensionlessParams) -> tuple[float, ...]:
     """(eps1, mu, eta, eta*delta, a1, a2, a3, 2*eta, 2*a2, 3*a3), what
     :func:`_residual` reads of dp: the end-mass row P*u(1) + Q*u'(1) has
     P(s) = s^2*(eta + eta*delta*(nu + mu)*s) and
-    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3.  nu is not in it."""
-    eps1, eta, mu, delta = dp.eps1, dp.eta, dp.mu, dp.delta
+    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3.  nu is not in it.  Each group is
+    read through float(), so an int or np.float64 group computes as its
+    float does."""
+    eps1, eta = float(dp.eps1), float(dp.eta)
+    mu, delta = float(dp.mu), float(dp.delta)
     a2, a3 = delta * (eta + eps1 * mu), eps1 * eta * delta
     return (eps1, mu, eta, eta * delta, eps1 + mu * delta, a2, a3,
             2.0 * eta, 2.0 * a2, 3.0 * a3)
@@ -157,91 +131,37 @@ def boundary_coefficients(q: float, omega: float,
     as :func:`_residual` evaluates them."""
     _, mu, eta, eta_delta, a1, a2, a3, *_ = _row_coefficients(dp)
     s = complex(q, omega)
-    P = (eta + eta_delta * (dp.nu + mu) * s) * s * s
+    P = (eta + eta_delta * (float(dp.nu) + mu) * s) * s * s
     Q = 1.0 + s * (a1 + s * (a2 + a3 * s))
     return BoundaryCoefficients(D1=P.real, D2=-P.imag, D3=Q.real, D4=-Q.imag)
 
 
-def _log1p(z: complex) -> complex:
-    # log(1 + z) without rounding 1 + z, whose small part carries a whole
-    # RK4 step; cmath has no log1p.  A zero 1 + z is a singular step.
-    x, y = z.real, z.imag
-    m = x * (2.0 + x) + y * y   # |1 + z|^2 - 1
-    if m <= -1.0:
-        raise ZeroDivisionError("singular RK4 step: its propagator has a zero "
-                                "eigenvalue")
-    return complex(0.5 * math.log1p(m), math.atan2(y, 1.0 + x))
-
-
-def _step_count(n: int, step: float) -> int:
-    """Equal RK4 steps over [0, 1]: n times the fewest no longer than step
-    in a 1/n-subinterval, with a relative 1e-12 for the rounding of
-    (1/n)/step.  Raises ValueError for an n that is not an integer of at
-    least 1, a step that is not positive, and a step so small (subnormal)
-    that the count is not finite."""
-    n = conservative._count(n, 1, "subinterval count")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    steps = 1.0 / n / step
-    if not math.isfinite(n * steps):
-        raise ValueError(f"step {step!r} is too small: length/step overflows")
-    return n * max(1, math.ceil(steps * (1.0 - 1e-12)))
-
-
-def _propagator_at(q: float, omega: float, eps1: float,
-                   count: int | None = None) -> tuple[complex, ...]:
-    """(r, a, b) of the [0, 1] propagator a*I + b*A at s = q + i*omega: of
-    the continuous system, exp(A), for count None, and otherwise of count
-    equal RK4 steps; r = sqrt(K), K = s^2/(1 + eps1*s), and at K = 0 it is
-    I + A.  exp(A) is a = cosh(r) and b = sinh(r)/r.
-
-    One classical Runge-Kutta step of length h = 1/count for y' = A y is
-    exactly multiplication by the degree-4 Taylor polynomial of exp(hA);
-    A^2 = K*I folds it into (1 + e)*I + b*A with z = h^2*K,
-    e = z/2 + z^2/24 and b = h*(1 + z/6).  Its eigenvalues on the
-    eigenvectors of A are 1 + e +- b*r, so it is exp(l*I + t*A/r) with
-    l +- t = log1p(e +- b*r).  Such exponentials commute, so the count
-    steps make exp(L*I + T*A/r), (L, T) = count*(l, t): a = exp(L)*cosh(T)
-    and b = exp(L)*sinh(T)/r.  Any branch of the logarithm or of r gives
-    the same propagator, because the exponents are only ever used times an
-    integer step count.  When |h*r| < _EXACT_STEP, count*(l, t) is (0, r)
-    to rounding, and the propagator is exp(A), without _log1p.  Where
-    exp(L) or cosh(T) leaves the float range but their product need not
-    (Re L << 0 < |Re T|), a and b come from the count-th powers
-    e^(L +- T) of the step's eigenvalues instead.
-
-    Raises as rhs_coefficients and _log1p do, and OverflowError when the
-    real or imaginary part of an entry of [[a, b], [b*K, a]] exceeds 1e150
-    or is not finite, and when a or b is 0, which only an underflow gives.
-    A modulus bounds both parts, so entries whose moduli sum to at most
-    1e150 pass without the part-by-part test.  An exponential that leaves
-    the float range inside cmath, or that cmath refuses at an infinite K,
-    raises the same 1e150 message.
-    """
+def _propagator_at(q: float, omega: float,
+                   eps1: float) -> tuple[complex, ...]:
+    """(r, a, b) of the [0, 1] propagator exp(A) = a*I + b*A at
+    s = q + i*omega: a = cosh(r) and b = sinh(r)/r, r = sqrt(K) (I + A at
+    K = 0).  Raises as rhs_coefficients and :func:`_checked` do, and with
+    the 1e150 message where cmath overflows or refuses an infinite K."""
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
     try:
-        if count is None or abs(w := 1.0 / count * r) < _EXACT_STEP:
-            a = cmath.cosh(r)
-            b = cmath.sinh(r) / r if r else 1 + 0j
-        else:   # here r != 0
-            z = w * w
-            e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
-            plus, minus = _log1p(e + bw), _log1p(e - bw)
-            L = count * (0.5 * (plus + minus))
-            T = count * (0.5 * (plus - minus))
-            try:
-                g = cmath.exp(L)
-                a = g * cmath.cosh(T)
-                b = g * cmath.sinh(T) / r
-            except OverflowError:   # Re L << 0 < |Re T|
-                up, down = cmath.exp(count * plus), cmath.exp(count * minus)
-                a = 0.5 * (up + down)
-                b = (up - down) / (2.0 * r)
+        a = cmath.cosh(r)
+        b = cmath.sinh(r) / r if r else 1 + 0j
     # cmath's bare 'math range error', and its 'math domain error' where K,
     # though s is finite, is not (s^2 overflows)
     except (OverflowError, ValueError):
         raise OverflowError(_OVERFLOW_MESSAGE) from None
+    return _checked(K, r, a, b)
+
+
+def _checked(K: complex, r: complex, a: complex,
+             b: complex) -> tuple[complex, ...]:
+    """(r, a, b) of a propagator a*I + b*A at K, once its entries are in
+    range.  Raises OverflowError when the real or imaginary part of an
+    entry of [[a, b], [b*K, a]] exceeds 1e150 or is not finite, and when a
+    or b is 0, which only an underflow gives.  A modulus bounds both
+    parts, so entries whose moduli sum to at most 1e150 pass without the
+    part-by-part test."""
     bK = b * K
     try:
         in_range = abs(a) + abs(b) + abs(bK) <= OVERFLOW_LIMIT and a and b
@@ -257,29 +177,13 @@ def _propagator_at(q: float, omega: float, eps1: float,
     return r, a, b
 
 
-def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
-                          step: float = DEFAULT_STEP) -> tuple[complex, complex]:
-    """Fundamental matrix of [0, 1] for identity initial data at x = 0.
-
-    Classical fourth-order integration in closed form, with the fewest
-    equal steps no longer than step; where a step times sqrt(K) is below
-    _EXACT_STEP (~3.4e-4), they equal exp(A) to rounding and exp(A) is
-    returned.  The result is the pair (a, b) of the complex propagator
-    a*I + b*A = [[a, b], [b*K, a]] acting on (u, u').
-    Raises OverflowError as :func:`_propagator_at` does, when an entry
-    leaves the float range at this point and step, and ValueError on a step
-    that :func:`_step_count` rejects.
-    """
-    return _propagator_at(q, omega, dp.eps1, _step_count(1, step))[1:]
-
-
 def _residual(row: tuple[float, ...], s: complex, nu: float,
               built: tuple[complex, ...]) -> tuple[complex, ...]:
     """(f, f', (P, Q, u, u')) of the end-mass residual at s and the
     feedback gain nu, on row, the :func:`_row_coefficients` of the other
-    groups, and built, the (r, a, b) of :func:`_propagator_at` at s that
-    the caller builds: exp(A) for a search or a mode profile, the RK4
-    system for :func:`delta_subdivided`.
+    groups, and built, the (r, a, b) of the propagator at s that the
+    caller builds: exp(A) (:func:`_propagator_at`) for a search or a mode
+    profile, the RK4 system (rk4._propagator) for rk4.delta_subdivided.
 
     P(s) = D1 - i*D2 = eta*s^2*(1 + delta*(nu + mu)*s) and
     Q(s) = D3 - i*D4 = 1 + a1*s + a2*s^2 + a3*s^3.  Only the s^3
@@ -315,33 +219,6 @@ def _normalized(f: complex, bound: tuple[complex, ...]) -> float:
     scale = math.hypot(abs(P), abs(Q)) * math.hypot(abs(u), abs(du))
     r = f / max(scale, _NORM_FLOOR)
     return r.real * r.real + r.imag * r.imag
-
-
-def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
-                     n: int = DEFAULT_SUBINTERVALS,
-                     step: float = DEFAULT_STEP) -> float:
-    """Normalized characteristic determinant of the paper's RK4 system with
-    [0, 1] split into n equal subintervals; non-negative, zero exactly at
-    its eigenvalues.  The eigenvalue search and the mode profile solve the
-    continuous system instead, whatever the step; this is the system that
-    acceptance criteria 9 and 10 check.
-
-    Each subinterval gets a fresh fundamental matrix from identity initial
-    data; matching values and derivatives at the junctions is exactly
-    multiplication of the per-subinterval matrices.  The coefficients do not
-    depend on x, so all n are the same matrix and the product is its n-th
-    power; only that product is built and overflow-checked (OverflowError).
-    Each subinterval takes the fewest equal steps no longer than step, so
-    [0, 1] is covered by n times that many equal steps, and n = 1 is a
-    single-interval integration of [0, 1].  Its :func:`_residual` is on the
-    row of dp, formed once per call.  Raises ValueError for an n
-    that is not an integer of at least 1, a step that is not positive and
-    a step so small that the step count, about 1/step, is not finite.
-    """
-    built = _propagator_at(q, omega, dp.eps1, _step_count(n, step))
-    f, _, bound = _residual(_row_coefficients(dp), complex(q, omega), dp.nu,
-                            built)
-    return _normalized(f, bound)
 
 
 def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
@@ -395,8 +272,8 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     s = last = complex(seed.q, seed.omega)
     if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
-    row, nu = (_row_coefficients(dp), dp.nu) if _row is None else _row
-    eps1 = dp.eps1
+    row, nu = (_row_coefficients(dp), float(dp.nu)) if _row is None else _row
+    eps1 = row[0]
 
     omega0 = s.imag
     value = math.nan   # Delta-hat at last: None until formed, NaN unevaluated
@@ -493,9 +370,10 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
         raise ValueError("mode_shape needs a converged SpectralPoint")
 
     # One exp(A) propagator serves the rank check and the profile.
-    built = _propagator_at(point.q, point.omega, dp.eps1)
-    f, _, bound = _residual(_row_coefficients(dp),
-                            complex(point.q, point.omega), dp.nu, built)
+    row = _row_coefficients(dp)
+    built = _propagator_at(point.q, point.omega, row[0])
+    f, _, bound = _residual(row, complex(point.q, point.omega), float(dp.nu),
+                            built)
     dhat = _normalized(f, bound)
     if not dhat < CONVERGED_TOL:
         from numpy.linalg import LinAlgError
@@ -595,7 +473,7 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             q0 = math.nan
         # Material damping alone gives s^2 = -w0^2*(1 + eps1*s), whose root
         # has omega = w0*sqrt(1 - (eps1*w0/2)^2) while eps1*w0 < 2.
-        e = dp.eps1 * w0
+        e = row[0] * w0
         seeds.append(SpectralPoint(
             q=q0 if math.isfinite(q0) else 0.0,
             omega=w0 * math.sqrt(1.0 - (0.5 * e) ** 2) if e < 2.0 else w0))
@@ -633,3 +511,12 @@ def sweep_feedback(dp: DimensionlessParams, nu_values, modes=(1, 2),
             else:
                 histories[k] = [(nu, s)]
     return rows
+
+
+def __getattr__(name):
+    # PEP 562: the two rk4 functions that bench/tracing.py wraps here.
+    # Nothing in src/ or tests/ reads them through this module.
+    if name in ("integrate_fundamental", "delta_subdivided"):
+        from . import rk4
+        return getattr(rk4, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,7 @@ The model is a longitudinally vibrating elastic bar, clamped at one end,
 carrying at the other end a mass that sits on a centering spring, a damper
 and a velocity-feedback actuator.  All solvers in this package work on the
 five dimensionless groups; this module holds both representations, the
-conversion between them, and the fundsys search's defaults and SolveOptions.
+conversion between them, and the solvers' defaults and SolveOptions.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from typing import NamedTuple
 # perturbation-based solvers lose their accuracy guarantees.
 SMALLNESS_LIMIT = 0.1
 
-# Defaults, limits and options of fundsys.  They live here, and fundsys
-# imports them, so that the CLI uses them without the solver.  The step
-# and subintervals set only the paper's RK4 system; no search reads them,
-# because every search solves the continuous one.  The propagator is built
-# in closed form, so the step count costs nothing; at this step the RK4
-# error, about 7.4e-3*(h*omega)^4 relative, lies below rounding for omega
-# up to about 340: there h*|sqrt(K)| is below fundsys._EXACT_STEP, and the
-# RK4 propagator is exp(A) without RK4's exponents.
+# Defaults, limits and options of fundsys and rk4.  They live here, so
+# that the CLI uses them without the solvers.  The step and subintervals
+# set only rk4's system; no search reads them, because every search solves
+# the continuous one.  The propagator is built in closed form, so the step
+# count costs nothing; at this step the RK4 error, about
+# 7.4e-3*(h*omega)^4 relative, lies below rounding for omega up to about
+# 340: there h*|sqrt(K)| is below rk4._EXACT_STEP, and the RK4 propagator
+# is exp(A) without RK4's exponents.
 DEFAULT_STEP = 1e-6
 DEFAULT_SUBINTERVALS = 8
 DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
@@ -35,12 +35,13 @@ STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
 
 class SolveOptions(NamedTuple):
     """The paper's RK4 discretisation of the fundamental system: the step
-    and the number of equal subintervals, which fundsys.integrate_fundamental
-    and fundsys.delta_subdivided build.  The defaults give N = 10^6 equal
-    steps over [0, 1], whose eigenvalues are the continuous ones to
-    rounding.  No search reads these options: the eigenvalue search, the
-    sweep and the mode shape solve the continuous system, whose propagator
-    is exp(A), and neither use nor check them."""
+    and the number of equal subintervals.  Nothing in the package reads a
+    SolveOptions: the search, the sweep and the mode shape take one and
+    neither use nor check it, as they solve the continuous system, whose
+    propagator is exp(A).  Its defaults, DEFAULT_STEP and
+    DEFAULT_SUBINTERVALS, are those of rk4.integrate_fundamental and
+    rk4.delta_subdivided and of the CLI; they give N = 10^6 equal steps
+    over [0, 1], whose eigenvalues are the continuous ones to rounding."""
 
     step: float = DEFAULT_STEP
     subintervals: int = DEFAULT_SUBINTERVALS

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from barmodes import asymptotic, conservative, fundsys
+from barmodes import asymptotic, conservative, fundsys, rk4
 from barmodes.params import DimensionlessParams
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
@@ -150,7 +150,7 @@ def test_criterion_07_determinant_nonnegative():
     for _ in range(1000):
         q = rng.uniform(-1.0, 1.0)
         omega = rng.uniform(1e-6, 10.0)
-        lowest = min(lowest, fundsys.delta_subdivided(
+        lowest = min(lowest, rk4.delta_subdivided(
             q, omega, REF, n=PRODUCTION.subintervals, step=PRODUCTION.step))
     ok = lowest >= 0.0
     assert report(7, "normalized determinant non-negative at 1000 random"
@@ -159,9 +159,9 @@ def test_criterion_07_determinant_nonnegative():
 
 def test_criterion_08_conservative_limit_recovery():
     roots = conservative.find_roots(UNDAMPED, 10.0)
-    residual = max(fundsys.delta_subdivided(0.0, r.omega, UNDAMPED,
-                                            n=PRODUCTION.subintervals,
-                                            step=PRODUCTION.step)
+    residual = max(rk4.delta_subdivided(0.0, r.omega, UNDAMPED,
+                                        n=PRODUCTION.subintervals,
+                                        step=PRODUCTION.step)
                    for r in roots)
     worst = 0.0
     recovered = True
@@ -187,7 +187,7 @@ def test_criterion_09_integrator_against_harmonic_solution():
     K = fundsys.rhs_coefficients(0.0, omega, UNDAMPED.eps1)
 
     def error(step):
-        a, b = fundsys.integrate_fundamental(0.0, omega, UNDAMPED, step=step)
+        a, b = rk4.integrate_fundamental(0.0, omega, UNDAMPED, step=step)
         gaps = (a - c, b - s / omega, b * K + omega * s)
         return max(max(abs(g.real), abs(g.imag)) for g in gaps)
 
@@ -207,11 +207,10 @@ def test_criterion_10_subdivision_consistency():
     for _ in range(100):
         q = rng.uniform(-0.05, 0.05)
         omega = OMEGA_1 + rng.uniform(-0.05, 0.05)
-        base = fundsys.delta_subdivided(q, omega, REF, n=1,
-                                        step=PRODUCTION.step)
+        base = rk4.delta_subdivided(q, omega, REF, n=1, step=PRODUCTION.step)
         for n in (2, 4, 8):
-            dn = fundsys.delta_subdivided(q, omega, REF, n=n,
-                                          step=PRODUCTION.step)
+            dn = rk4.delta_subdivided(q, omega, REF, n=n,
+                                      step=PRODUCTION.step)
             worst = max(worst, abs(dn - base) / (1.0 + base))
     ok = worst < 1e-6
     assert report(10, "subdivided determinant consistent with the single-"

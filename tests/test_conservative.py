@@ -170,6 +170,23 @@ def test_find_roots_takes_an_exact_zero_at_an_edge(monkeypatch):
     assert [(r.index, r.omega) for r in roots] == [(1, 0.5 * np.pi), (2, 4.0)]
 
 
+def test_refine_reads_chi_at_the_bracket_start_from_the_walk(monkeypatch):
+    # The branch walk has chi at each edge, and each bracket's refinement
+    # takes chi(lo) from it: the 7 reference roots below omega = 20 cost 42
+    # evaluations of chi, one per root fewer than when each refinement
+    # evaluated chi(lo) again, and are the same roots bit for bit.
+    calls = []
+    original = conservative._chi_and_slope
+    monkeypatch.setattr(conservative, "_chi_and_slope",
+                        lambda w, dp: calls.append(w) or original(w, dp))
+    roots = find_roots(REF, 20.0)
+    assert len(calls) == 49 - 7
+    assert [r.omega.hex() for r in roots] == [
+        "0x1.69e2cc530bdf9p-2", "0x1.73d1088de2e28p+1", "0x1.71ca81968608dp+2",
+        "0x1.16f3467f110d3p+3", "0x1.76a50a9373752p+3", "0x1.d790fd1cd0df5p+3",
+        "0x1.1caeff61af294p+4"]
+
+
 def test_find_roots_matches_brentq_refinement():
     brentq = pytest.importorskip("scipy.optimize").brentq
     rng = np.random.default_rng(9)

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import barmodes
-from barmodes import asymptotic, conservative, fundsys
-from barmodes.params import DimensionlessParams, validate
+from barmodes import asymptotic, conservative, fundsys, rk4
+from barmodes.params import (DEFAULT_STEP, DEFAULT_SUBINTERVALS,
+                             STABILITY_EDGE, DimensionlessParams, validate)
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
 UNDAMPED = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
@@ -82,15 +83,22 @@ def nelder_mead_eigenvalue(dp, seed):
     return complex(*x0), float(result.fun)
 
 
+def propagator(q, omega, eps1, count=None):
+    """(r, a, b) of count equal RK4 steps, as delta_subdivided builds them,
+    or of exp(A) for None, as a search builds it."""
+    if count is None:
+        return fundsys._propagator_at(q, omega, eps1)
+    return rk4._propagator(q, omega, eps1, count)
+
+
 def kernel_on(dp, count):
     """The residual of dp on its coefficient row, building its propagator
-    at each evaluation: count equal RK4 steps, as delta_subdivided builds
-    it, or exp(A) for None, as a search builds it.  (s, nu=dp.nu) ->
-    (f, f', (P, Q, u, u'))."""
+    at each evaluation: count equal RK4 steps, or exp(A) for None.
+    (s, nu=dp.nu) -> (f, f', (P, Q, u, u'))."""
     row = fundsys._row_coefficients(dp)
 
     def residual(s, nu=dp.nu):
-        return fundsys._residual(row, s, nu, fundsys._propagator_at(
+        return fundsys._residual(row, s, nu, propagator(
             s.real, s.imag, dp.eps1, count))
 
     return residual
@@ -98,7 +106,7 @@ def kernel_on(dp, count):
 
 def rk4_kernel(dp, n, step):
     """kernel_on the RK4 system of n subintervals and this step."""
-    return kernel_on(dp, fundsys._step_count(n, step))
+    return kernel_on(dp, rk4._step_count(n, step))
 
 
 def exact_delta(dp, s):
@@ -121,17 +129,17 @@ def residual_bound(bound):
 
 
 def kernel_end_state(monkeypatch, dp, s, n, step):
-    """(u(1), u'(1)) of solution 3 as the residual kernel computes them: the
-    column (b, a) of the one propagator it builds."""
+    """(u(1), u'(1)) of solution 3 as the RK4 residual kernel computes
+    them: the column (b, a) of the one propagator it builds."""
     built = []
-    original = fundsys._propagator_at
+    original = rk4._propagator
 
     def recording(*args):
         built.append(original(*args))
         return built[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(fundsys, "_propagator_at", recording)
+        m.setattr(rk4, "_propagator", recording)
         rk4_kernel(dp, n, step)(s)
     *_, a, b = built[-1]
     return b, a
@@ -335,7 +343,7 @@ def paper_boundary_coefficients(q, omega, dp):
 def propagator_entries(q, omega, dp, *args, **kwargs):
     """(a, b, b*K): the distinct entries of the propagator [[a, b],
     [b*K, a]] whose pair (a, b) integrate_fundamental returns."""
-    a, b = fundsys.integrate_fundamental(q, omega, dp, *args, **kwargs)
+    a, b = rk4.integrate_fundamental(q, omega, dp, *args, **kwargs)
     return a, b, b * fundsys.rhs_coefficients(q, omega, dp.eps1)
 
 
@@ -488,7 +496,7 @@ def test_rhs_coefficients_rejects_non_finite_point(q, omega):
     with pytest.raises(ValueError):
         fundsys.rhs_coefficients(q, omega, 0.005)
     with pytest.raises(ValueError):
-        fundsys.delta_subdivided(q, omega, REF)
+        rk4.delta_subdivided(q, omega, REF)
 
 
 # -------------------------------------------------------- boundary coefficients
@@ -597,7 +605,7 @@ def test_delta_subdivided_matches_matrix_reference(n):
         omega = rng.uniform(0.01, 10)
         # 1/700 does not divide 1/8, so n = 8 takes equal steps of 1/704.
         step = rng.choice([1.0 / 2000.0, 1.0 / 700.0])
-        value = fundsys.delta_subdivided(q, omega, dp, n=n, step=step)
+        value = rk4.delta_subdivided(q, omega, dp, n=n, step=step)
         assert abs(value - reference_delta(q, omega, dp, n, step)) <= 1e-12
 
 
@@ -615,7 +623,7 @@ def test_integrator_non_dividing_step_lands_on_endpoint():
     # than it, count steps of 1/count that land exactly on x = 1.
     omega = 2.0
     for step in (0.0007, 0.003):
-        count = fundsys._step_count(1, step)
+        count = rk4._step_count(1, step)
         assert (count - 1) * step < 1.0 < count * step
         entries = propagator_entries(0.0, omega, UNDAMPED, step=step)
         assert entries == propagator_entries(0.0, omega, UNDAMPED,
@@ -638,19 +646,19 @@ def test_fundamental_determinant_is_one():
 
 def test_integrator_overflow_raises():
     with pytest.raises(OverflowError):
-        fundsys.integrate_fundamental(400.0, 1.0, UNDAMPED, step=1.0 / 500.0)
+        rk4.integrate_fundamental(400.0, 1.0, UNDAMPED, step=1.0 / 500.0)
 
 
-@pytest.mark.parametrize("step", [fundsys.DEFAULT_STEP, 1e-7])
+@pytest.mark.parametrize("step", [DEFAULT_STEP, 1e-7])
 def test_cmath_overflow_raises_the_modules_message(step):
     # At s = 5000 + i, |sqrt(K)| ~ 980: cosh overflows inside cmath, on the
     # RK4 branch at the default step and on exp(A) at step 1e-7.  It raised
     # cmath's bare 'math range error'.
     message = "^fundamental matrix entry exceeded 1e150"
     with pytest.raises(OverflowError, match=message):
-        fundsys.integrate_fundamental(5000.0, 1.0, REF, step)
+        rk4.integrate_fundamental(5000.0, 1.0, REF, step)
     with pytest.raises(OverflowError, match=message):
-        fundsys.delta_subdivided(5000.0, 1.0, REF, 1, step)
+        rk4.delta_subdivided(5000.0, 1.0, REF, 1, step)
 
 
 @pytest.mark.parametrize("count", [None, 8])
@@ -663,7 +671,7 @@ def test_non_finite_k_raises_the_modules_message(q, omega, eps1, count):
     assert not cmath.isfinite(fundsys.rhs_coefficients(q, omega, eps1))
     with pytest.raises(OverflowError,
                        match="^fundamental matrix entry exceeded 1e150"):
-        fundsys._propagator_at(q, omega, eps1, count)
+        propagator(q, omega, eps1, count)
 
 
 def test_integrator_underflow_raises():
@@ -671,7 +679,7 @@ def test_integrator_underflow_raises():
     # leave the float range: a zero u(1) makes the residual f = Q(s), whose
     # zeros searches reported as converged.
     with pytest.raises(OverflowError, match="underflow"):
-        fundsys.integrate_fundamental(0.0, 6000.0, UNDAMPED, step=2.0 / 6000.0)
+        rk4.integrate_fundamental(0.0, 6000.0, UNDAMPED, step=2.0 / 6000.0)
     # At omega ~ 1e-75 one step of 1e-300 has h*sqrt(K) below the float
     # range, which zeroed RK4's exponents; that step is exp(A) to rounding,
     # and the search finds the continuous eigenvalue.
@@ -692,7 +700,7 @@ def test_subinterval_shorter_than_rounding_slop_is_one_step():
     # 1/subintervals = 1e-15 used to be dropped as rounding of no full
     # steps: the propagator was the identity and the search converged on
     # a zero of Q(s), at omega = 1.195 for mode 1.
-    assert fundsys._step_count(10**15, fundsys.DEFAULT_STEP) == 10**15
+    assert rk4._step_count(10**15, DEFAULT_STEP) == 10**15
     seed = asymptotic_seeds(REF, 1)[0]
     point = fundsys.find_eigenvalue(
         REF, seed, fundsys.SolveOptions(subintervals=10**15))
@@ -711,23 +719,23 @@ def test_step_count_is_the_fewest_equal_steps_no_longer_than_step():
     rng = np.random.default_rng(23)
     for n in (1, 3, 8, 12, 10**6):
         for step in 10.0 ** rng.uniform(-7.0, 1.0, 500):
-            count = fundsys._step_count(n, step)
+            count = rk4._step_count(n, step)
             assert count % n == 0 and count >= n
             assert Fraction(1, count) <= Fraction(step)
             if count > n:
                 assert Fraction(1, count - n) > Fraction(step)
         for m in 10.0 ** rng.uniform(0.0, 11.0, 500):
             m = int(m)
-            assert fundsys._step_count(n, 1.0 / (n * m)) == n * m
+            assert rk4._step_count(n, 1.0 / (n * m)) == n * m
 
 
 def test_step_longer_than_a_subinterval_is_one_step():
     # A step of 1e160 made the unused full-step exponent NaN (0*inf): the
     # propagator raised OverflowError, and the search came back
     # unconverged with a NaN determinant.
-    one = fundsys.integrate_fundamental(0.0, 1.0, REF, step=1.0)
+    one = rk4.integrate_fundamental(0.0, 1.0, REF, step=1.0)
     for step in (3.0, 1e10, 1e160, 1e300):
-        assert fundsys.integrate_fundamental(0.0, 1.0, REF, step=step) == one
+        assert rk4.integrate_fundamental(0.0, 1.0, REF, step=step) == one
     seed = asymptotic_seeds(REF, 1)[0]
     point = fundsys.find_eigenvalue(
         REF, seed, fundsys.SolveOptions(step=1e160, subintervals=8))
@@ -784,7 +792,7 @@ def test_end_propagator_reaches_its_limit_at_zero(monkeypatch):
             u, du = kernel_end_state(monkeypatch, REF, s, n, step)
             assert abs(u - (1 + K / 6)) <= 1e-15
             assert abs(du - (1 + K / 2)) <= 1e-15
-    assert fundsys.integrate_fundamental(0.0, 0.0, REF) == (1, 1)
+    assert rk4.integrate_fundamental(0.0, 0.0, REF) == (1, 1)
 
 
 @pytest.mark.parametrize("step", [1.0 / 2000.0, 0.01])
@@ -819,14 +827,14 @@ def test_delta_vanishes_on_conservative_spectrum():
     roots = conservative.find_roots(UNDAMPED, omega_max=10.0)
     assert len(roots) >= 2
     for r in roots:
-        assert fundsys.delta_subdivided(0.0, r.omega, UNDAMPED, n=1,
-                                        step=1.0 / 2000.0) < 1e-10
+        assert rk4.delta_subdivided(0.0, r.omega, UNDAMPED, n=1,
+                                    step=1.0 / 2000.0) < 1e-10
 
 
 def test_delta_positive_off_spectrum():
     w1 = conservative.find_roots(UNDAMPED, omega_max=1.0)[0].omega
-    assert fundsys.delta_subdivided(0.3, w1, UNDAMPED, n=1,
-                                    step=1.0 / 1000.0) > 1e-4
+    assert rk4.delta_subdivided(0.3, w1, UNDAMPED, n=1,
+                                step=1.0 / 1000.0) > 1e-4
 
 
 def test_delta_nonnegative_at_random_points():
@@ -834,8 +842,8 @@ def test_delta_nonnegative_at_random_points():
     for _ in range(300):
         q = rng.uniform(-1, 1)
         omega = rng.uniform(1e-3, 10.0)
-        value = fundsys.delta_subdivided(q, omega, REF, n=1,
-                                         step=1.0 / 200.0)
+        value = rk4.delta_subdivided(q, omega, REF, n=1,
+                                     step=1.0 / 200.0)
         assert value >= 0.0
 
 
@@ -844,12 +852,12 @@ def test_delta_subdivided_single_interval_equals_basic():
     # [0, 1], normalized by its Cauchy-Schwarz bound: the same arithmetic,
     # so bitwise equal.
     for (q, omega) in ((0.0, OMEGA_1), (0.1, 2.0), (-0.3, 5.5)):
-        du, u = fundsys.integrate_fundamental(q, omega, REF, step=1.0 / 500.0)
+        du, u = rk4.integrate_fundamental(q, omega, REF, step=1.0 / 500.0)
         D = fundsys.boundary_coefficients(q, omega, REF)
         P, Q = complex(D.D1, -D.D2), complex(D.D3, -D.D4)
         r = (P * u + Q * du) / (math.hypot(abs(P), abs(Q))
                                 * math.hypot(abs(u), abs(du)))
-        value = fundsys.delta_subdivided(q, omega, REF, n=1, step=1.0 / 500.0)
+        value = rk4.delta_subdivided(q, omega, REF, n=1, step=1.0 / 500.0)
         assert value == r.real * r.real + r.imag * r.imag
 
 
@@ -858,9 +866,9 @@ def test_delta_subdivided_consistency():
     for _ in range(20):
         q = rng.uniform(-0.05, 0.05)
         omega = OMEGA_1 + rng.uniform(-0.05, 0.05)
-        d1 = fundsys.delta_subdivided(q, omega, REF, n=1, step=1.0 / 1000.0)
+        d1 = rk4.delta_subdivided(q, omega, REF, n=1, step=1.0 / 1000.0)
         for n in (2, 4, 8):
-            dn = fundsys.delta_subdivided(q, omega, REF, n=n, step=1.0 / 1000.0)
+            dn = rk4.delta_subdivided(q, omega, REF, n=n, step=1.0 / 1000.0)
             assert abs(dn - d1) / (1.0 + d1) < 1e-6
 
 
@@ -875,17 +883,17 @@ def test_delta_subdivided_composition_matches_oracle():
         ai, bi = complex(G[0, 0], G[1, 0]), complex(G[0, 2], G[1, 2])
         a, b = ai * a + bi * b * K, ai * b + bi * a
     assert a.real == pytest.approx(-1.0, abs=1e-8)
-    du, u = fundsys.integrate_fundamental(0.0, np.pi, UNDAMPED,
-                                          step=1.0 / 2000.0)
+    du, u = rk4.integrate_fundamental(0.0, np.pi, UNDAMPED,
+                                      step=1.0 / 2000.0)
     assert abs(a - du) <= 1e-12 and abs(b - u) <= 1e-12
 
 
 def test_delta_subdivided_composed_overflow_raises():
     # Each subinterval stays below the limit; only the product exceeds it.
-    sub = reference_propagator(0.0, 1e4, REF, 0.125, fundsys.DEFAULT_STEP)
+    sub = reference_propagator(0.0, 1e4, REF, 0.125, DEFAULT_STEP)
     assert np.max(np.abs(sub)) <= fundsys.OVERFLOW_LIMIT
     with pytest.raises(OverflowError):
-        fundsys.delta_subdivided(0.0, 1e4, REF)
+        rk4.delta_subdivided(0.0, 1e4, REF)
 
 
 @pytest.mark.parametrize("n", [1, 8, 200])
@@ -895,28 +903,34 @@ def test_kernel_builds_one_propagator_per_evaluation(monkeypatch, n):
     # delta_subdivided builds the RK4 one, of its step count; a search
     # builds exp(A) (no count), one per evaluation, whatever its options.
     built = []
-    original = fundsys._propagator_at
 
-    def recording(*args):
-        built.append(args)
-        return original(*args)
+    def recording(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(fundsys, "_propagator_at", recording)
+        def record(*args):
+            built.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, record)
+
+    recording(fundsys, "_propagator_at")
+    recording(rk4, "_propagator")
     calls = count_rhs_calls(monkeypatch)
-    for step in (fundsys.DEFAULT_STEP, 0.01):
+    for step in (DEFAULT_STEP, 0.01):
         for s in (complex(-0.01, 0.35), complex(0.0, 5.0),
                   complex(0.3, 17.0)):
             built.clear()
-            fundsys.delta_subdivided(s.real, s.imag, REF, n, step)
-            assert built == [(s.real, s.imag, REF.eps1,
-                              fundsys._step_count(n, step))]
+            rk4.delta_subdivided(s.real, s.imag, REF, n, step)
+            assert built == [("_propagator", (s.real, s.imag, REF.eps1,
+                                              rk4._step_count(n, step)))]
         built.clear()
         calls.clear()
         seed = asymptotic_seeds(REF, 2)[-1]
         assert fundsys.find_eigenvalue(
             REF, seed, fundsys.SolveOptions(step, n)).converged
         assert len(built) == len(calls) > 0
-        assert {args[3:] for args in built} == {()}
+        assert {(name, len(args)) for name, args in built} == {
+            ("_propagator_at", 3)}
 
 
 def mp_exponent_propagator(K, count):
@@ -958,8 +972,8 @@ def test_closed_form_propagator_is_rk4_to_rounding():
         q, omega = float(s.real), float(s.imag)
         K = fundsys.rhs_coefficients(q, omega, eps1)
         quadrants.add((K.real > 0, K.imag > 0))
-        count = max(1, math.ceil(abs(K) ** 0.5 / fundsys._EXACT_STEP))
-        r, a, b = fundsys._propagator_at(q, omega, eps1, count)
+        count = max(1, math.ceil(abs(K) ** 0.5 / rk4._EXACT_STEP))
+        r, a, b = rk4._propagator(q, omega, eps1, count)
         assert (a, b) == (cmath.cosh(r), cmath.sinh(r) / r)
         with mp.workdps(50):
             exact_a, exact_b = mp_exponent_propagator(mp.mpc(K), count)
@@ -980,7 +994,7 @@ def test_rk4_propagator_past_the_cosh_range_is_in_range():
     mp = pytest.importorskip("mpmath")
     q, omega = -2569.609278492613, 9.940254866056055
     dp = replace(REF, eps1=3.9853927879276833e-4)
-    a, b = fundsys.integrate_fundamental(q, omega, dp, step=1.0 / 8000.0)
+    a, b = rk4.integrate_fundamental(q, omega, dp, step=1.0 / 8000.0)
     assert 1e-276 < abs(a) < 1e-272
     K = fundsys.rhs_coefficients(q, omega, dp.eps1)
     with mp.workdps(50):
@@ -1045,20 +1059,20 @@ def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
     # (|h*sqrt(K)| ~ 1.7e-3), which delta_subdivided evaluates, takes two
     # logarithms per evaluation; its search takes none (below).
     logs = []
-    original = fundsys._log1p
+    original = rk4._log1p
 
     def counting(z):
         logs.append(z)
         return original(z)
 
-    monkeypatch.setattr(fundsys, "_log1p", counting)
+    monkeypatch.setattr(rk4, "_log1p", counting)
     calls = count_rhs_calls(monkeypatch)
     rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))
     assert all(row.converged for row in rows) and calls
     assert logs == []
     calls.clear()
     seed = asymptotic_seeds(REF, 2)[1]
-    fundsys.delta_subdivided(seed.q, seed.omega, REF, 8, 0.0005)
+    rk4.delta_subdivided(seed.q, seed.omega, REF, 8, 0.0005)
     assert len(logs) == 2 * len(calls) == 2
 
 
@@ -1069,10 +1083,9 @@ def test_default_step_evaluations_take_no_log1p_or_exp(monkeypatch):
     # exp(L) at L = 0.  At step 0.0005 an evaluation of mode 2's RK4 system
     # takes RK4's exponents and one exp(L).
     calls, exp = [], cmath.exp
-    monkeypatch.setattr(fundsys, "_log1p", lambda z: calls.append("_log1p"))
+    monkeypatch.setattr(rk4, "_log1p", lambda z: calls.append("_log1p"))
     monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
-    kernel = rk4_kernel(REF, fundsys.DEFAULT_SUBINTERVALS,
-                        fundsys.DEFAULT_STEP)
+    kernel = rk4_kernel(REF, DEFAULT_SUBINTERVALS, DEFAULT_STEP)
     seeds = asymptotic_seeds(REF, 7)
     for seed in seeds:
         kernel(complex(seed.q, seed.omega))
@@ -1091,8 +1104,8 @@ def test_searches_and_mode_profiles_take_no_log1p_or_exp(monkeypatch, step):
     # Every search and mode profile runs on exp(A), with neither RK4's
     # logarithms nor exp(L), at coarse steps too, where the RK4 system of
     # the options takes both.
-    calls, exp, log1p = [], cmath.exp, fundsys._log1p
-    monkeypatch.setattr(fundsys, "_log1p",
+    calls, exp, log1p = [], cmath.exp, rk4._log1p
+    monkeypatch.setattr(rk4, "_log1p",
                         lambda z: calls.append("_log1p") or log1p(z))
     monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
     opts = fundsys.SolveOptions(step=step)
@@ -1115,12 +1128,12 @@ def test_integrate_fundamental_is_the_kernels_propagator(monkeypatch):
         step = float(rng.choice([1.0 / 2000.0, 0.0007, 0.01, 0.05]))
         q, omega = rng.uniform(-1.0, 0.5), rng.uniform(0.01, 20.0)
         u, du = kernel_end_state(monkeypatch, dp, complex(q, omega), 1, step)
-        assert fundsys.integrate_fundamental(q, omega, dp, step) == (du, u)
+        assert rk4.integrate_fundamental(q, omega, dp, step) == (du, u)
 
 
 def test_delta_subdivided_rejects_bad_count():
     with pytest.raises(ValueError):
-        fundsys.delta_subdivided(0.0, 1.0, REF, n=0)
+        rk4.delta_subdivided(0.0, 1.0, REF, n=0)
 
 
 @pytest.mark.parametrize("step", [1e-320, 5e-324])
@@ -1129,9 +1142,9 @@ def test_subnormal_step_is_a_value_error(step):
     # OverflowError, which says a propagator entry left the float range,
     # instead of rejecting the step.
     with pytest.raises(ValueError, match="too small"):
-        fundsys.delta_subdivided(0.0, 0.35, REF, 1, step)
+        rk4.delta_subdivided(0.0, 0.35, REF, 1, step)
     with pytest.raises(ValueError, match="too small"):
-        fundsys.integrate_fundamental(0.0, 0.35, REF, step=step)
+        rk4.integrate_fundamental(0.0, 0.35, REF, step=step)
 
 
 # ------------------------------------------------------------------- eigensolve
@@ -1238,7 +1251,7 @@ def test_find_eigenvalue_never_raises(dp, mode, dq, domega, edge_fraction,
         q=asymptotic.corrected_eigenvalue(w0, dp).q + dq,
         omega=max(w0 + domega, 0.01))
     opts = fundsys.SolveOptions(
-        step=edge_fraction * fundsys.STABILITY_EDGE / 20.0,
+        step=edge_fraction * STABILITY_EDGE / 20.0,
         subintervals=subintervals)
     point = fundsys.find_eigenvalue(dp, seed, opts)
     if point.converged:
@@ -1246,7 +1259,8 @@ def test_find_eigenvalue_never_raises(dp, mode, dq, domega, edge_fraction,
 
 
 def count_rhs_calls(monkeypatch):
-    """Record every rhs_coefficients call, one per residual evaluation."""
+    """Record every rhs_coefficients call, one per residual evaluation, of
+    fundsys and of rk4, which binds its own name for it."""
     calls = []
     original = fundsys.rhs_coefficients
 
@@ -1255,6 +1269,7 @@ def count_rhs_calls(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(fundsys, "rhs_coefficients", counting)
+    monkeypatch.setattr(rk4, "rhs_coefficients", counting)
     return calls
 
 
@@ -1303,8 +1318,8 @@ def test_find_eigenvalue_reads_no_options(options):
     # builds none, so it neither checks nor uses them and answers bit for
     # bit as with none.  It used to reject them before evaluating.
     with pytest.raises(ValueError):
-        fundsys.delta_subdivided(-0.01, 0.35, REF, options.subintervals,
-                                 options.step)
+        rk4.delta_subdivided(-0.01, 0.35, REF, options.subintervals,
+                             options.step)
     seed = fundsys.SpectralPoint(q=-0.01, omega=0.35)
     point = fundsys.find_eigenvalue(REF, seed, options)
     assert point.converged
@@ -1324,7 +1339,7 @@ def test_searches_sweeps_and_profiles_check_no_step_count(monkeypatch):
     def refuse(*args):
         raise AssertionError("a step count on the search path")
 
-    monkeypatch.setattr(fundsys, "_step_count", refuse)
+    monkeypatch.setattr(rk4, "_step_count", refuse)
     for options in ((), (fundsys.SolveOptions(),),
                     (fundsys.SolveOptions(step=0.01, subintervals=3),)):
         point = fundsys.find_eigenvalue(REF, seed, *options)
@@ -1338,7 +1353,7 @@ def test_searches_sweeps_and_profiles_check_no_step_count(monkeypatch):
         assert shape.u1.tobytes() == profile.u1.tobytes()
         assert shape.u2.tobytes() == profile.u2.tobytes()
     with pytest.raises(AssertionError, match="step count"):
-        fundsys.delta_subdivided(point.q, point.omega, REF)
+        rk4.delta_subdivided(point.q, point.omega, REF)
 
 
 def test_direct_searches_form_their_own_row(monkeypatch):
@@ -1416,9 +1431,9 @@ def answers(order):
 
 
 def test_typed_groups_answer_as_they_do_alone():
-    # An int, an np.float64 and a -0.0 group compute with their own types
-    # and signs, so no call may reuse what a call on other groups formed:
-    # the calls interleaved here answer bit for bit, and in the same types
+    # A -0.0 group keeps its sign, so no call may reuse what a call on
+    # other groups formed: with an int and an np.float64 group too, the
+    # calls interleaved here answer bit for bit, and in the same types
     # (repr), as the same calls run in reverse order in a fresh
     # interpreter, where an np.float64 set comes before REF.
     src = str(Path(barmodes.__file__).resolve().parents[1])
@@ -1431,6 +1446,36 @@ def test_typed_groups_answer_as_they_do_alone():
     exec(TYPED_GROUP_CALLS, namespace)
     interleaved = namespace["answers"](range(len(namespace["CALLS"])))
     assert interleaved == json.loads(proc.stdout)[::-1]
+
+
+TYPED_GROUPS = {
+    "float64-eps1": replace(REF, eps1=np.float64(REF.eps1)),
+    "float64-eta-delta": replace(REF, eta=np.float64(REF.eta),
+                                 delta=np.float64(REF.delta)),
+    "all-float64": DimensionlessParams(*map(np.float64, (
+        REF.eps1, REF.mu, REF.nu, REF.eta, REF.delta))),
+    "int-eta": replace(REF, eta=7),
+}
+
+
+def typed_answers(dp):
+    """reprs of the cold searches of modes 1-7, their one-point sweep, the
+    21 x 2 sweep and mode 7's 201-point profile."""
+    cold = [fundsys.find_eigenvalue(dp, seed)
+            for seed in asymptotic_seeds(dp, 7)]
+    return [repr(cold),
+            repr(fundsys.sweep_feedback(dp, [dp.nu], range(1, 8))),
+            repr(fundsys.sweep_feedback(dp, [0.005 * i for i in range(21)])),
+            repr(fundsys._mode_profile(cold[-1], dp, 201))]
+
+
+@pytest.mark.parametrize("group", list(TYPED_GROUPS))
+def test_typed_groups_answer_as_the_float_groups(group):
+    # Every group the solver reads passes through float(), so an int or
+    # np.float64 group answers as REF does, in value and type.  An
+    # np.float64 group made the residual np.complex128, whose rounding and
+    # repr differ: searches and sweeps answered otherwise.
+    assert typed_answers(TYPED_GROUPS[group]) == typed_answers(REF)
 
 
 @pytest.mark.parametrize("q, omega", [(np.nan, 0.35), (-0.01, np.inf)])
@@ -1660,10 +1705,10 @@ def test_propagator_and_polynomials_load_no_numpy():
     src = str(Path(barmodes.__file__).resolve().parents[1])
     code = """
 import sys
-from barmodes import conservative, fundsys
+from barmodes import conservative, fundsys, rk4
 from barmodes.params import DimensionlessParams
 dp = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
-a, b = fundsys.integrate_fundamental(-0.01, 0.35, dp)
+a, b = rk4.integrate_fundamental(-0.01, 0.35, dp)
 assert isinstance(a, complex) and isinstance(b, complex)
 assert isinstance(conservative.characteristic(0.35, dp), float)
 assert isinstance(fundsys.boundary_coefficients(-0.01, 0.35, dp).D1, float)
@@ -1716,7 +1761,7 @@ def test_counts_must_be_integers(conservative_mode_one, count):
     # and a float resolution raised TypeError from range().
     with pytest.raises(ValueError, match="subinterval count must be an "
                                          "integer"):
-        fundsys.delta_subdivided(-0.01, 0.35, REF, n=count)
+        rk4.delta_subdivided(-0.01, 0.35, REF, n=count)
     with pytest.raises(ValueError, match="resolution must be an integer"):
         fundsys.mode_shape(conservative_mode_one, UNDAMPED, resolution=count)
 

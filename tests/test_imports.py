@@ -14,7 +14,7 @@ import pytest
 import barmodes
 
 SRC = str(Path(barmodes.__file__).resolve().parents[1])
-SUBMODULES = ["asymptotic", "conservative", "fundsys", "params"]
+SUBMODULES = ["asymptotic", "conservative", "fundsys", "params", "rk4"]
 
 README_CONFIG = """\
 [dimensionless]
@@ -83,8 +83,39 @@ def test_stability_verb_loads_neither_fundsys_nor_cmath(tmp_path):
         "cmath"]
 
 
+def test_no_verb_loads_rk4(tmp_path):
+    # The paper's RK4 system serves no search: importing fundsys or the CLI
+    # and running all four verbs leave it unloaded.
+    config = tmp_path / "run.ini"
+    config.write_text(README_CONFIG)
+    out = str(tmp_path / "out.csv")
+    verbs = "".join(
+        f"assert cli.main([{verb!r}, '--config', {str(config)!r}, "
+        f"'--out', {out!r}]) == 0\n"
+        for verb in ("stability", "spectrum", "sweep", "modeshape"))
+    for code in ("import barmodes.fundsys", "import barmodes.cli"):
+        assert "barmodes.rk4" not in loaded_after(code)
+    loaded = loaded_after("from barmodes import cli\n" + verbs)
+    assert "barmodes.fundsys" in loaded and "barmodes.rk4" not in loaded
+
+
+def test_fundsys_bridges_only_the_two_rk4_functions():
+    # bench/tracing.py wraps these two through fundsys, which hands out
+    # rk4's own functions and no other rk4 name.
+    from barmodes import fundsys, params, rk4
+
+    assert fundsys.integrate_fundamental is rk4.integrate_fundamental
+    assert fundsys.delta_subdivided is rk4.delta_subdivided
+    for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS"):
+        assert getattr(rk4, name) is getattr(params, name)
+    for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS", "STABILITY_EDGE",
+                 "_step_count", "_log1p", "_EXACT_STEP", "_propagator"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(fundsys, name)
+
+
 @pytest.mark.parametrize("code", [
-    "import barmodes\nbarmodes.fundsys",
+    "import barmodes\nbarmodes.rk4",
     "import barmodes\nfor name in dir(barmodes): getattr(barmodes, name)",
     "from barmodes import *",
 ])
@@ -98,9 +129,8 @@ def test_package_namespace():
     for name in SUBMODULES:
         assert getattr(barmodes, name).__name__ == f"barmodes.{name}"
     # fundsys binds the search defaults and options record that params
-    # defines.
-    for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS", "DEFAULT_OMEGA_MAX",
-                 "DEFAULT_RESOLUTION", "STABILITY_EDGE", "SolveOptions"):
+    # defines; the RK4 step defaults are rk4's.
+    for name in ("DEFAULT_OMEGA_MAX", "DEFAULT_RESOLUTION", "SolveOptions"):
         assert getattr(barmodes.fundsys, name) is getattr(barmodes.params,
                                                           name)
     with pytest.raises(AttributeError, match="has no attribute 'solver'"):

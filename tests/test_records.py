@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import barmodes
-from barmodes import asymptotic, conservative, fundsys
+from barmodes import asymptotic, conservative, fundsys, params
 
 # Each record with keyword arguments for its fields that have no default.
 RECORDS = [
@@ -75,7 +75,7 @@ def test_spectral_point_defaults_and_repr():
     assert repr(point) == (
         "SpectralPoint(q=-0.01, omega=0.35, delta_value=nan, converged=False)")
     assert fundsys.SolveOptions() == fundsys.SolveOptions(
-        step=fundsys.DEFAULT_STEP, subintervals=fundsys.DEFAULT_SUBINTERVALS)
+        step=params.DEFAULT_STEP, subintervals=params.DEFAULT_SUBINTERVALS)
 
 
 def test_conservative_root_index_is_the_field():
