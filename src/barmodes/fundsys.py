@@ -114,11 +114,8 @@ def _row_coefficients(dp: DimensionlessParams) -> tuple[float, ...]:
     """(eps1, mu, eta, eta*delta, a1, a2, a3, 2*eta, 2*a2, 3*a3), what
     :func:`_residual` reads of dp: the end-mass row P*u(1) + Q*u'(1) has
     P(s) = s^2*(eta + eta*delta*(nu + mu)*s) and
-    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3.  nu is not in it.  Each group is
-    read through float(), so an int or np.float64 group computes as its
-    float does."""
-    eps1, eta = float(dp.eps1), float(dp.eta)
-    mu, delta = float(dp.mu), float(dp.delta)
+    Q(s) = 1 + a1*s + a2*s^2 + a3*s^3.  nu is not in it."""
+    eps1, mu, eta, delta = dp.eps1, dp.mu, dp.eta, dp.delta
     a2, a3 = delta * (eta + eps1 * mu), eps1 * eta * delta
     return (eps1, mu, eta, eta * delta, eps1 + mu * delta, a2, a3,
             2.0 * eta, 2.0 * a2, 3.0 * a3)
@@ -131,7 +128,7 @@ def boundary_coefficients(q: float, omega: float,
     as :func:`_residual` evaluates them."""
     _, mu, eta, eta_delta, a1, a2, a3, *_ = _row_coefficients(dp)
     s = complex(q, omega)
-    P = (eta + eta_delta * (float(dp.nu) + mu) * s) * s * s
+    P = (eta + eta_delta * (dp.nu + mu) * s) * s * s
     Q = 1.0 + s * (a1 + s * (a2 + a3 * s))
     return BoundaryCoefficients(D1=P.real, D2=-P.imag, D3=Q.real, D4=-Q.imag)
 
@@ -272,7 +269,7 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
     s = last = complex(seed.q, seed.omega)
     if not cmath.isfinite(s):
         raise ValueError(f"non-finite seed q={seed.q}, omega={seed.omega}")
-    row, nu = (_row_coefficients(dp), float(dp.nu)) if _row is None else _row
+    row, nu = (_row_coefficients(dp), dp.nu) if _row is None else _row
     eps1 = row[0]
 
     omega0 = s.imag
@@ -372,8 +369,7 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     # One exp(A) propagator serves the rank check and the profile.
     row = _row_coefficients(dp)
     built = _propagator_at(point.q, point.omega, row[0])
-    f, _, bound = _residual(row, complex(point.q, point.omega), float(dp.nu),
-                            built)
+    f, _, bound = _residual(row, complex(point.q, point.omega), dp.nu, built)
     dhat = _normalized(f, bound)
     if not dhat < CONVERGED_TOL:
         from numpy.linalg import LinAlgError

@@ -16,7 +16,9 @@ propagator, because the exponents are only ever used times an integer
 step count.  With w = h*r, N*t = r*(1 - w^4/120 + ...) and N*l is
 O(N*w^6), so for |w| below (120*2^-53)^(1/4) ~ 3.4e-4 (at the default
 step of 1e-6, every mode below omega ~ 340) the N steps are exp(A) to
-rounding, and the propagator is exp(A), without the two logarithms.
+rounding, and the exponent form, the one formula at every step, gives
+exp(A) there within a few rounding units of max(1, |r|).  At K = 0,
+A^2 = 0 and every step is I + h*A, so the propagator is I + A.
 
 No eigenvalue search, sweep or mode profile builds this system: they
 solve the continuous one in :mod:`barmodes.fundsys`, and no CLI verb
@@ -39,9 +41,6 @@ from .params import DEFAULT_STEP, DEFAULT_SUBINTERVALS
 
 if TYPE_CHECKING:
     from .params import DimensionlessParams
-
-# |h*sqrt(K)| below which the steps are exp(A) to rounding (module docstring)
-_EXACT_STEP = (120.0 * 2.0 ** -53) ** 0.25   # ~3.4e-4
 
 
 def _log1p(z: complex) -> complex:
@@ -74,8 +73,7 @@ def _propagator(q: float, omega: float, eps1: float,
                 count: int) -> tuple[complex, ...]:
     """(r, a, b) of the [0, 1] propagator a*I + b*A of count equal RK4
     steps at s = q + i*omega, as the module docstring derives it;
-    r = sqrt(K).  When |r/count| < _EXACT_STEP it is exp(A), a = cosh(r)
-    and b = sinh(r)/r (I + A at K = 0), without _log1p.  Where exp(L) or
+    r = sqrt(K), and a = b = 1 (I + A) at K = 0.  Where exp(L) or
     cosh(T) leaves the float range but their product need not
     (Re L << 0 < |Re T|), a and b come from the count-th powers e^(L +- T)
     of the step's eigenvalues instead.  Raises as rhs_coefficients,
@@ -84,24 +82,23 @@ def _propagator(q: float, omega: float, eps1: float,
     """
     K = rhs_coefficients(q, omega, eps1)
     r = cmath.sqrt(K)
+    if not r:   # the exponent form divides by r
+        return r, 1 + 0j, 1 + 0j
     try:
-        if abs(w := 1.0 / count * r) < _EXACT_STEP:
-            a = cmath.cosh(r)
-            b = cmath.sinh(r) / r if r else 1 + 0j
-        else:   # here r != 0
-            z = w * w
-            e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
-            plus, minus = _log1p(e + bw), _log1p(e - bw)
-            L = count * (0.5 * (plus + minus))
-            T = count * (0.5 * (plus - minus))
-            try:
-                g = cmath.exp(L)
-                a = g * cmath.cosh(T)
-                b = g * cmath.sinh(T) / r
-            except OverflowError:   # Re L << 0 < |Re T|
-                up, down = cmath.exp(count * plus), cmath.exp(count * minus)
-                a = 0.5 * (up + down)
-                b = (up - down) / (2.0 * r)
+        w = 1.0 / count * r
+        z = w * w
+        e, bw = z * (0.5 + z / 24.0), w * (1.0 + z / 6.0)
+        plus, minus = _log1p(e + bw), _log1p(e - bw)
+        L = count * (0.5 * (plus + minus))
+        T = count * (0.5 * (plus - minus))
+        try:
+            g = cmath.exp(L)
+            a = g * cmath.cosh(T)
+            b = g * cmath.sinh(T) / r
+        except OverflowError:   # Re L << 0 < |Re T|
+            up, down = cmath.exp(count * plus), cmath.exp(count * minus)
+            a = 0.5 * (up + down)
+            b = (up - down) / (2.0 * r)
     # cmath's bare 'math range error', and its 'math domain error' where K,
     # though s is finite, is not (s^2 overflows)
     except (OverflowError, ValueError):
@@ -115,7 +112,7 @@ def integrate_fundamental(q: float, omega: float, dp: DimensionlessParams,
     the fewest equal RK4 steps no longer than step: the pair (a, b) of the
     propagator a*I + b*A = [[a, b], [b*K, a]] acting on (u, u').  Raises
     as :func:`_propagator` and :func:`_step_count` do."""
-    return _propagator(q, omega, float(dp.eps1), _step_count(1, step))[1:]
+    return _propagator(q, omega, dp.eps1, _step_count(1, step))[1:]
 
 
 def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
@@ -131,5 +128,5 @@ def delta_subdivided(q: float, omega: float, dp: DimensionlessParams,
     and :func:`_step_count` do."""
     row = _row_coefficients(dp)
     built = _propagator(q, omega, row[0], _step_count(n, step))
-    f, _, bound = _residual(row, complex(q, omega), float(dp.nu), built)
+    f, _, bound = _residual(row, complex(q, omega), dp.nu, built)
     return _normalized(f, bound)

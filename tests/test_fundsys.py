@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import barmodes
 from barmodes import asymptotic, conservative, fundsys, rk4
-from barmodes.params import (DEFAULT_STEP, DEFAULT_SUBINTERVALS,
-                             STABILITY_EDGE, DimensionlessParams, validate)
+from barmodes.params import (DEFAULT_STEP, STABILITY_EDGE,
+                             DimensionlessParams, validate)
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
 UNDAMPED = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
@@ -950,17 +950,17 @@ def mp_exponent_propagator(K, count):
 
 
 def test_closed_form_propagator_is_rk4_to_rounding():
-    # Below _EXACT_STEP the propagator is exp(A), a = cosh(r) and
-    # b = sinh(r)/r bit for bit, with no logarithm.  Just below it, with
-    # the fewest steps that get there, that is RK4's exponent form in 50
-    # digits within 4*2^-52*cosh(Re r)*(1 + |r|) (2.1 of those units at
-    # worst when drawn): a relative rounding of the exponent T moves cosh(T)
-    # by up to |r|*cosh(Re r) of it.  b is compared with that scale over
-    # max(1, |r|).  Drawn: K in all four quadrants, near the rhs pole
-    # (1 + eps1*s ~ 0, |K| up to 8e4) and near K = 0 (one step).
+    # With the fewest steps that put |h*sqrt(K)| below exact_step, where
+    # the steps are exp(A) to rounding, the propagator is RK4's exponent
+    # form in 50 digits within 4*2^-52*cosh(Re r)*(1 + |r|): a relative
+    # rounding of the exponent T moves cosh(T) by up to |r|*cosh(Re r) of
+    # it.  b is compared with that scale over max(1, |r|).  Drawn: K in all
+    # four quadrants, near the rhs pole (1 + eps1*s ~ 0, |K| up to 8e4) and
+    # near K = 0 (one step).
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(28)
     ulp, quadrants = 2.0 ** -52, set()
+    exact_step = (120.0 * 2.0 ** -53) ** 0.25   # ~3.4e-4
     for kind in ("quadrant", "pole", "zero") * 100:
         turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
         if kind == "quadrant":
@@ -972,9 +972,8 @@ def test_closed_form_propagator_is_rk4_to_rounding():
         q, omega = float(s.real), float(s.imag)
         K = fundsys.rhs_coefficients(q, omega, eps1)
         quadrants.add((K.real > 0, K.imag > 0))
-        count = max(1, math.ceil(abs(K) ** 0.5 / rk4._EXACT_STEP))
+        count = max(1, math.ceil(abs(K) ** 0.5 / exact_step))
         r, a, b = rk4._propagator(q, omega, eps1, count)
-        assert (a, b) == (cmath.cosh(r), cmath.sinh(r) / r)
         with mp.workdps(50):
             exact_a, exact_b = mp_exponent_propagator(mp.mpc(K), count)
             scale = 4 * ulp * math.cosh(r.real) * (1.0 + abs(r))
@@ -1008,8 +1007,8 @@ def test_unevaluated_last_steps_follow_exp_a_evaluations(monkeypatch):
     # evaluation whose propagator is exp(A) (no count), where f' is the
     # residual's own slope.  Every search evaluation is exp(A), so this
     # holds at every step: at step 0.0005 modes 2-7 of the reference set,
-    # whose |h*sqrt(K)| is above _EXACT_STEP, end so as mode 1 does, as
-    # they do at the default step.
+    # whose RK4 steps are not exp(A) to rounding, end so as mode 1 does,
+    # as they do at the default step.
     builds = []
     original = fundsys._propagator_at
 
@@ -1053,11 +1052,10 @@ def test_unevaluated_last_step_keeps_to_the_band(omega):
 
 
 def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
-    # At the default step every reference mode below omega = 20 has
-    # |h*sqrt(K)| below _EXACT_STEP, so not even the RK4 system of these
-    # options takes RK4's exponents.  At step 0.0005 mode 2's RK4 system
-    # (|h*sqrt(K)| ~ 1.7e-3), which delta_subdivided evaluates, takes two
-    # logarithms per evaluation; its search takes none (below).
+    # A default-step sweep of every reference mode below omega = 20 takes
+    # none of RK4's logarithms.  Mode 2's RK4 system, which
+    # delta_subdivided evaluates, takes two per evaluation at any step,
+    # the default one included; its search takes none (below).
     logs = []
     original = rk4._log1p
 
@@ -1070,40 +1068,19 @@ def test_default_step_searches_skip_the_rk4_logarithms(monkeypatch):
     rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))
     assert all(row.converged for row in rows) and calls
     assert logs == []
-    calls.clear()
     seed = asymptotic_seeds(REF, 2)[1]
-    rk4.delta_subdivided(seed.q, seed.omega, REF, 8, 0.0005)
-    assert len(logs) == 2 * len(calls) == 2
+    for step in (DEFAULT_STEP, 0.0005):
+        logs.clear()
+        calls.clear()
+        rk4.delta_subdivided(seed.q, seed.omega, REF, 8, step)
+        assert len(logs) == 2 * len(calls) == 2
 
 
-def test_default_step_evaluations_take_no_log1p_or_exp(monkeypatch):
-    # Where the propagator is exp(A), a = cosh(r) and b = sinh(r)/r: at the
-    # default step a residual evaluation of the RK4 system, a search and
-    # the mode profile of its answer call neither RK4's logarithms nor
-    # exp(L) at L = 0.  At step 0.0005 an evaluation of mode 2's RK4 system
-    # takes RK4's exponents and one exp(L).
-    calls, exp = [], cmath.exp
-    monkeypatch.setattr(rk4, "_log1p", lambda z: calls.append("_log1p"))
-    monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
-    kernel = rk4_kernel(REF, DEFAULT_SUBINTERVALS, DEFAULT_STEP)
-    seeds = asymptotic_seeds(REF, 7)
-    for seed in seeds:
-        kernel(complex(seed.q, seed.omega))
-    rows = fundsys.sweep_feedback(REF, [REF.nu], range(1, 8))
-    assert all(row.converged for row in rows)
-    fundsys.mode_shape(rows[6], REF)
-    assert calls == []
-    monkeypatch.undo()
-    monkeypatch.setattr(cmath, "exp", lambda z: calls.append("exp") or exp(z))
-    rk4_kernel(REF, 8, 0.0005)(complex(seeds[1].q, seeds[1].omega))
-    assert calls == ["exp"]
-
-
-@pytest.mark.parametrize("step", [0.2, 0.05, 0.01, 0.0005])
+@pytest.mark.parametrize("step", [0.2, 0.05, 0.01, 0.0005, DEFAULT_STEP])
 def test_searches_and_mode_profiles_take_no_log1p_or_exp(monkeypatch, step):
-    # Every search and mode profile runs on exp(A), with neither RK4's
-    # logarithms nor exp(L), at coarse steps too, where the RK4 system of
-    # the options takes both.
+    # Every search and mode profile runs on exp(A), a = cosh(r) and
+    # b = sinh(r)/r, with neither RK4's logarithms nor exp(L), at every
+    # step: the RK4 system of the options takes both.
     calls, exp, log1p = [], cmath.exp, rk4._log1p
     monkeypatch.setattr(rk4, "_log1p",
                         lambda z: calls.append("_log1p") or log1p(z))
@@ -1460,22 +1437,41 @@ TYPED_GROUPS = {
 
 def typed_answers(dp):
     """reprs of the cold searches of modes 1-7, their one-point sweep, the
-    21 x 2 sweep and mode 7's 201-point profile."""
+    21 x 2 sweep, mode 7's 201-point profile, and the closed forms: the
+    conservative roots below omega = 20 and, on each, the corrected
+    eigenvalue, critical feedback and excitation report (none excited),
+    and the boundary frequency at dp.nu."""
     cold = [fundsys.find_eigenvalue(dp, seed)
             for seed in asymptotic_seeds(dp, 7)]
+    roots = conservative.find_roots(dp, 20.0)
+    reports = [asymptotic.excitation_indicator(root.omega, dp)
+               for root in roots]
+    assert all(report.excited is False for report in reports)
     return [repr(cold),
             repr(fundsys.sweep_feedback(dp, [dp.nu], range(1, 8))),
             repr(fundsys.sweep_feedback(dp, [0.005 * i for i in range(21)])),
-            repr(fundsys._mode_profile(cold[-1], dp, 201))]
+            repr(fundsys._mode_profile(cold[-1], dp, 201)),
+            repr(roots),
+            repr([asymptotic.corrected_eigenvalue(root.omega, dp)
+                  for root in roots]),
+            repr([asymptotic.critical_feedback(root.omega, dp)
+                  for root in roots]),
+            repr(reports),
+            repr(asymptotic.boundary_frequency(dp.nu, dp))]
 
 
 @pytest.mark.parametrize("group", list(TYPED_GROUPS))
 def test_typed_groups_answer_as_the_float_groups(group):
-    # Every group the solver reads passes through float(), so an int or
-    # np.float64 group answers as REF does, in value and type.  An
-    # np.float64 group made the residual np.complex128, whose rounding and
-    # repr differ: searches and sweeps answered otherwise.
-    assert typed_answers(TYPED_GROUPS[group]) == typed_answers(REF)
+    # The record stores each group as a float, at construction and under
+    # replace, so an int or np.float64 group answers as REF does, in value
+    # and type.  An np.float64 group made the residual np.complex128, whose
+    # rounding and repr differ, and the closed forms answered in numpy
+    # scalars: excitation_indicator's excited was np.False_.
+    dp = TYPED_GROUPS[group]
+    for record in (dp, replace(dp, nu=np.float64(0.02))):
+        assert [type(getattr(record, f.name)) for f in fields(record)] == (
+            [float] * 5)
+    assert typed_answers(dp) == typed_answers(REF)
 
 
 @pytest.mark.parametrize("q, omega", [(np.nan, 0.35), (-0.01, np.inf)])

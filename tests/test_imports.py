@@ -109,7 +109,7 @@ def test_fundsys_bridges_only_the_two_rk4_functions():
     for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS"):
         assert getattr(rk4, name) is getattr(params, name)
     for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS", "STABILITY_EDGE",
-                 "_step_count", "_log1p", "_EXACT_STEP", "_propagator"):
+                 "_step_count", "_log1p", "_propagator"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(fundsys, name)
 
