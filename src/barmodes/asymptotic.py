@@ -36,7 +36,8 @@ class ExcitationReport(NamedTuple):
 
 def _frequency_denominator(w, eta, delta):
     # Shared by the eigenvalue correction and the excitation condition.
-    return (eta * delta * w**2) ** 2 + (delta * eta - 2 * delta + eta) * eta * w**2 \
+    w2 = w**2   # not w*w, which rounds differently in some last bits
+    return (eta * delta * w2) ** 2 + (delta * eta - 2 * delta + eta) * eta * w2 \
         + eta + 1.0
 
 
@@ -71,8 +72,9 @@ def corrected_eigenvalue(w: float, dp: DimensionlessParams) -> ComplexEigenvalue
     den = _frequency_denominator(w, eta, delta)
     if abs(den) < _DEGENERATE_DENOM:
         raise ZeroDivisionError("degenerate correction denominator")
-    lam = eta * delta * w**2 * ((delta * mu + nu * delta - eps1) * eta * w**2 - nu) / den
-    return ComplexEigenvalue(q=-0.5 * eps1 * w**2 - lam, omega=w)
+    w2 = w**2
+    lam = eta * delta * w2 * ((delta * mu + nu * delta - eps1) * eta * w2 - nu) / den
+    return ComplexEigenvalue(-0.5 * eps1 * w2 - lam, w)
 
 
 def excitation_indicator(w: float, dp: DimensionlessParams) -> ExcitationReport:

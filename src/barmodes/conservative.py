@@ -55,10 +55,11 @@ def characteristic(omega: float, dp: DimensionlessParams) -> float:
 def _chi_and_slope(omega: float, dp: DimensionlessParams) -> tuple[float, float]:
     """chi(omega) and chi'(omega) at one frequency."""
     c, s = math.cos(omega), math.sin(omega)
-    ed = dp.eta * dp.delta
-    chi = (ed * omega * omega - 1.0) * c + dp.eta * omega * s
-    slope = (2.0 * ed + dp.eta) * omega * c \
-        + (1.0 + dp.eta - ed * omega * omega) * s
+    eta = dp.eta
+    ed = eta * dp.delta
+    edw2 = ed * omega * omega
+    chi = (edw2 - 1.0) * c + eta * omega * s
+    slope = (2.0 * ed + eta) * omega * c + (1.0 + eta - edw2) * s
     return chi, slope
 
 
@@ -134,4 +135,4 @@ def find_roots(dp: DimensionlessParams, omega_max: float,
             roots.append(_refine(lo, chi_lo, hi, dp))
         lo, chi_lo = hi, chi_hi
         k += 1
-    return [ConservativeRoot(omega=w, index=i + 1) for i, w in enumerate(roots)]
+    return [ConservativeRoot(w, i + 1) for i, w in enumerate(roots)]

@@ -333,21 +333,27 @@ def mode_shape(point: SpectralPoint, dp: DimensionlessParams,
     import numpy as np
 
     grid, profile = _mode_profile(point, dp, resolution)
-    profile = np.array(profile)
+    profile = np.array(profile, dtype=complex)
     return ModeShape(grid=_shared_grid(len(grid)), u1=profile.real,
                      u2=profile.imag)
 
 
-def _unit_grid(resolution: int) -> list[float]:
-    """The points of np.linspace(0, 1, resolution), bit for bit."""
+@functools.lru_cache(maxsize=8)
+def _unit_grid(resolution: int) -> tuple[float, ...]:
+    """The points of np.linspace(0, 1, resolution), bit for bit, as a
+    tuple built once per resolution and shared by every caller, so it is
+    immutable.  With :func:`_shared_grid` it is one of two bounded caches
+    of the same grid: this one for the profile and the modeshape verb,
+    which do not load numpy, that one for ModeShape."""
     h = 1.0 / (resolution - 1)
-    return [i * h for i in range(resolution - 1)] + [1.0]
+    return tuple([i * h for i in range(resolution - 1)] + [1.0])
 
 
 @functools.lru_cache(maxsize=8)
 def _shared_grid(resolution: int) -> np.ndarray:
-    """:func:`_unit_grid` as one read-only array, built once per resolution
-    and shared by every ModeShape of that resolution."""
+    """The cached :func:`_unit_grid` tuple as one read-only array, built
+    once per resolution and shared by every ModeShape of that resolution:
+    the second bounded cache of the grid."""
     import numpy as np
 
     grid = np.array(_unit_grid(resolution))
@@ -356,12 +362,14 @@ def _shared_grid(resolution: int) -> np.ndarray:
 
 
 def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
-                  resolution: int) -> tuple[list[float], list[complex]]:
-    """(grid, u1 + i*u2) of :func:`mode_shape` as lists.  Reads q, omega and
-    converged of point only, so a SweepRow at nu = dp.nu serves as well (at
-    another nu, the rank check fails).  The rank check's :func:`_residual`
-    is on the row of dp, formed once per call.  Raises as mode_shape
-    does."""
+                  resolution: int) -> tuple[tuple[float, ...], list[complex]]:
+    """(grid, u1 + i*u2) of :func:`mode_shape`: the cached
+    :func:`_unit_grid` tuple and a list of samples.  The peak that
+    normalizes the samples is the first sample of largest modulus, and it
+    is set to exactly 1 + 0i.  Reads q, omega and converged of point only,
+    so a SweepRow at nu = dp.nu serves as well (at another nu, the rank
+    check fails).  The rank check's :func:`_residual` is on the row of dp,
+    formed once per call.  Raises as mode_shape does."""
     resolution = conservative._count(resolution, 2, "resolution")
     if not point.converged:
         raise ValueError("mode_shape needs a converged SpectralPoint")
@@ -381,9 +389,8 @@ def _mode_profile(point: SpectralPoint, dp: DimensionlessParams,
     r = built[0]
     grid = _unit_grid(resolution)
     profile = [cmath.sinh(x * r) / r for x in grid]
-    sizes = list(map(abs, profile))
-    top = sizes.index(max(sizes))
-    peak = profile[top]
+    peak = max(profile, key=abs)   # max keeps the first of equal moduli
+    top = profile.index(peak)
     profile = [u / peak for u in profile]
     profile[top] = 1 + 0j
     return grid, profile

@@ -231,3 +231,64 @@ def test_closed_form_and_search_agree_to_second_order():
     print(f"{len(orders)} cases; worst order "
           f"{max(orders, key=lambda p: abs(p - 2.0)):.3f}, "
           f"largest gap/t^2 at the smallest t {max(ratios):.1f}")
+
+
+# ------------------------------------------------- reference expressions
+
+# The benchmark's small-dissipation box (bench/workloads.py), drawn as its
+# parameter_sets(7) draws the 64 box sets that follow the reference set.
+BOX = (("eps1", 0.0, 0.02), ("mu", 0.0, 0.02), ("nu", 0.0, 0.1),
+       ("eta", 0.5, 10.0), ("delta", 0.02, 0.5))
+
+
+def box_sets():
+    rng = np.random.default_rng(7)
+    return [REF] + [DimensionlessParams(**{name: float(rng.uniform(lo, hi))
+                                           for name, lo, hi in BOX})
+                    for _ in range(64)]
+
+
+def reference_denominator(w, eta, delta):
+    return (eta * delta * w**2) ** 2 \
+        + (delta * eta - 2 * delta + eta) * eta * w**2 + eta + 1.0
+
+
+def reference_eigenvalue(w, dp):
+    eps1, mu, nu, eta, delta = dp.eps1, dp.mu, dp.nu, dp.eta, dp.delta
+    den = reference_denominator(w, eta, delta)
+    lam = eta * delta * w**2 * ((delta * mu + nu * delta - eps1) * eta * w**2
+                                - nu) / den
+    return -0.5 * eps1 * w**2 - lam, w
+
+
+def reference_chi_and_slope(omega, dp):
+    c, s = math.cos(omega), math.sin(omega)
+    ed = dp.eta * dp.delta
+    chi = (ed * omega * omega - 1.0) * c + dp.eta * omega * s
+    slope = (2.0 * ed + dp.eta) * omega * c \
+        + (1.0 + dp.eta - ed * omega * omega) * s
+    return chi, slope
+
+
+def test_closed_forms_are_their_reference_expressions_bit_for_bit():
+    # The closed-form seed, the excitation denominator and chi with its
+    # slope, each against its expression written out term by term, with
+    # w**2 at every use: at every box-set root below omega = 20 (455), and
+    # on the reference set at 20,000 frequencies drawn on (0, 30), 11 of
+    # which have a w*w, the correctly rounded product, one bit from w**2,
+    # the libm power.  Hex strings make == bit identity.
+    def bits(*values):
+        return [float(v).hex() for v in values]
+
+    cases = [(dp, root.omega) for dp in box_sets()
+             for root in conservative.find_roots(dp, 20.0)]
+    assert len(cases) == 455
+    rng = random.Random(1)
+    cases += [(REF, rng.uniform(0.0, 30.0)) for _ in range(20_000)]
+    for dp, w in cases:
+        ev = asymptotic.corrected_eigenvalue(w, dp)
+        assert bits(*ev) == bits(*reference_eigenvalue(w, dp)), (dp, w)
+        assert (bits(asymptotic.excitation_indicator(w, dp).denominator)
+                == bits(reference_denominator(w, dp.eta, dp.delta))), (dp, w)
+        assert (bits(*conservative._chi_and_slope(w, dp))
+                == bits(*reference_chi_and_slope(w, dp))), (dp, w)

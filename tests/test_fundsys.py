@@ -1851,17 +1851,61 @@ def test_mode_shape_grid_is_one_read_only_array_per_resolution(
         conservative_mode_one):
     # Every shape of one resolution holds the same grid array,
     # np.linspace(0, 1, resolution) bit for bit, and writing to it raises;
-    # u1 and u2 stay each shape's own.
+    # u1 and u2 stay each shape's own.  The profile's grid is one cached
+    # tuple per resolution, the same points.
     for resolution in (2, 3, 64, 201, 1000, np.int64(201)):
         first, second = (fundsys.mode_shape(conservative_mode_one, UNDAMPED,
                                             resolution)
                          for _ in range(2))
         assert second.grid is first.grid
-        assert first.grid.tobytes() == np.linspace(0.0, 1.0,
-                                                   resolution).tobytes()
+        linspace = np.linspace(0.0, 1.0, resolution)
+        assert first.grid.tobytes() == linspace.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             first.grid[0] = 0.5
         assert second.u1 is not first.u1 and first.u1.flags.writeable
+        points = fundsys._unit_grid(resolution)
+        assert fundsys._unit_grid(resolution) is points
+        assert type(points) is tuple
+        assert np.array(points).tobytes() == linspace.tobytes()
+
+
+def reference_profile(point, dp, resolution):
+    """(grid, samples) of the mode profile built with lists: the grid
+    [i*h, ...] + [1.0], the samples sinh(x*r)/r, their moduli, and the
+    first index of the largest modulus, whose sample divides them all and
+    is then set to 1 + 0i."""
+    r = fundsys._propagator_at(point.q, point.omega, dp.eps1)[0]
+    h = 1.0 / (resolution - 1)
+    grid = [i * h for i in range(resolution - 1)] + [1.0]
+    profile = [cmath.sinh(x * r) / r for x in grid]
+    sizes = list(map(abs, profile))
+    top = sizes.index(max(sizes))
+    peak = profile[top]
+    profile = [u / peak for u in profile]
+    profile[top] = 1 + 0j
+    return grid, profile
+
+
+def test_mode_profile_is_its_list_construction_bit_for_bit(
+        conservative_mode_one):
+    # Reference modes 1-7 and the undamped mode 1: the cached grid and the
+    # one-pass peak scan give the list construction's grid and samples,
+    # and mode_shape's arrays hold the same bits.  repr tells -0.0 from
+    # 0.0.
+    points = [(point, REF) for point in (
+        fundsys.find_eigenvalue(REF, seed) for seed in asymptotic_seeds(REF, 7))]
+    points.append((conservative_mode_one, UNDAMPED))
+    for point, dp in points:
+        assert point.converged
+        for resolution in (2, 3, 11, 201):
+            grid, profile = reference_profile(point, dp, resolution)
+            got = fundsys._mode_profile(point, dp, resolution)
+            assert repr(list(got[0])) == repr(grid)
+            assert repr(got[1]) == repr(profile)
+            shape = fundsys.mode_shape(point, dp, resolution)
+            samples = np.array(profile)
+            assert shape.u1.tobytes() == samples.real.tobytes()
+            assert shape.u2.tobytes() == samples.imag.tobytes()
 
 
 # ------------------------------------------------------------------- nu sweep
