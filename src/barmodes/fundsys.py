@@ -233,16 +233,13 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
         f' = P'*u + Q'*u' + (P*(u' - u)/(2K) + Q*u/2) * K',
 
     K' = s*(2 + eps1*s)/(1 + eps1*s)^2.  The search stops when a step is
-    below 1e-15*|s| (as where f vanishes), when a step is no smaller than
-    the one before it while the normalized determinant at its evaluation
-    is already below ``CONVERGED_TOL`` (the residual's rounding noise then
-    sets the step), or after ``MAX_ITERATIONS`` evaluations.  It also stops
-    at s - ds, without evaluating it, when a step ds, smaller than the one
-    before it and at most 1e-8*|s|, comes from an evaluation whose
-    normalized determinant is already below ``CONVERGED_TOL``, and s - ds
-    passes the band test below: Newton's method converges quadratically,
-    and the step's end lies about gamma*|ds|^2 from the zero (Kantorovich;
-    Smale's alpha theory).
+    below 1e-15*|s| (as where f vanishes), or after ``MAX_ITERATIONS``
+    evaluations.  It also stops at s - ds, without evaluating it, when a
+    step ds, smaller than the one before it and at most 1e-8*|s|, comes
+    from an evaluation whose normalized determinant is already below
+    ``CONVERGED_TOL``, and s - ds passes the band test below: Newton's
+    method converges quadratically, and the step's end lies about
+    gamma*|ds|^2 from the zero (Kantorovich; Smale's alpha theory).
     An iterate that is not finite, has omega <= 0 or leaves the seed's band
     (half-width ``BAND_HALFWIDTH``, which prevents mode hopping) ends the
     search, as do an overflow, a degenerate rhs denominator and a zero
@@ -287,11 +284,6 @@ def find_eigenvalue(dp: DimensionlessParams, seed: SpectralPoint,
             if step <= _NEWTON_RTOL * abs(s):
                 settled = True
                 break
-            if step >= size:
-                value = _normalized(f, bound)
-                if value < CONVERGED_TOL:
-                    settled = True
-                    break
             if not (cmath.isfinite(s) and s.imag > 0.0
                     and abs(s.imag - omega0) < BAND_HALFWIDTH):
                 break

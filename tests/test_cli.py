@@ -1008,6 +1008,24 @@ def test_spectrum_counts_a_real_root_as_unconverged(tmp_path, capsys):
     assert "NA" not in (cells[1]["q_numeric"], cells[1]["omega_numeric"])
 
 
+def test_spectrum_counts_a_mode_turning_aperiodic_as_unconverged(tmp_path,
+                                                                 capsys):
+    # eps1*omega_1 ~ 2: mode 1's roots near s = -1.5689 are real.  A rule
+    # that settled a search on a step no smaller than the one before had
+    # spectrum write -1.56922697967,4.6546525374e-05 with exit 0: a complex
+    # point 2.1e-4 (relative) from the real root.
+    section = dimensionless_section("1.274512778753114", "0.0", "0.0",
+                                    "0.001", "0.01")
+    code, out = run_cli(tmp_path, "spectrum", section, "[run]\nmodes = 1\n",
+                        strict=True)
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    _, header, rows = read_output(out)
+    cells = dict(zip(header, rows[0]))
+    assert cells["q_numeric"] == cells["omega_numeric"] == "NA"
+    assert cells["delta_hat"] == "2.81458081715e-15"
+
+
 def test_sweep_prints_no_negative_frequency(tmp_path):
     # Mode 1 of this set reaches the real axis as nu grows.  A continuation
     # seed extrapolated across it had omega < 0, and every omega_1 cell
@@ -1069,11 +1087,15 @@ FLOOR_RUN = "[run]\nnu_max = 25.873536432870427\ngrid_points = 2\n"
 
 
 def test_sweep_searches_settle_at_the_rounding_floor(tmp_path, monkeypatch):
-    # A search whose steps stop shrinking once its normalized determinant is
-    # below CONVERGED_TOL has reached the rounding floor: it settles there.
-    # Before, 13 searches of this sweep ran all 500 evaluations and came
-    # back unconverged at a determinant of ~1e-33.  Every converged search
-    # near nu = 0.85 is the continuous eigenvalue to 1e-13.
+    # A search whose steps the rounding floor keeps above 1e-15*|s| settles
+    # at the end of its unevaluated last step: a step of at most 1e-8*|s|
+    # from an evaluation whose normalized determinant is already below
+    # CONVERGED_TOL.  No search of this sweep takes more than 6 of the
+    # MAX_ITERATIONS evaluations; near nu = 0.85, 71 of the 91 converged
+    # searches settle that way.  Before, 13 searches of this sweep ran all
+    # 500 evaluations and came back unconverged at a determinant of ~1e-33.
+    # Every converged search near nu = 0.85 is the continuous eigenvalue to
+    # 1e-13.
     evaluations, searches = [], []
     rhs, search = fundsys.rhs_coefficients, fundsys.find_eigenvalue
 

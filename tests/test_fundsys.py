@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -1572,6 +1573,44 @@ def test_converged_eigenvalues_match_a_34_digit_oracle():
                                                               root)
 
 
+def test_converged_eigenvalues_near_the_aperiodic_transition_match_the_oracle():
+    # Mode k turns aperiodic where eps1*omega_k reaches 2: its conjugate
+    # pair meets the real axis.  150 drawn sets put eps1*omega_k within
+    # 1e-16 to 0.1 of 2 for a drawn k in 1..4; every converged row of a
+    # one-point sweep of modes 1..k lies within 1e-12 of the 34-digit root
+    # that Newton's method reaches from it.  Near this transition, a rule
+    # that settled a search once its steps stopped shrinking had called
+    # complex points up to 7.9e-4 from a real root converged.
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(21)
+
+    def damping():
+        return 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-4.0, 0.0)
+
+    found = []
+    for _ in range(150):
+        eta = 10.0 ** rng.uniform(-3.0, 1.5)
+        delta = 10.0 ** rng.uniform(-2.0, 0.5)
+        mu, nu, k = damping(), damping(), rng.randint(1, 4)
+        omega_k = conservative.find_roots(
+            DimensionlessParams(0.0, mu, nu, eta, delta), 40.0,
+            max_count=k)[-1].omega
+        eps1 = (2.0 + rng.uniform(-1.0, 1.0)
+                * 10.0 ** rng.uniform(-16.0, -1.0)) / omega_k
+        dp = DimensionlessParams(eps1, mu, nu, eta, delta)
+        rows = fundsys.sweep_feedback(dp, [nu], range(1, k + 1),
+                                      omega_max=40.0)
+        found += [(dp, complex(row.q, row.omega)) for row in rows
+                  if row.converged]
+    assert len(found) >= 200
+    with mp.workdps(34):
+        for dp, s in found:
+            root = mp_newton(mp_residual(dp), s)
+            assert root is not None and root.imag >= -1e-25 * abs(root), (
+                dp, s, root)
+            assert abs(s - root) <= 1e-12 * abs(root), (dp, s, root)
+
+
 def test_default_options_give_the_continuous_eigenvalue():
     # The default step puts the RK4 error below rounding: modes 1-7 of the
     # reference set lie within 1e-14 of the continuous eigenvalue, the
@@ -2066,6 +2105,39 @@ def test_sweep_feedback_flags_a_real_root(monkeypatch):
     assert abs(complex(row.q, row.omega) + 0.0622733) < 1e-6
     assert 0.0 < 2.0 * row.omega <= 1e-8 * abs(row.q)
     assert not row.converged
+
+
+# eps1*omega_1 ~ 2 on these sets: mode 1's conjugate pair has met the real
+# axis, and the continuous system's roots near s = -1.5689 are real.  Each
+# with the float q, omega and delta_value its one-point mode-1 sweep reports.
+TURNING_APERIODIC = [
+    (DimensionlessParams(1.274512778753114, 0.0, 0.0, 0.001, 0.01),
+     (-1.5692269796715608, 4.654652537400229e-05, 2.814580817145471e-15)),
+    (DimensionlessParams(1.2745127384872887, 0.0, 0.0, 0.001, 0.1),
+     (-1.569225887155745, 0.0001471940435531973, 2.814563599124268e-13)),
+]
+
+
+@pytest.mark.parametrize("dp, reported", TURNING_APERIODIC)
+def test_search_where_a_mode_turns_aperiodic_is_not_converged(
+        monkeypatch, dp, reported):
+    # The search's second step is larger than its first and would cross
+    # the real axis, which ends the search, though the normalized
+    # determinant is already below CONVERGED_TOL.  A rule that settled on
+    # such a step reported these rows converged, 2.1e-4 and 6.5e-4 (of its
+    # modulus) from the nearest root of the continuous system, which is
+    # real.  The rows keep their bits and their two evaluations,
+    # unconverged.
+    mp = pytest.importorskip("mpmath")
+    calls = count_rhs_calls(monkeypatch)
+    row, = fundsys.sweep_feedback(dp, [0.0], (1,))
+    assert row_bits(row) == row_bits(fundsys.SweepRow(0.0, 1, *reported,
+                                                      False))
+    assert len(calls) == 2
+    with mp.workdps(34):
+        root = mp_newton(mp_residual(dp), complex(row.q, row.omega))
+    assert root is not None and abs(root.imag) <= 1e-25
+    assert abs(complex(row.q, row.omega) - root) > 2e-4 * abs(root)
 
 
 def test_sweep_feedback_seeds_no_search_below_the_real_axis():
