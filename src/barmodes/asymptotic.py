@@ -102,6 +102,10 @@ def critical_feedback(w: float, dp: DimensionlessParams) -> float | None:
 
     Raises ZeroDivisionError when the slope in nu vanishes (feedback has no
     influence at this frequency).
+
+    A value above 0.1, outside the small-dissipation regime, is a
+    first-order answer: it may be a crossing that the continuous system
+    does not have.
     """
     intercept, slope = _excitation_numerator_parts(w, dp)
     if abs(slope) < _DEGENERATE_SLOPE:

@@ -28,7 +28,6 @@ from .params import (
     DEFAULT_RESOLUTION,
     DEFAULT_STEP,
     DEFAULT_SUBINTERVALS,
-    STABILITY_EDGE,
     DimensionlessParams,
     PhysicalParams,
     to_dimensionless,
@@ -107,9 +106,6 @@ def _run_checks(c: RunConfig):
     yield c.step > 0, "step must be positive"
     yield (math.isfinite(1.0 / c.step),
            "step is too small: 1/step overflows floating-point arithmetic")
-    yield (c.step * c.omega_max <= STABILITY_EDGE,
-           "step * omega_max must not exceed the RK4 stability edge "
-           "2*sqrt(2) = 2.83")
     yield c.subintervals >= 1, "subintervals must be >= 1"
     yield c.nu_min >= 0, "nu_min must be >= 0"
     yield c.nu_step > 0, "nu_step must be positive"

@@ -18,7 +18,7 @@ from typing import NamedTuple
 # perturbation-based solvers lose their accuracy guarantees.
 SMALLNESS_LIMIT = 0.1
 
-# Defaults, limits and options of fundsys and rk4.  They live here, so
+# Defaults and options of fundsys and rk4.  They live here, so
 # that the CLI uses them without the solvers.  The step and subintervals
 # set only rk4's system; no search reads them, because every search solves
 # the continuous one.  The propagator is built in closed form, so the step
@@ -29,7 +29,6 @@ DEFAULT_STEP = 1e-6
 DEFAULT_SUBINTERVALS = 8
 DEFAULT_OMEGA_MAX = 20.0      # ceiling of the undamped frequencies searched
 DEFAULT_RESOLUTION = 201      # mode-shape grid points
-STABILITY_EDGE = 2.0 * math.sqrt(2.0)  # largest h*omega with |RK4 step| <= 1
 
 
 class SolveOptions(NamedTuple):

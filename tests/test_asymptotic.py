@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from barmodes import asymptotic, conservative, fundsys
-from barmodes.params import DimensionlessParams
+from barmodes.params import SMALLNESS_LIMIT, DimensionlessParams
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
 OMEGA_1 = 0.3534042288
@@ -292,3 +292,38 @@ def test_closed_forms_are_their_reference_expressions_bit_for_bit():
                 == bits(reference_denominator(w, dp.eta, dp.delta))), (dp, w)
         assert (bits(*conservative._chi_and_slope(w, dp))
                 == bits(*reference_chi_and_slope(w, dp))), (dp, w)
+
+
+# ------------------------------------------- beyond small dissipation
+
+# Box set 20 of the benchmark's draws (bench/workloads.py parameter_sets(7)).
+BOX_SET_20 = DimensionlessParams(
+    eps1=0.015026498397098558, mu=0.0005039374160352072,
+    nu=0.037218527256520396, eta=0.7883277966490605,
+    delta=0.07898820905840448)
+
+
+def test_critical_feedback_far_above_small_dissipation_is_first_order():
+    # The closed form puts mode 2 of this set (omega_2 = 3.2704) on the
+    # stability boundary at nu = 2.5377, and calls it excited at nu = 3,
+    # but the continuous system has no such crossing: a sweep of modes 1-3
+    # over nu = 0(0.05)6 converges on all 363 rows and keeps mode 2's q at
+    # or below -0.0074, largest (-0.00748) at nu = 4.6.  A nu* that far
+    # above SMALLNESS_LIMIT is a first-order answer; this pins the
+    # disagreement until the stability boundary has a numeric route.
+    assert box_sets()[20] == BOX_SET_20
+    rows = fundsys.sweep_feedback(BOX_SET_20, [0.05 * i for i in range(121)],
+                                  (1, 2, 3))
+    assert len(rows) == 363 and all(row.converged for row in rows)
+    mode_two = [row for row in rows if row.mode == 2]
+    assert all(row.q <= -0.0074 for row in mode_two)
+    top = max(mode_two, key=lambda row: row.q)
+    assert top.q == pytest.approx(-0.00748, abs=5e-6)
+    assert top.nu == pytest.approx(4.6)
+    omega_2 = conservative.find_roots(BOX_SET_20, 20.0, max_count=2)[1].omega
+    assert omega_2 == pytest.approx(3.2704, abs=1e-4)
+    nu_crit = asymptotic.critical_feedback(omega_2, BOX_SET_20)
+    assert nu_crit == pytest.approx(2.5377, abs=1e-4)
+    assert nu_crit > SMALLNESS_LIMIT
+    assert asymptotic.excitation_indicator(omega_2, dp_with(3.0, BOX_SET_20)
+                                           ).excited

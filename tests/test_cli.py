@@ -291,25 +291,30 @@ def test_overflowing_parameter_exits_2(tmp_path, capsys, verb):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step, omega_max", [(0.2, 20), (0.15, 20),
-                                              (0.3, 10)])
-def test_step_beyond_rk4_stability_edge_exits_2(tmp_path, capsys, step,
-                                                 omega_max):
-    # RK4 amplifies the undamped modes once h*omega exceeds 2*sqrt(2);
-    # 0.2 * 20 = 4 was accepted and reported wrong eigenvalues as converged.
-    code, out = run_cli(tmp_path, "spectrum", REF_SECTION,
-                        f"[run]\nmodes = 2\nstep = {step}\n"
-                        f"omega_max = {omega_max}\n", strict=True)
-    assert code == 2
-    assert "stability edge" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_step_at_rk4_stability_edge_is_accepted(tmp_path):
-    # 0.14 * 20 = 2.8 lies just inside the edge.
-    code, _ = run_cli(tmp_path, "spectrum", REF_SECTION,
-                      "[run]\nmodes = 1\nstep = 0.14\n")
-    assert code == 0
+def test_no_step_is_refused_for_its_omega_max(tmp_path):
+    # step sets only the paper's RK4 system, which no verb builds, so no
+    # step * omega_max is refused: 0.2 * 20 = 4, 0.3 * 10 = 3 and the
+    # README config at omega_max = 6000 (0.0005 * 6000 = 3) lie past RK4's
+    # stability edge 2*sqrt(2), where a check exited 2.  Every verb runs
+    # each config under --strict and writes the cells of the config
+    # without its step line; only the "# step = ..." echo line differs.
+    runs = [f"[run]\nmodes = 2\nstep = {step}\nomega_max = {omega_max}\n"
+            for step, omega_max in ((0.2, 20), (0.15, 20), (0.3, 10))]
+    runs += ["[run]\nmodes = 1\nstep = 0.14\n",
+             README_RUN.replace("omega_max = 20\n", "omega_max = 6000\n")]
+    for run in runs:
+        step = re.search(r"^step = (.*)$", run, flags=re.M).group(1)
+        default_step = run.replace(f"step = {step}\n", "")
+        for verb in ("spectrum", "stability", "sweep", "modeshape"):
+            outputs = []
+            for text in (run, default_step):
+                code, out = run_cli(tmp_path, verb, REF_SECTION, text,
+                                    strict=True)
+                assert code == 0, (run, verb)
+                outputs.append(out.read_text().splitlines())
+            assert len(outputs[0]) == len(outputs[1])
+            assert [(a, b) for a, b in zip(*outputs) if a != b] == [
+                (f"# step = {step}", "# step = 1e-06")], (run, verb)
 
 
 def test_huge_mass_ratio_gives_accurate_cells(tmp_path):

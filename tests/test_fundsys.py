@@ -16,18 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import barmodes
 from barmodes import asymptotic, conservative, fundsys, rk4
-from barmodes.params import (DEFAULT_STEP, STABILITY_EDGE,
-                             DimensionlessParams, validate)
+from barmodes.params import DEFAULT_STEP, DimensionlessParams, validate
 
 REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
 UNDAMPED = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
 OMEGA_1 = 0.3534042288
-
-# Coarser-than-production controls keep the unit suite quick; accuracy
-# statements at production resolution live in the acceptance tests.
-FAST = fundsys.SolveOptions(step=1.0 / 400.0, subintervals=2)
-# The search options of the conservative_mode_one fixture.
-SHAPE_OPTS = fundsys.SolveOptions(step=1.0 / 1000.0, subintervals=2)
 
 
 def random_dp(rng):
@@ -192,7 +185,7 @@ def seed_omega(dp, w0):
     return w0 * math.sqrt(1.0 - (0.5 * e) ** 2) if e < 2.0 else w0
 
 
-def reference_sweep(dp, nu_values, modes, omega_max, opts):
+def reference_sweep(dp, nu_values, modes, omega_max):
     """The per-row nu sweep that one coefficient row per sweep replaced,
     kept as a cross-check: a direct search on replace(dp, nu=...) per row,
     seeds from a Lagrange extrapolation through up to three converged rows
@@ -212,7 +205,7 @@ def reference_sweep(dp, nu_values, modes, omega_max, opts):
             if len(history) >= 2:
                 s = lagrange_extrapolate(history, nu)
                 seed = fundsys.SpectralPoint(q=s.real, omega=s.imag)
-            point = fundsys.find_eigenvalue(replace(dp, nu=nu), seed, opts)
+            point = fundsys.find_eigenvalue(replace(dp, nu=nu), seed)
             branch.append(fundsys.SweepRow(
                 nu=nu, mode=mode, q=point.q, omega=point.omega,
                 delta_value=point.delta_value, converged=point.converged))
@@ -289,18 +282,14 @@ def mp_row(dp, s):
     return P, Q
 
 
-def mp_residual(dp, opts=None):
-    """f(s) = P*u(1) + Q*u'(1) in the working precision: of the discretised
-    system with these options (mp_rk4_power), or of the continuous one,
-    u(1) = sinh(r)/r and u'(1) = cosh(r) with r^2 = K, for None."""
+def mp_residual(dp):
+    """f(s) = P*u(1) + Q*u'(1) of the continuous system in the working
+    precision: u(1) = sinh(r)/r and u'(1) = cosh(r) with r^2 = K."""
     mp = pytest.importorskip("mpmath")
 
     def residual(s):
         P, Q = mp_row(dp, s)
         K = s * s / (1 + dp.eps1 * s)
-        if opts is not None:
-            a, b = mp_rk4_power(K, opts.subintervals, opts.step)
-            return P * b + Q * a
         r = mp.sqrt(K)
         return P * mp.sinh(r) / r + Q * mp.cosh(r)
 
@@ -1129,7 +1118,7 @@ def test_subnormal_step_is_a_value_error(step):
 
 def test_find_eigenvalue_recovers_conservative_root():
     seed = fundsys.SpectralPoint(q=0.01, omega=0.36)
-    point = fundsys.find_eigenvalue(UNDAMPED, seed, FAST)
+    point = fundsys.find_eigenvalue(UNDAMPED, seed)
     assert point.converged
     assert point.q == pytest.approx(0.0, abs=1e-6)
     assert point.omega == pytest.approx(OMEGA_1, abs=1e-6)
@@ -1139,14 +1128,14 @@ def test_find_eigenvalue_recovers_conservative_root():
 def test_find_eigenvalue_near_critical_feedback_is_neutral():
     dp = DimensionlessParams(0.005, 0.008, 0.0529760481, 7.0, 0.1)
     ev = asymptotic.corrected_eigenvalue(OMEGA_1, dp)
-    point = fundsys.find_eigenvalue(dp, fundsys.SpectralPoint(ev.q, OMEGA_1), FAST)
+    point = fundsys.find_eigenvalue(dp, fundsys.SpectralPoint(ev.q, OMEGA_1))
     assert point.converged
     assert abs(point.q) < 1e-3
 
 
 def test_find_eigenvalue_stays_in_seed_band():
     point = fundsys.find_eigenvalue(
-        UNDAMPED, fundsys.SpectralPoint(q=0.0, omega=0.36), FAST)
+        UNDAMPED, fundsys.SpectralPoint(q=0.0, omega=0.36))
     assert abs(point.omega - 0.36) < np.pi / 2
 
 
@@ -1154,9 +1143,8 @@ def test_find_eigenvalue_never_raises_on_starved_budget(monkeypatch):
     # A far seed with almost no iteration budget cannot reach the spectrum:
     # the solver must report failure, not throw.
     monkeypatch.setattr(fundsys, "MAX_ITERATIONS", 3)
-    opts = fundsys.SolveOptions(step=1.0 / 200.0, subintervals=1)
     point = fundsys.find_eigenvalue(
-        UNDAMPED, fundsys.SpectralPoint(q=0.5, omega=1.8), opts)
+        UNDAMPED, fundsys.SpectralPoint(q=0.5, omega=1.8))
     assert not point.converged
     assert np.isfinite(point.delta_value)
 
@@ -1172,13 +1160,11 @@ def test_find_eigenvalue_never_raises_on_overflow():
 def test_find_eigenvalue_agrees_with_nelder_mead():
     rng = np.random.default_rng(31)
     cases = [(REF, 5)] + [(small_dissipation_dp(rng), 3) for _ in range(3)]
-    # The search solves the continuous system whatever the step.
-    opts = fundsys.SolveOptions(step=0.01)
     for dp, count in cases:
         seeds = asymptotic_seeds(dp, count)
         assert len(seeds) == count
         for seed in seeds:
-            point = fundsys.find_eigenvalue(dp, seed, opts)
+            point = fundsys.find_eigenvalue(dp, seed)
             s_nm, value_nm = nelder_mead_eigenvalue(dp, seed)
             assert point.converged and value_nm < fundsys.CONVERGED_TOL
             assert abs(complex(point.q, point.omega) - s_nm) <= 1e-9
@@ -1188,16 +1174,15 @@ def test_find_eigenvalue_agrees_with_secant():
     # Cold searches for every mode below omega = 20, and sweep rows against
     # a secant search warm-started from the previous row.
     rng = np.random.default_rng(37)
-    opts = fundsys.SolveOptions()
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(8)]:
         for seed in asymptotic_seeds(dp, None):
-            point = fundsys.find_eigenvalue(dp, seed, opts)
+            point = fundsys.find_eigenvalue(dp, seed)
             s_ref = secant_eigenvalue(dp, seed)
             assert point.converged
             s = complex(point.q, point.omega)
             assert abs(s - s_ref) <= 1e-13 * abs(s_ref)
         rows = fundsys.sweep_feedback(dp, [0.01 * i for i in range(11)],
-                                      modes=(1, 2), options=opts)
+                                      modes=(1, 2))
         for mode in (1, 2):
             branch = [r for r in rows if r.mode == mode]
             for before, row in zip(branch, branch[1:]):
@@ -1216,22 +1201,17 @@ small_dissipation = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(dp=small_dissipation, mode=st.integers(1, 7),
-       dq=st.floats(-0.5, 0.5), domega=st.floats(-1.0, 1.0),
-       edge_fraction=st.floats(0.01, 1.0), subintervals=st.integers(1, 16))
-def test_find_eigenvalue_never_raises(dp, mode, dq, domega, edge_fraction,
-                                      subintervals):
-    # Seeds around the modes below omega = 20, steps up to the RK4
-    # stability edge at omega = 20: a search may fail, but it must not
-    # raise, and converged must mean a small normalized determinant.
+       dq=st.floats(-0.5, 0.5), domega=st.floats(-1.0, 1.0))
+def test_find_eigenvalue_never_raises(dp, mode, dq, domega):
+    # Seeds around the modes below omega = 20: a search may fail, but it
+    # must not raise, and converged must mean a small normalized
+    # determinant.
     roots = conservative.find_roots(dp, 20.0, max_count=mode)
     w0 = roots[-1].omega
     seed = fundsys.SpectralPoint(
         q=asymptotic.corrected_eigenvalue(w0, dp).q + dq,
         omega=max(w0 + domega, 0.01))
-    opts = fundsys.SolveOptions(
-        step=edge_fraction * STABILITY_EDGE / 20.0,
-        subintervals=subintervals)
-    point = fundsys.find_eigenvalue(dp, seed, opts)
+    point = fundsys.find_eigenvalue(dp, seed)
     if point.converged:
         assert point.delta_value < fundsys.CONVERGED_TOL
 
@@ -1280,6 +1260,51 @@ def test_reference_sweep_cost(monkeypatch):
     rows = fundsys.sweep_feedback(REF, [0.005 * i for i in range(21)], (1, 2))
     assert len(rows) == 42 and all(row.converged for row in rows)
     assert len(calls) <= 49
+
+
+# The benchmark's small-dissipation box (bench/workloads.py BOX), from
+# which its parameter_sets(7) draws the 64 sets after the reference set.
+BOX = (("eps1", 0.0, 0.02), ("mu", 0.0, 0.02), ("nu", 0.0, 0.1),
+       ("eta", 0.5, 10.0), ("delta", 0.02, 0.5))
+
+
+def test_box_set_evaluation_counts(monkeypatch):
+    # The counts README quotes.  On the reference set and the 64 box sets,
+    # the 455 cold searches (a one-point sweep of every mode below
+    # omega = 20) take at most 3 residual evaluations each and 1081 in all,
+    # and the 2730 rows of the 21 x 2 nu sweeps take 3245; every search
+    # and row converges.
+    calls, cold_counts = count_rhs_calls(monkeypatch), []
+    search = fundsys.find_eigenvalue
+
+    def counting(*args, **kwargs):
+        before = len(calls)
+        point = search(*args, **kwargs)
+        cold_counts.append(len(calls) - before)
+        return point
+
+    rng = np.random.default_rng(7)
+    sets = [REF] + [DimensionlessParams(**{name: float(rng.uniform(lo, hi))
+                                           for name, lo, hi in BOX})
+                    for _ in range(64)]
+    cold, cold_calls, rows, row_calls = [], 0, [], 0
+    for dp in sets:
+        count = len(conservative.find_roots(dp, 20.0))
+        start = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(fundsys, "find_eigenvalue", counting)
+            cold += fundsys.sweep_feedback(dp, [dp.nu], range(1, count + 1))
+        cold_calls += len(calls) - start
+        start = len(calls)
+        rows += fundsys.sweep_feedback(dp, [0.005 * i for i in range(21)],
+                                       (1, 2))
+        row_calls += len(calls) - start
+    assert len(cold) == len(cold_counts) == 455
+    assert len(rows) == 2730
+    assert all(row.converged for row in cold + rows)
+    assert max(cold_counts) <= 3
+    assert cold_calls <= 2.38 * len(cold)
+    assert row_calls <= 1.19 * len(rows)
 
 
 @pytest.mark.parametrize("options", [
@@ -1703,11 +1728,10 @@ def test_sweep_feedback_continuation(monkeypatch):
     # and every row is the eigenvalue a warm-started search from the
     # previous row finds.
     nu_grid = [0.005 * i for i in range(21)]
-    opts = fundsys.SolveOptions()
     rng = np.random.default_rng(33)
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
         calls = count_rhs_calls(monkeypatch)
-        rows = fundsys.sweep_feedback(dp, nu_grid, modes=(1, 2), options=opts)
+        rows = fundsys.sweep_feedback(dp, nu_grid, modes=(1, 2))
         monkeypatch.undo()
         assert len(calls) <= 3 * len(rows)
         assert all(r.converged for r in rows)
@@ -1716,7 +1740,7 @@ def test_sweep_feedback_continuation(monkeypatch):
             for before, row in zip(branch, branch[1:]):
                 fresh = fundsys.find_eigenvalue(
                     replace(dp, nu=row.nu),
-                    fundsys.SpectralPoint(q=before.q, omega=before.omega), opts)
+                    fundsys.SpectralPoint(q=before.q, omega=before.omega))
                 assert fresh.converged
                 s, s_fresh = complex(row.q, row.omega), complex(fresh.q,
                                                                 fresh.omega)
@@ -1760,7 +1784,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 @pytest.fixture(scope="module")
 def conservative_mode_one():
     seed = fundsys.SpectralPoint(q=0.0, omega=0.36)
-    point = fundsys.find_eigenvalue(UNDAMPED, seed, SHAPE_OPTS)
+    point = fundsys.find_eigenvalue(UNDAMPED, seed)
     assert point.converged
     return point
 
@@ -1823,8 +1847,8 @@ def test_mode_shape_rank_check_is_the_search_tolerance():
         fundsys.mode_shape(moved, REF)
 
 
-# Option sets the CLI accepts for modes below omega = 20: step 1/2000, and
-# coarse steps with 8, 3 and 1 subintervals.
+# Option sets from step 1/2000 to coarse steps with 8, 3 and 1
+# subintervals.
 SHAPE_OPTION_SETS = [fundsys.SolveOptions(step=step, subintervals=n)
                      for step, n in [(1.0 / 2000.0, 8), (0.003, 8), (0.05, 8),
                                      (0.1, 8), (0.01, 3), (0.07, 1)]]
@@ -1872,8 +1896,7 @@ def test_mode_shape_profiles_the_system_its_search_solved(monkeypatch, opts):
 
 
 def test_mode_shape_resolution_only_sets_the_sampling():
-    opts = fundsys.SolveOptions(step=0.03, subintervals=8)
-    point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 1)[0], opts)
+    point = fundsys.find_eigenvalue(REF, asymptotic_seeds(REF, 1)[0])
     assert point.converged
     middle, end = [], []
     for resolution in (11, 101, 201):
@@ -1962,15 +1985,12 @@ def test_sweep_feedback_empty_mode_list():
 
 
 def test_sweep_feedback_takes_numpy_integer_modes():
-    rows = fundsys.sweep_feedback(REF, [0.0], modes=np.array([1, 2]),
-                                  options=FAST)
-    assert rows == fundsys.sweep_feedback(REF, [0.0], modes=(1, 2),
-                                          options=FAST)
+    rows = fundsys.sweep_feedback(REF, [0.0], modes=np.array([1, 2]))
+    assert rows == fundsys.sweep_feedback(REF, [0.0], modes=(1, 2))
 
 
 def test_sweep_feedback_rows_and_warm_start():
-    rows = fundsys.sweep_feedback(REF, [0.0, 0.005, 0.01], modes=(1,),
-                                  options=FAST)
+    rows = fundsys.sweep_feedback(REF, [0.0, 0.005, 0.01], modes=(1,))
     assert len(rows) == 3
     assert [r.nu for r in rows] == [0.0, 0.005, 0.01]
     for r in rows:
@@ -1983,8 +2003,7 @@ def test_sweep_feedback_rows_and_warm_start():
 def test_sweep_feedback_repeated_nu():
     # Two rows at one nu give no extrapolation direction; the next row is
     # warm-started instead.
-    rows = fundsys.sweep_feedback(REF, [0.0, 0.01, 0.01, 0.02], modes=(1,),
-                                  options=FAST)
+    rows = fundsys.sweep_feedback(REF, [0.0, 0.01, 0.01, 0.02], modes=(1,))
     assert all(r.converged for r in rows)
     assert (rows[1].q, rows[1].omega) == pytest.approx((rows[2].q,
                                                         rows[2].omega))
@@ -1992,7 +2011,7 @@ def test_sweep_feedback_repeated_nu():
 
 def test_sweep_feedback_orders_rows_by_nu_then_mode():
     rows = fundsys.sweep_feedback(REF, [0.0, 0.01], modes=(1, 2),
-                                  options=FAST, omega_max=10.0)
+                                  omega_max=10.0)
     key = [(r.nu, r.mode) for r in rows]
     assert key == sorted(key)
     assert len(rows) == 4
@@ -2000,7 +2019,7 @@ def test_sweep_feedback_orders_rows_by_nu_then_mode():
 
 def test_sweep_feedback_rejects_descending_grid():
     with pytest.raises(ValueError):
-        fundsys.sweep_feedback(REF, [0.01, 0.0], modes=(1,), options=FAST)
+        fundsys.sweep_feedback(REF, [0.01, 0.0], modes=(1,))
 
 
 @pytest.mark.parametrize("modes", [(0,), (0, 2), (-1, 1), (1, 1), (2, 1, 2),
@@ -2011,7 +2030,7 @@ def test_sweep_feedback_rejects_bad_modes(modes):
     # mode of 1.5 had passed the check and was then reported as a shortfall
     # of undamped frequencies below omega_max.
     with pytest.raises(ValueError, match="modes must be distinct integers"):
-        fundsys.sweep_feedback(REF, [0.0], modes=modes, options=FAST)
+        fundsys.sweep_feedback(REF, [0.0], modes=modes)
 
 
 @pytest.mark.parametrize("nu_values", [[0.0, np.nan], [0.0, np.inf],
@@ -2023,21 +2042,19 @@ def test_sweep_feedback_rejects_non_finite_grid(monkeypatch, nu_values):
     monkeypatch.setattr(fundsys, "find_eigenvalue",
                         lambda *args, **kwargs: searches.append(args))
     with pytest.raises(ValueError, match="nu grid must be finite"):
-        fundsys.sweep_feedback(REF, nu_values, modes=(1,), options=FAST)
+        fundsys.sweep_feedback(REF, nu_values, modes=(1,))
     assert searches == []
 
 
-@pytest.mark.parametrize("opts", [fundsys.SolveOptions(), FAST])
-def test_sweep_feedback_matches_the_per_row_sweep(opts):
+def test_sweep_feedback_matches_the_per_row_sweep():
     # One coefficient row per sweep, the unrolled extrapolation and the result
     # reused as the next seed change no bit of any row.
     rng = np.random.default_rng(40)
     grids = ([0.005 * i for i in range(21)], [0.0, 0.01, 0.01, 0.02, 0.1])
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
         for nu_values in grids:
-            rows = fundsys.sweep_feedback(dp, nu_values, modes=(1, 2),
-                                          options=opts)
-            expected = reference_sweep(dp, nu_values, (1, 2), 20.0, opts)
+            rows = fundsys.sweep_feedback(dp, nu_values, modes=(1, 2))
+            expected = reference_sweep(dp, nu_values, (1, 2), 20.0)
             assert [row_bits(r) for r in rows] == [row_bits(r)
                                                    for r in expected]
 
@@ -2060,7 +2077,7 @@ def test_sweep_feedback_makes_one_search_call_per_row(monkeypatch):
     monkeypatch.setattr(fundsys, "find_eigenvalue", counting_search)
     monkeypatch.setattr(fundsys, "_row_coefficients", counting_form)
     nu_grid = [0.005 * i for i in range(21)]
-    rows = fundsys.sweep_feedback(REF, nu_grid, modes=(1, 2), options=FAST)
+    rows = fundsys.sweep_feedback(REF, nu_grid, modes=(1, 2))
     assert len(rows) == len(searches) == 42
     assert all(args[0] is REF and isinstance(args[1], fundsys.SpectralPoint)
                for args in searches)
@@ -2079,8 +2096,7 @@ def test_sweep_feedback_flags_a_repeated_eigenvalue_per_grid_point():
     # The guard compares rows at the same grid position, not the same nu
     # value: the grid repeats 0.0, and a guard keyed on nu would also
     # compare mode 3's second row with its first and flag it.
-    rows = fundsys.sweep_feedback(DUPLICATING, [0.0, 0.0], modes=(1, 2, 3),
-                                  options=FAST)
+    rows = fundsys.sweep_feedback(DUPLICATING, [0.0, 0.0], modes=(1, 2, 3))
     assert [(r.mode, r.converged) for r in rows] == [
         (1, True), (2, False), (3, True), (1, True), (2, False), (3, True)]
     for one, two in zip(rows[0::3], rows[1::3]):
@@ -2163,8 +2179,8 @@ def test_sweep_feedback_lays_rows_out_by_grid_position(dp, grid, modes):
     # Row i*m + k is mode modes[k] at grid[i], also where the grid repeats
     # a value (a sort by (nu, mode) put one mode's eigenvalue in another
     # mode's place there), and it is the per-row sweep's row bit for bit.
-    rows = fundsys.sweep_feedback(dp, grid, modes=modes, options=FAST)
-    expected = reference_sweep(dp, grid, modes, 20.0, FAST)
+    rows = fundsys.sweep_feedback(dp, grid, modes=modes)
+    expected = reference_sweep(dp, grid, modes, 20.0)
     assert len(rows) == len(grid) * len(modes)
     for i, nu in enumerate(grid):
         for k, mode in enumerate(modes):
@@ -2191,7 +2207,7 @@ def test_sweep_feedback_falls_back_to_the_conservative_seed(monkeypatch, dp):
 
     monkeypatch.setattr(fundsys, "find_eigenvalue", recording)
     roots = conservative.find_roots(dp, 20.0, max_count=3)
-    rows = fundsys.sweep_feedback(dp, [dp.nu], modes=(1, 2, 3), options=FAST)
+    rows = fundsys.sweep_feedback(dp, [dp.nu], modes=(1, 2, 3))
     assert len(rows) == 3
     for seed, root in zip(seeds, roots):
         assert seed.omega == seed_omega(dp, root.omega)

@@ -108,8 +108,8 @@ def test_fundsys_bridges_only_the_two_rk4_functions():
     assert fundsys.delta_subdivided is rk4.delta_subdivided
     for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS"):
         assert getattr(rk4, name) is getattr(params, name)
-    for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS", "STABILITY_EDGE",
-                 "_step_count", "_log1p", "_propagator"):
+    for name in ("DEFAULT_STEP", "DEFAULT_SUBINTERVALS", "_step_count",
+                 "_log1p", "_propagator"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(fundsys, name)
 
