@@ -317,6 +317,14 @@ def test_no_step_is_refused_for_its_omega_max(tmp_path):
                 (f"# step = {step}", "# step = 1e-06")], (run, verb)
 
 
+def test_step_at_rk4_stability_edge_is_accepted(tmp_path):
+    # 0.14 * 20 = 2.8 lies just inside RK4's stability edge 2*sqrt(2); it
+    # ran before the edge check went and runs now.
+    code, _ = run_cli(tmp_path, "spectrum", REF_SECTION,
+                      "[run]\nmodes = 1\nstep = 0.14\n")
+    assert code == 0
+
+
 def test_huge_mass_ratio_gives_accurate_cells(tmp_path):
     # eta = 1e100 puts mode 1 at 1/sqrt(eta*(1 + delta)) = 9.53e-51: the
     # undamped root must be found there (not stop at 7.4e-14), and the

@@ -2046,14 +2046,19 @@ def test_sweep_feedback_rejects_non_finite_grid(monkeypatch, nu_values):
     assert searches == []
 
 
-def test_sweep_feedback_matches_the_per_row_sweep():
+@pytest.mark.parametrize("opts", [fundsys.SolveOptions(),
+                                  fundsys.SolveOptions(step=1.0 / 400.0,
+                                                       subintervals=2)])
+def test_sweep_feedback_matches_the_per_row_sweep(opts):
     # One coefficient row per sweep, the unrolled extrapolation and the result
-    # reused as the next seed change no bit of any row.
+    # reused as the next seed change no bit of any row; nor do the options,
+    # which no search reads.
     rng = np.random.default_rng(40)
     grids = ([0.005 * i for i in range(21)], [0.0, 0.01, 0.01, 0.02, 0.1])
     for dp in [REF] + [small_dissipation_dp(rng) for _ in range(10)]:
         for nu_values in grids:
-            rows = fundsys.sweep_feedback(dp, nu_values, modes=(1, 2))
+            rows = fundsys.sweep_feedback(dp, nu_values, modes=(1, 2),
+                                          options=opts)
             expected = reference_sweep(dp, nu_values, (1, 2), 20.0)
             assert [row_bits(r) for r in rows] == [row_bits(r)
                                                    for r in expected]
