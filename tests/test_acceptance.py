@@ -19,11 +19,7 @@ import pytest
 from barmodes import asymptotic, conservative, fundsys, rk4
 from barmodes.params import DimensionlessParams
 
-REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
-UNDAMPED = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
-OMEGA_1 = 0.3534042288
-OMEGA_2 = 2.904816694
-NU_CRIT = 0.0529760481
+from support import NU_CRIT, OMEGA_1, OMEGA_2, REF, UNDAMPED
 
 PRODUCTION = fundsys.SolveOptions()  # step 1e-6, 8 subintervals
 

@@ -8,10 +8,7 @@ from hypothesis import given, strategies as st
 from barmodes import asymptotic, conservative, fundsys
 from barmodes.params import SMALLNESS_LIMIT, DimensionlessParams
 
-REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
-OMEGA_1 = 0.3534042288
-OMEGA_2 = 2.904816694
-NU_CRIT = 0.0529760481
+from support import NU_CRIT, OMEGA_1, OMEGA_2, REF, UNDAMPED, box_sets
 
 
 def dp_with(nu, base=REF):
@@ -21,8 +18,7 @@ def dp_with(nu, base=REF):
 # ---------------------------------------------------------------- eigenvalue
 
 def test_corrected_eigenvalue_conservative_limit_is_exact():
-    dp = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
-    ev = asymptotic.corrected_eigenvalue(OMEGA_1, dp)
+    ev = asymptotic.corrected_eigenvalue(OMEGA_1, UNDAMPED)
     assert ev.q == 0.0
     assert ev.omega == OMEGA_1
 
@@ -234,19 +230,6 @@ def test_closed_form_and_search_agree_to_second_order():
 
 
 # ------------------------------------------------- reference expressions
-
-# The benchmark's small-dissipation box (bench/workloads.py), drawn as its
-# parameter_sets(7) draws the 64 box sets that follow the reference set.
-BOX = (("eps1", 0.0, 0.02), ("mu", 0.0, 0.02), ("nu", 0.0, 0.1),
-       ("eta", 0.5, 10.0), ("delta", 0.02, 0.5))
-
-
-def box_sets():
-    rng = np.random.default_rng(7)
-    return [REF] + [DimensionlessParams(**{name: float(rng.uniform(lo, hi))
-                                           for name, lo, hi in BOX})
-                    for _ in range(64)]
-
 
 def reference_denominator(w, eta, delta):
     return (eta * delta * w**2) ** 2 \

@@ -3,26 +3,20 @@ import collections
 import contextlib
 import io
 import math
-import os
 import random
 import re
 import subprocess
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from barmodes import cli, conservative, fundsys
+from barmodes.params import DimensionlessParams
 
-REF_SECTION = """\
-[dimensionless]
-eps1 = 0.005
-mu = 0.008
-nu = 0.05
-eta = 7
-delta = 0.1
-"""
+from support import (README_RUN, REF_SECTION, mp_newton, mp_residual,
+                     run_fresh)
 
 CONSERVATIVE_SECTION = """\
 [dimensionless]
@@ -54,22 +48,8 @@ m = 5
 l = 2
 """
 
-# The [run] section of the README configuration.
-README_RUN = """\
-[run]
-modes = 2
-omega_max = 20
-step = 0.0005
-subintervals = 8
-nu_min = 0
-nu_max = 0.1
-nu_step = 0.005
-grid_points = 201
-mode = 1
-"""
-
-# Coarse numerics so the CLI suite stays fast; accuracy at production
-# settings is covered by the acceptance tests.
+# A step and subintervals other than the defaults.  They set only the
+# paper's RK4 system, which no verb solves, so they must change no cell.
 FAST_RUN = """\
 [run]
 step = 0.0025
@@ -1067,29 +1047,6 @@ def test_spectrum_survives_a_non_finite_k(tmp_path, capsys):
     assert len(read_output(out)[2]) == 5
 
 
-def mp_continuous_eigenvalue(groups, s0):
-    """continuous_eigenvalue in 34 digits, for the dimensionless groups
-    (eps1, mu, nu, eta, delta) and with the slope from mpmath.diff."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(34):
-        eps1, mu, nu, eta, delta = (mp.mpf(g) for g in groups)
-
-        def residual(s):
-            r = mp.sqrt(s * s / (1 + eps1 * s))
-            P = eta * s * s * (1 + delta * (nu + mu) * s)
-            Q = 1 + s * ((eps1 + mu * delta) + s * (
-                delta * (eta + eps1 * mu) + s * eps1 * eta * delta))
-            return P * mp.sinh(r) / r + Q * mp.cosh(r)
-
-        s = mp.mpc(s0)
-        for _ in range(40):
-            ds = residual(s) / mp.diff(residual, s, h=abs(s) * mp.mpf(10) ** -20)
-            s -= ds
-            if abs(ds) <= mp.mpf(10) ** -28 * abs(s):
-                return complex(s)
-    raise AssertionError(f"no continuous eigenvalue near {s0}")
-
-
 # Fuzz seed 3 draw 349: a sweep of 5175 nu values whose strongly damped
 # rows near nu = 0.85 (q ~ -2 to -4) sit where the residual's rounding
 # noise keeps every Newton step above 1e-15*|s|.
@@ -1130,12 +1087,14 @@ def test_sweep_searches_settle_at_the_rounding_floor(tmp_path, monkeypatch):
     assert len(read_output(out)[2]) == 5175
     assert len(evaluations) == 5 * 5175
     assert max(evaluations) < fundsys.MAX_ITERATIONS
+    mp = pytest.importorskip("mpmath")
+    dp = DimensionlessParams(*map(float, FLOOR_GROUPS))
     checked = 0
     for nu, point in searches:
         if point.converged and 0.83 <= nu <= 0.92:
-            groups = FLOOR_GROUPS[:2] + (repr(nu),) + FLOOR_GROUPS[3:]
             s = complex(point.q, point.omega)
-            exact = mp_continuous_eigenvalue(groups, s)
+            with mp.workdps(34):
+                exact = complex(mp_newton(mp_residual(replace(dp, nu=nu)), s))
             assert abs(s - exact) <= 1e-13 * abs(exact), (nu, s, exact)
             checked += 1
     assert checked >= 80
@@ -1155,7 +1114,10 @@ def test_underflowing_step_finds_the_continuous_eigenvalue(tmp_path):
     _, header, rows = read_output(out)
     cells = [dict(zip(header, row)) for row in rows]
     s = complex(float(cells[0]["q_numeric"]), float(cells[0]["omega_numeric"]))
-    exact = mp_continuous_eigenvalue(groups, s)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(34):
+        exact = complex(mp_newton(
+            mp_residual(DimensionlessParams(*map(float, groups))), s))
     assert abs(s - exact) <= 1e-12 * abs(exact), (s, exact)
     assert float(cells[1]["omega_numeric"]) == pytest.approx(2.8627714,
                                                              abs=1e-6)
@@ -1233,11 +1195,7 @@ for verb in ("spectrum", "stability", "sweep", "modeshape"):
                      "--out", {str(tmp_path / "out.csv")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
     _, _, rows = read_output(tmp_path / "out.csv")
     assert len(rows) == 201
 

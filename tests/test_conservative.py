@@ -5,11 +5,7 @@ from barmodes import conservative
 from barmodes.conservative import characteristic, find_roots
 from barmodes.params import DimensionlessParams
 
-REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
-
-# Reference first two undamped frequencies at eta=7, delta=0.1.
-OMEGA_1 = 0.3534042288
-OMEGA_2 = 2.904816694
+from support import OMEGA_1, OMEGA_2, REF
 
 
 def scan_and_bisect(dp, omega_max, scan_step=1e-4, tol=1e-13):

@@ -1,26 +1,20 @@
 import cmath
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import barmodes
 from barmodes import asymptotic, conservative, fundsys, rk4
 from barmodes.params import DEFAULT_STEP, DimensionlessParams, validate
 
-REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
-UNDAMPED = DimensionlessParams(0.0, 0.0, 0.0, eta=7.0, delta=0.1)
-OMEGA_1 = 0.3534042288
+from support import (OMEGA_1, REF, UNDAMPED, box_sets, mp_newton, mp_residual,
+                     run_fresh)
 
 
 def random_dp(rng):
@@ -268,47 +262,6 @@ def mp_end_propagator(q, omega, dp, n, step):
         K = mp.mpc(fundsys.rhs_coefficients(q, omega, dp.eps1))
         a, b = mp_rk4_power(K, n, step)
         return complex(a), complex(b)
-
-
-def mp_row(dp, s):
-    """(P(s), Q(s)) of the end-mass row P*u(1) + Q*u'(1) for an mpmath s, in
-    the working precision, from the paper's D1 - i*D2 and D3 - i*D4."""
-    mp = pytest.importorskip("mpmath")
-    eps1, mu, nu, eta, delta = (mp.mpf(getattr(dp, name)) for name in
-                                ("eps1", "mu", "nu", "eta", "delta"))
-    P = eta * s * s * (1 + delta * (nu + mu) * s)
-    Q = 1 + s * ((eps1 + mu * delta)
-                 + s * (delta * (eta + eps1 * mu) + s * eps1 * eta * delta))
-    return P, Q
-
-
-def mp_residual(dp):
-    """f(s) = P*u(1) + Q*u'(1) of the continuous system in the working
-    precision: u(1) = sinh(r)/r and u'(1) = cosh(r) with r^2 = K."""
-    mp = pytest.importorskip("mpmath")
-
-    def residual(s):
-        P, Q = mp_row(dp, s)
-        K = s * s / (1 + dp.eps1 * s)
-        r = mp.sqrt(K)
-        return P * mp.sinh(r) / r + Q * mp.cosh(r)
-
-    return residual
-
-
-def mp_newton(residual, s0):
-    """The zero of residual that Newton's method reaches from s0 in the
-    working precision (None when it does not settle), with the slope as a
-    central difference whose step is relative to |s|."""
-    mp = pytest.importorskip("mpmath")
-    s = mp.mpc(s0)
-    tol = mp.mpf(10) ** (6 - mp.mp.dps)
-    for _ in range(40):
-        ds = residual(s) / mp.diff(residual, s, h=abs(s) * tol ** 2)
-        s -= ds
-        if abs(ds) <= tol * abs(s):
-            return s
-    return None
 
 
 def paper_boundary_coefficients(q, omega, dp):
@@ -662,6 +615,20 @@ def test_non_finite_k_raises_the_modules_message(q, omega, eps1, count):
     with pytest.raises(OverflowError,
                        match="^fundamental matrix entry exceeded 1e150"):
         propagator(q, omega, eps1, count)
+
+
+def test_modulus_past_the_float_range_raises_the_modules_message():
+    # At s = 710.6 + i*pi/4 with eps1 = 0, r = s and cosh(r) has both parts
+    # ~1.44e308: finite, but abs() of it raises 'absolute value too large'.
+    with pytest.raises(OverflowError,
+                       match="^fundamental matrix entry exceeded 1e150"):
+        fundsys._propagator_at(710.6, math.pi / 4, 0.0)
+
+
+def test_singular_rk4_step_raises():
+    # 1 + z = 0: the step's propagator has a zero eigenvalue.
+    with pytest.raises(ZeroDivisionError, match="^singular RK4 step: "):
+        rk4._log1p(-1 + 0j)
 
 
 def test_integrator_underflow_raises():
@@ -1262,12 +1229,6 @@ def test_reference_sweep_cost(monkeypatch):
     assert len(calls) <= 49
 
 
-# The benchmark's small-dissipation box (bench/workloads.py BOX), from
-# which its parameter_sets(7) draws the 64 sets after the reference set.
-BOX = (("eps1", 0.0, 0.02), ("mu", 0.0, 0.02), ("nu", 0.0, 0.1),
-       ("eta", 0.5, 10.0), ("delta", 0.02, 0.5))
-
-
 def test_box_set_evaluation_counts(monkeypatch):
     # The counts README quotes.  On the reference set and the 64 box sets,
     # the 455 cold searches (a one-point sweep of every mode below
@@ -1283,12 +1244,8 @@ def test_box_set_evaluation_counts(monkeypatch):
         cold_counts.append(len(calls) - before)
         return point
 
-    rng = np.random.default_rng(7)
-    sets = [REF] + [DimensionlessParams(**{name: float(rng.uniform(lo, hi))
-                                           for name, lo, hi in BOX})
-                    for _ in range(64)]
     cold, cold_calls, rows, row_calls = [], 0, [], 0
-    for dp in sets:
+    for dp in box_sets():
         count = len(conservative.find_roots(dp, 20.0))
         start = len(calls)
         with monkeypatch.context() as m:
@@ -1394,16 +1351,15 @@ def test_direct_searches_form_their_own_row(monkeypatch):
 
 # Direct searches, one-point sweeps and mode shapes on REF and on REF with
 # an int, an np.float64 and a -0.0 group, as reprs and bytes;
-# answers(order) makes the calls of CALLS in that order.
+# answers(order) makes the calls of CALLS in that order.  REF is bound
+# before the code runs.
 TYPED_GROUP_CALLS = """
 from dataclasses import replace
 
 import numpy as np
 
 from barmodes import asymptotic, conservative, fundsys
-from barmodes.params import DimensionlessParams
 
-REF = DimensionlessParams(eps1=0.005, mu=0.008, nu=0.05, eta=7.0, delta=0.1)
 SETS = [REF, replace(REF, eta=7), replace(REF, eps1=np.float64(0.005)),
         replace(REF, mu=-0.0)]
 
@@ -1439,16 +1395,15 @@ def test_typed_groups_answer_as_they_do_alone():
     # calls interleaved here answer bit for bit, and in the same types
     # (repr), as the same calls run in reverse order in a fresh
     # interpreter, where an np.float64 set comes before REF.
-    src = str(Path(barmodes.__file__).resolve().parents[1])
-    code = (TYPED_GROUP_CALLS + "import json\n"
-            "print(json.dumps(answers(reversed(range(len(CALLS))))))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
+    calls = ("from barmodes.params import DimensionlessParams\n"
+             f"REF = {REF!r}\n" + TYPED_GROUP_CALLS)
+    alone = json.loads(run_fresh(
+        calls + "import json\n"
+        "print(json.dumps(answers(reversed(range(len(CALLS))))))\n"))
     namespace = {}
-    exec(TYPED_GROUP_CALLS, namespace)
+    exec(calls, namespace)
     interleaved = namespace["answers"](range(len(namespace["CALLS"])))
-    assert interleaved == json.loads(proc.stdout)[::-1]
+    assert interleaved == alone[::-1]
 
 
 TYPED_GROUPS = {
@@ -1749,19 +1704,14 @@ def test_sweep_feedback_continuation(monkeypatch):
 
 @pytest.mark.parametrize("package", ["scipy", "numpy"])
 def test_import_loads_no_scipy(package):
-    src = str(Path(barmodes.__file__).resolve().parents[1])
     code = ("import sys, barmodes; print(sorted(m for m in sys.modules "
             f"if m.split('.')[0] == {package!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_propagator_and_polynomials_load_no_numpy():
     # integrate_fundamental, characteristic and boundary_coefficients are
     # cmath/math only; numpy is loaded by mode_shape alone.
-    src = str(Path(barmodes.__file__).resolve().parents[1])
     code = """
 import sys
 from barmodes import conservative, fundsys, rk4
@@ -1773,10 +1723,7 @@ assert isinstance(conservative.characteristic(0.35, dp), float)
 assert isinstance(fundsys.boundary_coefficients(-0.01, 0.35, dp).D1, float)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 # ------------------------------------------------------------------- mode shape

@@ -4,37 +4,14 @@ Every check runs in a fresh interpreter, whose sys.modules holds only what
 the code under test imported."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import barmodes
 
-SRC = str(Path(barmodes.__file__).resolve().parents[1])
+from support import README_CONFIG, run_fresh
+
 SUBMODULES = ["asymptotic", "conservative", "fundsys", "params", "rk4"]
-
-README_CONFIG = """\
-[dimensionless]
-eps1 = 0.005
-mu = 0.008
-nu = 0.05
-eta = 7
-delta = 0.1
-
-[run]
-modes = 2
-omega_max = 20
-step = 0.0005
-subintervals = 8
-nu_min = 0
-nu_max = 0.1
-nu_step = 0.005
-grid_points = 201
-mode = 1
-"""
 
 
 def loaded_after(code, *watched):
@@ -45,10 +22,7 @@ import json, sys
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] == "barmodes" or m in {watched!r})))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(run_fresh(script).splitlines()[-1])
 
 
 def test_package_import_loads_no_submodule():

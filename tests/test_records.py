@@ -3,15 +3,12 @@ keywords with their defaults, with a dataclass-style repr, and no
 dataclass is generated for them when a verb imports the package."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import barmodes
 from barmodes import asymptotic, conservative, fundsys, params
+
+from support import run_fresh
 
 # Each record with keyword arguments for its fields that have no default.
 RECORDS = [
@@ -29,7 +26,6 @@ RECORDS = [
 
 
 def test_verb_import_generates_only_the_parameter_dataclasses():
-    src = str(Path(barmodes.__file__).resolve().parents[1])
     code = """
 import sys
 import barmodes.cli
@@ -39,11 +35,9 @@ print(sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
              if isinstance(value, type) and value.__module__ == name
              and hasattr(value, "__dataclass_fields__")))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(["barmodes.params.DimensionlessParams",
-                                       "barmodes.params.PhysicalParams"])
+    assert run_fresh(code).strip() == str([
+        "barmodes.params.DimensionlessParams",
+        "barmodes.params.PhysicalParams"])
 
 
 @pytest.mark.parametrize("record, fields", RECORDS,
