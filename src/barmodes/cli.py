@@ -41,7 +41,7 @@ class ConfigError(Exception):
 
 # Section keys in echo order: name -> (parser, default); a key without a
 # default is required.
-_PHYSICAL_KEYS = {f.name: (float, None) for f in fields(PhysicalParams)}
+_PHYSICAL_KEYS = {name: (float, None) for name in PhysicalParams._fields}
 _DIMLESS_KEYS = {f.name: (float, None) for f in fields(DimensionlessParams)}
 _RUN_KEYS = {
     "modes": (int, 5),

@@ -49,9 +49,9 @@ _STRICTLY_POSITIVE = ("rho", "S", "E", "c", "m", "l")
 _NON_NEGATIVE = ("beta", "b", "d")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """The nine physical constants of the hybrid system (SI units)."""
+class PhysicalParams(NamedTuple):
+    """The nine physical constants of the hybrid system (SI units), held
+    unchecked: :func:`to_dimensionless` checks them."""
 
     rho: float   # mass density, kg/m^3
     S: float     # cross-section area, m^2
@@ -62,17 +62,6 @@ class PhysicalParams:
     d: float     # feedback coefficient, N*s/m
     m: float     # attached end mass, kg
     l: float     # bar length, m
-
-    def __post_init__(self):
-        for name in _STRICTLY_POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        for name in _NON_NEGATIVE:
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in _STRICTLY_POSITIVE + _NON_NEGATIVE:
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite")
 
     @property
     def wave_speed(self) -> float:
@@ -86,9 +75,9 @@ class DimensionlessParams:
 
     Construction, dataclasses.replace included, stores float() of each
     group, so an int or np.float64 group computes and answers as its float
-    does.  Unlike :class:`PhysicalParams`, it does not validate: NaN,
-    +-inf and negative values pass through, so that :func:`validate` can
-    report on deliberately out-of-range values.
+    does.  Like :class:`PhysicalParams`, it does not validate: NaN, +-inf
+    and negative values pass through, so that :func:`validate` can report
+    on deliberately out-of-range values.
     """
 
     eps1: float   # material dissipation
@@ -111,10 +100,21 @@ def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
 
     eps1 = beta*a/l, mu = b*a/(E*S), nu = d*a/(E*S), eta = m/(rho*S*l),
     delta = E*S/(c*l), with wave speed a = sqrt(E/rho).  Raises ValueError,
+    naming the constant, when rho, S, E, c, m or l is not strictly
+    positive, when beta, b or d is negative, or when one is infinite; and,
     naming the quantity, when one of the three products (the denominators)
     underflows to 0 and otherwise when a product or the wave speed
     overflows to inf: either leaves the groups formed from it undefined.
     """
+    for name in _STRICTLY_POSITIVE:
+        if not getattr(p, name) > 0:
+            raise ValueError(f"{name} must be strictly positive")
+    for name in _NON_NEGATIVE:
+        if not getattr(p, name) >= 0:
+            raise ValueError(f"{name} must be non-negative")
+    for name in _STRICTLY_POSITIVE + _NON_NEGATIVE:
+        if getattr(p, name) == math.inf:
+            raise ValueError(f"{name} must be finite")
     a = p.wave_speed
     ES, cl, rhoSl = p.E * p.S, p.c * p.l, p.rho * p.S * p.l
     products = (("E*S", ES), ("c*l", cl), ("rho*S*l", rhoSl))

@@ -351,6 +351,24 @@ subintervals = 2
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("rho", "0", "strictly positive"),
+    ("E", "-2", "strictly positive"),
+    ("beta", "-1e-9", "non-negative")], ids=["rho", "E", "beta"])
+def test_physical_constant_out_of_range_is_named(tmp_path, capsys, key,
+                                                 value, rule):
+    # The contract fuzzer draws only positive constants, so this pins the
+    # message that names the constant.
+    section = re.sub(rf"^{key} = .*$", f"{key} = {value}", PHYSICAL_SECTION,
+                     flags=re.M)
+    for verb in ("spectrum", "stability", "sweep", "modeshape"):
+        code, out = run_cli(tmp_path, verb, section, FAST_RUN)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: [physical] {key} must be {rule}\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("edits, product", [
     ({"rho": "1e-300", "S": "1e-15", "l": "1e-15"}, "rho*S*l"),
     ({"E": "1e-170", "S": "1e-170"}, "E*S"),

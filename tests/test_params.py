@@ -68,11 +68,14 @@ def test_overflowing_quantity_is_named(values, quantity):
 
 def test_nonpositive_required_field_rejected():
     with pytest.raises(ValueError):
-        PhysicalParams(rho=0, S=1, E=1, beta=0, b=0, d=0, m=1, c=1, l=1)
+        to_dimensionless(PhysicalParams(rho=0, S=1, E=1, beta=0, b=0, d=0,
+                                        m=1, c=1, l=1))
     with pytest.raises(ValueError):
-        PhysicalParams(rho=1, S=1, E=-2, beta=0, b=0, d=0, m=1, c=1, l=1)
+        to_dimensionless(PhysicalParams(rho=1, S=1, E=-2, beta=0, b=0, d=0,
+                                        m=1, c=1, l=1))
     with pytest.raises(ValueError):
-        PhysicalParams(rho=1, S=1, E=1, beta=-1e-9, b=0, d=0, m=1, c=1, l=1)
+        to_dimensionless(PhysicalParams(rho=1, S=1, E=1, beta=-1e-9, b=0,
+                                        d=0, m=1, c=1, l=1))
 
 
 @pytest.mark.parametrize("name", ["rho", "S", "E", "beta", "b", "c", "d",
@@ -81,7 +84,7 @@ def test_infinite_physical_constant_rejected(name):
     values = dict(rho=1, S=1, E=1, beta=0, b=0, d=0, m=1, c=1, l=1)
     values[name] = math.inf
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        PhysicalParams(**values)
+        to_dimensionless(PhysicalParams(**values))
 
 
 @pytest.mark.parametrize("name", ["eps1", "mu", "nu", "eta", "delta"])
